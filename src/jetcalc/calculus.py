@@ -28,22 +28,8 @@ from .expressions import (
     SignatureMismatchError,
     random_expr,
 )
-from .multiindex import MultiIndex
-from .operators import CDiffOperator, _chain_derivative
+from .operators import CDiffOperator, DerivativeCache
 from .vectorops import RankMismatchError, VectorOperator
-
-
-class DerivativeCache:
-    """Memoized iterated total derivatives of one vector operator's components."""
-
-    __slots__ = ("op", "_memos")
-
-    def __init__(self, op: VectorOperator):
-        self.op = op
-        self._memos = [dict() for _ in range(op.rank)]
-
-    def get(self, j: int, sigma: MultiIndex) -> PolyExpr:
-        return _chain_derivative(self.op[j], sigma, self._memos[j])
 
 
 def _require_section_rank(f: VectorOperator, role: str) -> None:
@@ -197,11 +183,8 @@ def substitute_section(e: PolyExpr, sections: Sequence[PolyExpr]) -> PolyExpr:
             raise SignatureMismatchError("section carries a different signature")
         if s.jet_coordinates():
             raise ValueError("sections must not contain jet coordinates")
-    mapping = {}
-    memos = [dict() for _ in range(bundle.r)]
-    for v in e.jet_coordinates():
-        mapping[v] = _chain_derivative(sections[v.index], v.sigma, memos[v.index])
-    return e.substitute(mapping)
+    cache = DerivativeCache(sections)
+    return e.substitute({v: cache.get(v.index, v.sigma) for v in e.jet_coordinates()})
 
 
 def random_vector_operator(

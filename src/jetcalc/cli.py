@@ -1,7 +1,7 @@
 """Command-line front end: parse a session file, run computations and checks.
 
 Exit codes: 0 when the computation succeeded and every checked residual was
-zero, 1 when a checked identity or claim failed, 2 on usage or parse errors.
+zero, 1 when a checked identity or claim failed, 2 on usage, parse or validation errors.
 All numeric output is exact rational text; JSON reports are byte-identical
 across runs with the same inputs and seed.
 """
@@ -20,20 +20,9 @@ from .calculus import (
     jacobi_bracket_coord,
     linearize,
 )
-from .dsl import DslError, parse
+from .dsl import parse
 from .expressions import PolyExpr
-from .identities import (
-    SUITE_IDENTITIES,
-    check_bracket_oracle,
-    check_bracket_leibniz,
-    check_commutation,
-    check_evolutionary_antihomomorphism,
-    check_hessian_symmetry,
-    check_jacobi_identity,
-    check_linearization_anomaly,
-    check_multiplier_identity,
-    run_random_suite,
-)
+from .identities import IDENTITIES, check_commutation, run_check, run_random_suite
 from .multiindex import MultiIndex
 from .printing import cdiff_text, latex, poly_text, vector_text
 from .structures import (
@@ -47,7 +36,7 @@ from .structures import (
 from .vectorops import VectorOperator
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -180,48 +169,26 @@ def _verify_explicit(args) -> dict:
     session = _load_session(args)
     names = args.operands
     identity = args.identity
-
-    def ops(count):
-        if len(names) != count:
-            raise UsageError(f"verify {identity} needs {count} operand names, got {len(names)}")
-        return [_named_op(session, n) for n in names]
-
-    if identity == "hess-sym":
-        res = check_hessian_symmetry(*ops(3))
-    elif identity == "prop2":
-        res = check_linearization_anomaly(*ops(3))
-    elif identity == "prop3":
-        res = check_bracket_leibniz(*ops(3))
-    elif identity == "jacobi":
-        res = check_jacobi_identity(*ops(3))
-    elif identity == "mu-lemma":
-        res = check_multiplier_identity(*ops(3))
-    elif identity == "bracket-oracle":
-        res = check_bracket_oracle(*ops(2))
-    elif identity == "antihom":
-        f, g = ops(2)
-        probes = [
-            f.bundle.coord_var(v) for v in f.bundle.jet_coordinates_up_to(args.probe_order)
-        ]
-        res = check_evolutionary_antihomomorphism(f, g, probes)
-    elif identity == "commutation-lemma":
-        (e_op,) = ops(1)
+    count = len(IDENTITIES[identity][1])
+    if len(names) != count:
+        raise UsageError(f"verify {identity} needs {count} operand names, got {len(names)}")
+    ops = [_named_op(session, n) for n in names]
+    if identity == "commutation-lemma":
         if args.zeta is None or args.tau is None:
             raise UsageError("verify commutation-lemma needs --zeta and --tau")
         zeta = _comma_index(args.zeta, "--zeta")
         tau = _comma_index(args.tau, "--tau")
-        res = check_commutation(zeta, tau, args.fiber - 1, e_op[0])
+        res = check_commutation(zeta, tau, args.fiber - 1, ops[0][0])
     else:
-        raise UsageError(f"unknown identity {identity!r}")
-    holds = res.holds and res.context.get("operator_form_equal", True)
+        res = run_check(identity, ops, args.probe_order)
     return {
         "identity": identity,
         "trials": 1,
         "seed": None,
         "failures": []
-        if holds
+        if res.holds
         else [{"operands": names, "residual": res.value.to_json()}],
-        "holds": holds,
+        "holds": res.holds,
     }
 
 
@@ -396,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify an identity on random or named operands")
     common(p)
-    p.add_argument("identity", choices=SUITE_IDENTITIES)
+    p.add_argument("identity", choices=IDENTITIES)
     p.add_argument("--random", type=int, default=100, metavar="N", help="number of random trials")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--operands", nargs="+", metavar="NAME", help="named operands instead of random trials")
@@ -439,10 +406,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except DslError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UsageError as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -135,13 +135,9 @@ class Bundle:
         return out
 
     def coord_name(self, v: JetCoordinate) -> str:
-        if v.kind == PARAM:
-            return self.params[v.index]
-        if v.kind == BASE:
-            return self.base[v.index]
-        from .printing import jet_text
+        from .printing import TEXT, coord_name
 
-        return jet_text(self, v.index, v.sigma)
+        return coord_name(TEXT, self, v)
 
     # -- expression constructors ------------------------------------------
 
@@ -267,7 +263,7 @@ class PolyExpr:
         cleaned: dict = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _as_coeff(coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff))
+                coeff = _as_coeff(coeff)
                 norm: dict = {}
                 for v, k in mono:
                     if not isinstance(v, JetCoordinate):
@@ -480,7 +476,7 @@ class PolyExpr:
             for v, k in mono:
                 if v not in point:
                     raise EvaluationError(f"coordinate {self.bundle.coord_name(v)} is not assigned")
-                val *= Fraction(point[v]) ** k
+                val *= _as_coeff(point[v]) ** k
             total += val
         return _as_coeff(total)
 
@@ -523,6 +519,8 @@ class PolyExpr:
 
         acc: dict = {}
         for entry in data["monomials"]:
+            if not isinstance(entry["coeff"], str):
+                raise TypeError(f"coefficient must be a string, got {entry['coeff']!r}")
             coeff = _as_coeff(Fraction(entry["coeff"]))
             mono: dict = {}
             for var in entry.get("vars", ()):
@@ -555,6 +553,7 @@ def random_expr(
     """
     if max_jet_order < 0 or max_degree < 0 or max_terms < 1 or not coeff_pool:
         raise ValueError("bounds must be positive and the coefficient pool non-empty")
+    coeffs = [_as_coeff(q) for q in coeff_pool]
     rng = random.Random(seed)
     pool: list[JetCoordinate] = []
     for k in range(len(bundle.params)):
@@ -564,7 +563,7 @@ def random_expr(
     pool.extend(bundle.jet_coordinates_up_to(max_jet_order))
     acc: dict = {}
     for _ in range(rng.randint(1, max_terms)):
-        coeff = _as_coeff(Fraction(rng.choice(list(coeff_pool))))
+        coeff = rng.choice(coeffs)
         if coeff == 0:
             continue
         deg = rng.randint(0, max_degree)

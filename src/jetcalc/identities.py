@@ -26,21 +26,26 @@ from .calculus import (
     linearize,
     random_vector_operator,
 )
-from .expressions import Bundle, PolyExpr, random_expr
+from .expressions import Bundle, PolyExpr, indices_up_to, random_expr
 from .multiindex import MultiIndex, binom_product, sub_indices
 from .operators import CDiffOperator
 from .vectorops import VectorOperator
 
-SUITE_IDENTITIES = (
-    "hess-sym",
-    "prop2",
-    "prop3",
-    "jacobi",
-    "antihom",
-    "commutation-lemma",
-    "mu-lemma",
-    "bracket-oracle",
-)
+# Identity name -> (name of its check function in this module, operand names
+# in the order a suite trial draws them).  The check is looked up by name at
+# call time, so rebinding a module attribute reaches every caller.
+IDENTITIES = {
+    "hess-sym": ("check_hessian_symmetry", ("f", "g", "h")),
+    "prop2": ("check_linearization_anomaly", ("f", "g", "h")),
+    "prop3": ("check_bracket_leibniz", ("f", "g", "h")),
+    "jacobi": ("check_jacobi_identity", ("f", "g", "h")),
+    "antihom": ("check_evolutionary_antihomomorphism", ("f", "g")),
+    "commutation-lemma": ("check_commutation", ("e",)),
+    "mu-lemma": ("check_multiplier_identity", ("g", "h", "mu")),
+    "bracket-oracle": ("check_bracket_oracle", ("f", "g")),
+}
+
+SUITE_IDENTITIES = tuple(IDENTITIES)
 
 DEFAULT_COEFF_POOL = (-2, -1, 0, 1, 2)
 
@@ -51,7 +56,8 @@ class Residual:
 
     value is a VectorOperator (for probe-family checks, one component per
     probe) or a CDiffOperator; holds is true iff the canonical form of
-    value is zero; context records the identity name and its inputs.
+    value is zero (for prop2, also of its operator form); context records
+    the identity name and its inputs.
     """
 
     value: Union[VectorOperator, CDiffOperator]
@@ -76,17 +82,17 @@ def check_linearization_anomaly(
     difference of Hessians (applied to a third operator h).
 
     The left side goes through the operator algebra, the right side through
-    the trilinear form, so the two sides cannot share a bug.  The context
-    additionally records whether both sides agree when assembled as matrix
-    operators and compared canonically.
+    the trilinear form, so the two sides cannot share a bug.  Both sides are
+    also assembled as matrix operators and compared canonically; holds needs
+    both comparisons, and the context records the operator one.
     """
     lf, lg = linearize(f), linearize(g)
     lhs_op = lf.commutator(lg) - linearize(jacobi_bracket(f, g))
     value = lhs_op.apply(h) - (hessian_form(g, f, h) - hessian_form(f, g, h))
-    rhs_op = hessian_operator(g, f) - hessian_operator(f, g)
-    return _residual(
-        "prop2", value, f=f, g=g, h=h, operator_form_equal=(lhs_op == rhs_op)
-    )
+    operator_form_equal = lhs_op == hessian_operator(g, f) - hessian_operator(f, g)
+    res = _residual("prop2", value, f=f, g=g, h=h, operator_form_equal=operator_form_equal)
+    res.holds = res.holds and operator_form_equal
+    return res
 
 
 def check_bracket_leibniz(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Residual:
@@ -202,6 +208,17 @@ def _suite_bundle(rng: random.Random, n_choices, r_choices) -> Bundle:
     return Bundle(("x", "y")[:n], ("u", "v")[:r])
 
 
+def run_check(identity: str, operands: Sequence[VectorOperator], probe_order: int) -> Residual:
+    """Run the check of an identity whose operands are all vector operators,
+    given in the order of its operand names; antihom is evaluated on the jet
+    coordinates up to probe_order."""
+    args = list(operands)
+    if identity == "antihom":
+        bundle = args[0].bundle
+        args.append([bundle.coord_var(v) for v in bundle.jet_coordinates_up_to(probe_order)])
+    return globals()[IDENTITIES[identity][0]](*args)
+
+
 def run_random_suite(
     identity: str,
     trials: int = 100,
@@ -219,44 +236,26 @@ def run_random_suite(
     The report is deterministic for a fixed seed and carries a replay
     fixture (inputs and residual, JSON form) for every failing trial.
     """
-    if identity not in SUITE_IDENTITIES:
+    if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; pick one of {SUITE_IDENTITIES}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    regime = dict(
+        max_jet_order=max_jet_order,
+        max_degree=max_degree,
+        coeff_pool=list(coeff_pool),
+        max_terms=4,
+    )
     failures = []
     for k in range(trials):
         tseed = trial_seed(seed, k)
         rng = random.Random(tseed)
         bundle = _suite_bundle(rng, n_choices, r_choices)
-
-        def rand_op():
-            return random_vector_operator(
-                bundle,
-                rng.randrange(2**32),
-                max_jet_order=max_jet_order,
-                max_degree=max_degree,
-                coeff_pool=list(coeff_pool),
-                max_terms=4,
-            )
-
-        def rand_expr():
-            return random_expr(
-                bundle,
-                rng.randrange(2**32),
-                max_jet_order=max_jet_order,
-                max_degree=max_degree,
-                coeff_pool=list(coeff_pool),
-                max_terms=4,
-            )
-
-        if identity == "antihom":
-            f, g = rand_op(), rand_op()
-            probes = [bundle.coord_var(v) for v in bundle.jet_coordinates_up_to(probe_order)]
-            res = check_evolutionary_antihomomorphism(f, g, probes)
-            inputs = {"f": f.to_json(), "g": g.to_json(), "probe_order": probe_order}
-        elif identity == "commutation-lemma":
-            choices = [s for s in _index_choices(bundle.n, max_index_order)]
+        if identity == "commutation-lemma":
+            choices = indices_up_to(bundle.n, max_index_order)
             zeta, tau = rng.choice(choices), rng.choice(choices)
             fiber = rng.randrange(bundle.r)
-            e = rand_expr()
+            e = random_expr(bundle, rng.randrange(2**32), **regime)
             res = check_commutation(zeta, tau, fiber, e)
             inputs = {
                 "zeta": list(zeta),
@@ -265,27 +264,16 @@ def run_random_suite(
                 "e": e.to_json(),
                 "signature": bundle.to_json(),
             }
-        elif identity == "bracket-oracle":
-            f, g = rand_op(), rand_op()
-            res = check_bracket_oracle(f, g)
-            inputs = {"f": f.to_json(), "g": g.to_json()}
-        elif identity == "mu-lemma":
-            g, h, mu = rand_op(), rand_op(), rand_op()
-            res = check_multiplier_identity(g, h, mu)
-            inputs = {"g": g.to_json(), "h": h.to_json(), "mu": mu.to_json()}
         else:
-            f, g, h = rand_op(), rand_op(), rand_op()
-            check = {
-                "hess-sym": check_hessian_symmetry,
-                "prop2": check_linearization_anomaly,
-                "prop3": check_bracket_leibniz,
-                "jacobi": check_jacobi_identity,
-            }[identity]
-            res = check(f, g, h)
-            inputs = {"f": f.to_json(), "g": g.to_json(), "h": h.to_json()}
-
-        ok = res.holds and res.context.get("operator_form_equal", True)
-        if not ok:
+            ops = {
+                name: random_vector_operator(bundle, rng.randrange(2**32), **regime)
+                for name in IDENTITIES[identity][1]
+            }
+            res = run_check(identity, list(ops.values()), probe_order)
+            inputs = {name: op.to_json() for name, op in ops.items()}
+            if identity == "antihom":
+                inputs["probe_order"] = probe_order
+        if not res.holds:
             failures.append(
                 {
                     "trial": k,
@@ -308,9 +296,3 @@ def run_random_suite(
             "coeff_pool": [str(c) for c in coeff_pool],
         },
     }
-
-
-def _index_choices(n: int, max_order: int) -> list[MultiIndex]:
-    from .expressions import indices_up_to
-
-    return indices_up_to(n, max_order)

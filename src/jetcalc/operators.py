@@ -16,7 +16,7 @@ so every result is again in canonical form and zero-testable.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError
 from .multiindex import MultiIndex, binom_product, sub_indices
@@ -43,6 +43,20 @@ def _chain_derivative(e: PolyExpr, sigma: MultiIndex, memo: dict) -> PolyExpr:
     out = _chain_derivative(e, _decrement(sigma, i), memo).total_derivative(i)
     memo[sigma] = out
     return out
+
+
+class DerivativeCache:
+    """Memoized iterated total derivatives D_sigma of a sequence of expressions."""
+
+    __slots__ = ("exprs", "_memos")
+
+    def __init__(self, exprs: Sequence[PolyExpr]):
+        self.exprs = exprs
+        self._memos = [dict() for _ in range(len(exprs))]
+
+    def get(self, j: int, sigma: MultiIndex) -> PolyExpr:
+        """D_sigma of the j-th expression."""
+        return _chain_derivative(self.exprs[j], sigma, self._memos[j])
 
 
 class CDiffOperator:
@@ -200,11 +214,11 @@ class CDiffOperator:
             raise SignatureMismatchError("operand carries a different signature")
         if g.rank != self.cols:
             raise ShapeMismatchError(f"operator has {self.cols} columns, operand rank {g.rank}")
-        memos = [dict() for _ in range(self.cols)]
+        cache = DerivativeCache(g)
         comps = [self.bundle.zero() for _ in range(self.rows)]
         for (i, j), cell in self._entries.items():
             for sigma, coeff in cell.items():
-                comps[i] = comps[i] + coeff * _chain_derivative(g[j], sigma, memos[j])
+                comps[i] = comps[i] + coeff * cache.get(j, sigma)
         return VectorOperator(comps)
 
     def compose(self, other: "CDiffOperator") -> "CDiffOperator":
@@ -217,17 +231,17 @@ class CDiffOperator:
             raise ShapeMismatchError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
+        caches = {key: DerivativeCache(list(cell.values())) for key, cell in other._entries.items()}
         acc: dict = {}
         for (i, j), left_cell in self._entries.items():
             for (j2, l), right_cell in other._entries.items():
                 if j2 != j:
                     continue
                 out_cell = acc.setdefault((i, l), {})
-                for tau, b in right_cell.items():
-                    memo: dict = {}
+                for k, tau in enumerate(right_cell):
                     for sigma, a in left_cell.items():
                         for kappa in sub_indices(sigma):
-                            db = _chain_derivative(b, kappa, memo)
+                            db = caches[j2, l].get(k, kappa)
                             if not db:
                                 continue
                             mult = binom_product(sigma, kappa)

@@ -9,7 +9,7 @@ forms are accepted back by the DSL parser.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import NamedTuple
 
 from .multiindex import MultiIndex
 
@@ -32,27 +32,8 @@ def display_order(terms) -> list:
     return sorted(terms, key=key, reverse=True)
 
 
-def _suffix_ok(bundle) -> bool:
-    return all(len(name) == 1 for name in bundle.base)
-
-
-def jet_text(bundle, j: int, sigma: MultiIndex) -> str:
-    name = bundle.fiber[j]
-    if sigma.order == 0:
-        return name
-    if _suffix_ok(bundle):
-        return name + "_" + "".join(bundle.base[i] * e for i, e in enumerate(sigma))
-    return name + "[" + ",".join(str(e) for e in sigma) + "]"
-
-
 def multiindex_text(sigma: MultiIndex) -> str:
     return "(" + ",".join(str(e) for e in sigma) + ")"
-
-
-def total_derivative_text(bundle, sigma: MultiIndex) -> str:
-    if _suffix_ok(bundle):
-        return "D_" + "".join(bundle.base[i] * e for i, e in enumerate(sigma))
-    return "D[" + ",".join(str(e) for e in sigma) + "]"
 
 
 def coord_token(bundle, v) -> str:
@@ -83,168 +64,164 @@ def parse_coord_token(bundle, token: str):
     raise ValueError(f"unrecognized coordinate token {token!r}")
 
 
-def _coeff_text(q) -> str:
-    return str(Fraction(q))
+class Style(NamedTuple):
+    """The notation of one output format; TEXT and LATEX are the only two."""
+
+    times: str  # between the factors of a term
+    power: str  # exponent, %-formatted with the power
+    fraction: str  # non-integral coefficient, %-formatted with (num, den)
+    long_name: str  # multi-letter base or parameter name
+    suffix: tuple  # subscript of letters, as in u_xxy
+    bracket: tuple  # subscript of entries, as in u[2,1]
+    derivative: str  # total-derivative symbol
+    group: tuple  # parentheses around a multi-term coefficient
+    vector: tuple  # (open, separator, close) of a column of entries
+    row: tuple  # (open, separator, close) of one matrix row
 
 
-def _term_pieces(bundle, mono: tuple, coeff):
+TEXT = Style(
+    times="*",
+    power="^%d",
+    fraction="%d/%d",
+    long_name="%s",
+    suffix=("_", ""),
+    bracket=("[", "]"),
+    derivative="D",
+    group=("(", ")"),
+    vector=("[", ", ", "]"),
+    row=("[", ", ", "]"),
+)
+
+LATEX = Style(
+    times=r"\,",
+    power="^{%d}",
+    fraction=r"\tfrac{%d}{%d}",
+    long_name=r"\mathit{%s}",
+    suffix=("_{", "}"),
+    bracket=("_{(", ")}"),
+    derivative=r"\mathcal{D}",
+    group=(r"\left(", r"\right)"),
+    vector=(r"\begin{pmatrix}", r" \\ ", r"\end{pmatrix}"),
+    row=("", " & ", ""),
+)
+
+
+def _subscript(style: Style, bundle, sigma: MultiIndex) -> str:
+    """Letter suffix when every base name is one letter, entry list otherwise."""
+    if all(len(name) == 1 for name in bundle.base):
+        opening, closing = style.suffix
+        return opening + "".join(bundle.base[i] * e for i, e in enumerate(sigma)) + closing
+    opening, closing = style.bracket
+    return opening + ",".join(str(e) for e in sigma) + closing
+
+
+def jet_text(bundle, j: int, sigma: MultiIndex) -> str:
+    from .expressions import JET, JetCoordinate
+
+    return coord_name(TEXT, bundle, JetCoordinate(JET, j, sigma))
+
+
+def coord_name(style: Style, bundle, v) -> str:
+    """Display name of one coordinate."""
+    from .expressions import JET, PARAM
+
+    if v.kind == JET:
+        name = bundle.fiber[v.index]
+        return name if v.sigma.order == 0 else name + _subscript(style, bundle, v.sigma)
+    name = bundle.params[v.index] if v.kind == PARAM else bundle.base[v.index]
+    return name if len(name) == 1 else style.long_name % name
+
+
+def _term(style: Style, bundle, mono: tuple, coeff):
     """(sign, body) for one monomial term."""
     neg = coeff < 0
     mag = -coeff if neg else coeff
     parts = []
     if not mono or mag != 1:
-        parts.append(_coeff_text(mag))
+        frac = (mag.numerator, mag.denominator)
+        parts.append(str(mag) if mag.denominator == 1 else style.fraction % frac)
     for v, k in mono:
-        name = bundle.coord_name(v)
-        parts.append(name if k == 1 else f"{name}^{k}")
-    return neg, "*".join(parts)
+        name = coord_name(style, bundle, v)
+        parts.append(name if k == 1 else name + style.power % k)
+    return neg, style.times.join(parts)
+
+
+def _signed_sum(terms) -> str:
+    """Join (sign, body) pairs: a leading minus, then " + " or " - "."""
+    chunks = []
+    for neg, body in terms:
+        if not chunks:
+            chunks.append("-" + body if neg else body)
+        else:
+            chunks.append((" - " if neg else " + ") + body)
+    return "".join(chunks)
+
+
+def _poly(style: Style, e) -> str:
+    if e.is_zero():
+        return "0"
+    return _signed_sum(_term(style, e.bundle, m, e.terms[m]) for m in display_order(e.terms))
+
+
+def _join(brackets: tuple, entries) -> str:
+    opening, sep, closing = brackets
+    return opening + sep.join(entries) + closing
+
+
+def _vector(style: Style, v) -> str:
+    return _join(style.vector, (_poly(style, c) for c in v.components))
+
+
+def _cdiff_entry(style: Style, bundle, terms: dict) -> str:
+    if not terms:
+        return "0"
+    pieces = []
+    for sigma in sorted(terms, key=lambda s: (s.order, s), reverse=True):
+        coeff = terms[sigma]
+        if len(coeff.terms) == 1:
+            ((mono, c),) = coeff.terms.items()
+            neg, body = _term(style, bundle, mono, c)
+        else:
+            neg, body = False, style.group[0] + _poly(style, coeff) + style.group[1]
+        if sigma.order:
+            dword = style.derivative + _subscript(style, bundle, sigma)
+            body = dword if body == "1" else body + style.times + dword
+        pieces.append((neg, body))
+    return _signed_sum(pieces)
+
+
+def _cdiff(style: Style, op) -> str:
+    if op.rows == 1 and op.cols == 1:
+        return _cdiff_entry(style, op.bundle, op.entry(0, 0))
+    rows = (
+        _join(style.row, (_cdiff_entry(style, op.bundle, op.entry(i, j)) for j in range(op.cols)))
+        for i in range(op.rows)
+    )
+    return _join(style.vector, rows)
 
 
 def poly_text(e) -> str:
-    if e.is_zero():
-        return "0"
-    bundle = e.bundle
-    chunks = []
-    for mono in display_order(e.terms):
-        neg, body = _term_pieces(bundle, mono, e.terms[mono])
-        if not chunks:
-            chunks.append("-" + body if neg else body)
-        else:
-            chunks.append((" - " if neg else " + ") + body)
-    return "".join(chunks)
+    return _poly(TEXT, e)
 
 
 def vector_text(v) -> str:
-    return "[" + ", ".join(poly_text(c) for c in v.components) + "]"
-
-
-def _cdiff_entry_text(bundle, terms: dict) -> str:
-    if not terms:
-        return "0"
-    chunks = []
-    for sigma in sorted(terms, key=lambda s: (s.order, s), reverse=True):
-        coeff = terms[sigma]
-        dword = total_derivative_text(bundle, sigma) if sigma.order else None
-        if len(coeff.terms) == 1:
-            ((mono, c),) = coeff.terms.items()
-            neg, body = _term_pieces(bundle, mono, c)
-            if dword is not None:
-                body = dword if (body == "1") else body + "*" + dword
-        else:
-            neg, body = False, "(" + poly_text(coeff) + ")"
-            if dword is not None:
-                body += "*" + dword
-        if not chunks:
-            chunks.append("-" + body if neg else body)
-        else:
-            chunks.append((" - " if neg else " + ") + body)
-    return "".join(chunks)
+    return _vector(TEXT, v)
 
 
 def cdiff_text(op) -> str:
-    if op.rows == 1 and op.cols == 1:
-        return _cdiff_entry_text(op.bundle, op.entry(0, 0))
-    rows = []
-    for i in range(op.rows):
-        cells = [_cdiff_entry_text(op.bundle, op.entry(i, j)) for j in range(op.cols)]
-        rows.append("[" + ", ".join(cells) + "]")
-    return "[" + ", ".join(rows) + "]"
-
-
-# -- LaTeX ------------------------------------------------------------------
-
-
-def _coeff_latex(q) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q < 0 else ""
-    return sign + r"\tfrac{%d}{%d}" % (abs(q.numerator), q.denominator)
-
-
-def jet_latex(bundle, j: int, sigma: MultiIndex) -> str:
-    name = bundle.fiber[j]
-    if sigma.order == 0:
-        return name
-    if _suffix_ok(bundle):
-        return name + "_{" + "".join(bundle.base[i] * e for i, e in enumerate(sigma)) + "}"
-    return name + "_{(" + ",".join(str(e) for e in sigma) + ")}"
-
-
-def coord_latex(bundle, v) -> str:
-    from .expressions import JET, PARAM
-
-    if v.kind == JET:
-        return jet_latex(bundle, v.index, v.sigma)
-    name = bundle.params[v.index] if v.kind == PARAM else bundle.base[v.index]
-    return name if len(name) == 1 else r"\mathit{%s}" % name
-
-
-def _term_latex(bundle, mono: tuple, coeff):
-    neg = coeff < 0
-    mag = -coeff if neg else coeff
-    parts = []
-    if not mono or mag != 1:
-        parts.append(_coeff_latex(mag))
-    for v, k in mono:
-        name = coord_latex(bundle, v)
-        parts.append(name if k == 1 else name + "^{%d}" % k)
-    return neg, r"\,".join(parts)
+    return _cdiff(TEXT, op)
 
 
 def poly_latex(e) -> str:
-    if e.is_zero():
-        return "0"
-    chunks = []
-    for mono in display_order(e.terms):
-        neg, body = _term_latex(e.bundle, mono, e.terms[mono])
-        if not chunks:
-            chunks.append("-" + body if neg else body)
-        else:
-            chunks.append((" - " if neg else " + ") + body)
-    return "".join(chunks)
+    return _poly(LATEX, e)
 
 
 def vector_latex(v) -> str:
-    return r"\begin{pmatrix}" + r" \\ ".join(poly_latex(c) for c in v.components) + r"\end{pmatrix}"
-
-
-def total_derivative_latex(bundle, sigma: MultiIndex) -> str:
-    if _suffix_ok(bundle):
-        return r"\mathcal{D}_{" + "".join(bundle.base[i] * e for i, e in enumerate(sigma)) + "}"
-    return r"\mathcal{D}_{(" + ",".join(str(e) for e in sigma) + ")}"
-
-
-def _cdiff_entry_latex(bundle, terms: dict) -> str:
-    if not terms:
-        return "0"
-    chunks = []
-    for sigma in sorted(terms, key=lambda s: (s.order, s), reverse=True):
-        coeff = terms[sigma]
-        dword = total_derivative_latex(bundle, sigma) if sigma.order else None
-        if len(coeff.terms) == 1:
-            ((mono, c),) = coeff.terms.items()
-            neg, body = _term_latex(bundle, mono, c)
-            if dword is not None:
-                body = dword if body == "1" else body + r"\," + dword
-        else:
-            neg, body = False, r"\left(" + poly_latex(coeff) + r"\right)"
-            if dword is not None:
-                body += r"\," + dword
-        if not chunks:
-            chunks.append("-" + body if neg else body)
-        else:
-            chunks.append((" - " if neg else " + ") + body)
-    return "".join(chunks)
+    return _vector(LATEX, v)
 
 
 def cdiff_latex(op) -> str:
-    if op.rows == 1 and op.cols == 1:
-        return _cdiff_entry_latex(op.bundle, op.entry(0, 0))
-    rows = []
-    for i in range(op.rows):
-        rows.append(" & ".join(_cdiff_entry_latex(op.bundle, op.entry(i, j)) for j in range(op.cols)))
-    return r"\begin{pmatrix}" + r" \\ ".join(rows) + r"\end{pmatrix}"
+    return _cdiff(LATEX, op)
 
 
 def latex(obj) -> str:

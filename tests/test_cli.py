@@ -206,6 +206,45 @@ class TestUsageErrors:
         assert code == 2
         capsys.readouterr()
 
+    def _assert_error(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_rank_mismatch(self, tmp_path, capsys):
+        session = tmp_path / "ranks.jet"
+        session.write_text("base x; fiber u; op F = [u_x, u]; op G = [u];")
+        self._assert_error(
+            ["bracket", "--session", str(session), "--left", "F", "--right", "G"], capsys
+        )
+
+    def test_negative_probe_order(self, intro_session, capsys):
+        self._assert_error(
+            ["verify", "antihom", "--session", intro_session, "--operands", "F", "G",
+             "--probe-order", "-1"],
+            capsys,
+        )
+
+    def test_fiber_out_of_range(self, intro_session, capsys):
+        self._assert_error(
+            ["verify", "commutation-lemma", "--session", intro_session, "--operands", "F",
+             "--zeta", "1", "--tau", "1", "--fiber", "0"],
+            capsys,
+        )
+
+    def test_index_length_mismatch(self, intro_session, capsys):
+        self._assert_error(
+            ["verify", "commutation-lemma", "--session", intro_session, "--operands", "F",
+             "--zeta", "1,0", "--tau", "1"],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_vacuous_suite(self, trials, capsys):
+        self._assert_error(["verify", "prop2", "--random", trials], capsys)
+
 
 class TestRoundTrip:
     def test_all_shipped_fixtures_roundtrip(self, fixtures_dir):

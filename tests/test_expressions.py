@@ -31,6 +31,13 @@ class TestRing:
         assert (u + 1) * (u - 1) == u**2 - 1
         assert (u + Fraction(1, 2)) * 2 == 2 * u + 1
 
+    def test_constructor_rejects_float_coefficients(self, scalar_bundle):
+        mono = ((scalar_bundle.fiber_coord(0), 1),)
+        assert PolyExpr(scalar_bundle, {mono: Fraction(2, 4)}).terms == {mono: Fraction(1, 2)}
+        assert PolyExpr(scalar_bundle, {mono: Fraction(4, 2)}).terms == {mono: 2}
+        with pytest.raises(TypeError):
+            PolyExpr(scalar_bundle, {mono: 0.1})
+
     def test_signature_mixing_rejected(self, scalar_bundle, plane_bundle):
         with pytest.raises(SignatureMismatchError):
             scalar_bundle.fiber_var(0) + plane_bundle.fiber_var(0)
@@ -147,6 +154,13 @@ class TestEvaluate:
         point = {b.jet_coord(0, (1,)): 1, b.param_coord("c"): 2, b.base_coord(0): -1}
         assert e.evaluate(point) == -1
 
+    def test_rejects_float_point(self, scalar_bundle):
+        b = scalar_bundle
+        u = b.fiber_coord(0)
+        assert b.fiber_var(0).evaluate({u: Fraction(1, 2)}) == Fraction(1, 2)
+        with pytest.raises(TypeError):
+            b.fiber_var(0).evaluate({u: 0.5})
+
     def test_unassigned_coordinate(self, scalar_bundle):
         b = scalar_bundle
         with pytest.raises(EvaluationError):
@@ -179,6 +193,10 @@ class TestRandomExpr:
             e = random_expr(scalar_bundle, seed, max_jet_order=2, max_degree=2)
             assert e.jet_order <= 2
             assert e.degree <= 2
+
+    def test_rejects_float_pool(self, scalar_bundle):
+        with pytest.raises(TypeError):
+            random_expr(scalar_bundle, 0, coeff_pool=(1, 0.5))
 
     def test_rejects_bad_bounds(self, scalar_bundle):
         with pytest.raises(ValueError):
@@ -214,6 +232,13 @@ class TestStructure:
             e = random_expr(plane_bundle, seed, max_jet_order=2, max_degree=3,
                             coeff_pool=(Fraction(1, 2), -2, 3))
             assert PolyExpr.from_json(e.to_json(), plane_bundle) == e
+
+    def test_json_rejects_number_coefficients(self, scalar_bundle):
+        doc = scalar_bundle.fiber_var(0).to_json()
+        assert PolyExpr.from_json(doc, scalar_bundle) == scalar_bundle.fiber_var(0)
+        doc["monomials"][0]["coeff"] = 0.5
+        with pytest.raises(TypeError):
+            PolyExpr.from_json(doc, scalar_bundle)
 
     def test_canonical_equality_vs_int(self, scalar_bundle):
         assert scalar_bundle.const(Fraction(4, 2)) == 2

@@ -91,6 +91,43 @@ class TestLatex:
         v = VectorOperator([b.const(-1), b.const(1)])
         assert vector_latex(v) == r"\begin{pmatrix}-1 \\ 1\end{pmatrix}"
 
+    def test_cdiff_matrix(self, plane_bundle):
+        one = plane_bundle.one()
+        op = CDiffOperator(
+            plane_bundle,
+            2,
+            2,
+            {(0, 0): {(2, 0): one, (0, 1): -one}, (1, 1): {(1, 1): one, (0, 0): one}},
+        )
+        assert cdiff_latex(op) == (
+            r"\begin{pmatrix}\mathcal{D}_{xx} - \mathcal{D}_{y} & 0"
+            r" \\ 0 & \mathcal{D}_{xy} + 1\end{pmatrix}"
+        )
+
+    def test_multichar_names(self):
+        b = Bundle(("xx", "t"), ("u",), ("cc", "d"))
+        e = b.param("cc") * b.base_var(0) ** 2 - b.param("d") * b.jet(0, (2, 1)) + b.base_var(1)
+        assert poly_text(e) == "cc*xx^2 - d*u[2,1] + t"
+        assert poly_latex(e) == r"\mathit{cc}\,\mathit{xx}^{2} - d\,u_{(2,1)} + t"
+        op = CDiffOperator.total_derivative(b, (2, 0))
+        assert cdiff_latex(op) == r"\mathcal{D}_{(2,0)}"
+
+    def test_cdiff_multi_term_coefficient(self, scalar_bundle):
+        b = scalar_bundle
+        coeff = 2 * b.jet(0, (2,)) + 2 * b.param("c")
+        op = CDiffOperator(b, 1, 1, {(0, 0): {(1,): coeff, (0,): -b.one()}})
+        assert cdiff_latex(op) == r"\left(2\,u_{xx} + 2\,c\right)\,\mathcal{D}_{x} - 1"
+
+    def test_negative_fractions(self, scalar_bundle):
+        b = scalar_bundle
+        assert poly_latex(b.const(Fraction(-3, 2))) == r"-\tfrac{3}{2}"
+        assert poly_latex(b.fiber_var(0) - b.base_var(0).scale(Fraction(1, 2))) == (
+            r"u - \tfrac{1}{2}\,x"
+        )
+        assert poly_latex(b.jet(0, (1,)).scale(Fraction(-2, 3))) == r"-\tfrac{2}{3}\,u_{x}"
+        op = CDiffOperator(b, 1, 1, {(0, 0): {(1,): b.const(Fraction(-1, 2))}})
+        assert cdiff_latex(op) == r"-\tfrac{1}{2}\,\mathcal{D}_{x}"
+
 
 class TestJson:
     def test_poly_document_shape(self, intro_pair):
