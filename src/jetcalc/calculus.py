@@ -26,6 +26,7 @@ from .expressions import (
     PolyExpr,
     Rational,
     SignatureMismatchError,
+    _mul_into,
     random_expr,
 )
 from .operators import CDiffOperator, DerivativeCache
@@ -83,12 +84,12 @@ def evolutionary_apply(
         return VectorOperator(evolutionary_apply(g, c, cache) for c in target.components)
     if target.bundle != g.bundle:
         raise SignatureMismatchError("operands carry different signatures")
-    out = g.bundle.zero()
+    acc: dict = {}
     for v in target.jet_coordinates():
         dg = cache.get(v.index, v.sigma)
         if dg:
-            out = out + dg * target.partial(v)
-    return out
+            _mul_into(acc, dg, target.partial(v))
+    return PolyExpr._make(g.bundle, acc)
 
 
 def jacobi_bracket(f: VectorOperator, g: VectorOperator) -> VectorOperator:
@@ -108,16 +109,16 @@ def jacobi_bracket_coord(f: VectorOperator, g: VectorOperator) -> VectorOperator
     fcache, gcache = DerivativeCache(f), DerivativeCache(g)
     comps = []
     for i in range(f.rank):
-        acc = f.bundle.zero()
+        acc: dict = {}
         for v in f[i].jet_coordinates():
             dg = gcache.get(v.index, v.sigma)
             if dg:
-                acc = acc + dg * f[i].partial(v)
+                _mul_into(acc, dg, f[i].partial(v))
         for v in g[i].jet_coordinates():
             df = fcache.get(v.index, v.sigma)
             if df:
-                acc = acc - df * g[i].partial(v)
-        comps.append(acc)
+                _mul_into(acc, df, g[i].partial(v), -1)
+        comps.append(PolyExpr._make(f.bundle, acc))
     return VectorOperator(comps)
 
 
@@ -129,7 +130,7 @@ def hessian_form(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Vec
     gcache, hcache = DerivativeCache(g), DerivativeCache(h)
     comps = []
     for i in range(f.rank):
-        acc = f.bundle.zero()
+        acc: dict = {}
         for v in f[i].jet_coordinates():
             first = f[i].partial(v)
             dg = gcache.get(v.index, v.sigma)
@@ -139,8 +140,8 @@ def hessian_form(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Vec
                 second = first.partial(w)
                 dh = hcache.get(w.index, w.sigma)
                 if second and dh:
-                    acc = acc + second * dg * dh
-        comps.append(acc)
+                    _mul_into(acc, second * dg, dh)
+        comps.append(PolyExpr._make(f.bundle, acc))
     return VectorOperator(comps)
 
 

@@ -8,14 +8,31 @@ in these coordinates with exact rational coefficients, kept in a canonical
 form (sorted variables, no zero coefficients, reduced fractions) so that
 equality of values is equality of representations and every identity check
 reduces to a zero test.
+
+Representation.  Each JetCoordinate is interned once per process to a small
+int id.  The intern table also holds each id's kind and |sigma| and, for
+each base direction i, what the total derivative D_i makes of the id: the id
+of the shifted jet coordinate, "drop" for x^i, or "skip" for parameters and
+the other base variables; these entries fill lazily, so MultiIndex.bump runs
+once per coordinate and direction.  Inside a PolyExpr a monomial is a sorted
+tuple of ids with one id per power (u^2*u_x is (id_u, id_u, id_ux)), so a
+product is a sorted concatenation, a total derivative one table lookup per
+distinct factor and the degree the tuple's length.  Ids depend on the order
+in which coordinates were first seen and never reach output: PolyExpr.terms
+decodes to a dict whose monomials are coordinate-sorted tuples of
+(JetCoordinate, power) pairs, and printing, JSON and pickling read that view.
+Because a monomial holds one id per power, its total degree is bounded by
+MAX_DEGREE wherever a power is set: the PolyExpr constructor, from_json and
+``**``.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .multiindex import MAX_BASE_DIM, MultiIndex
@@ -25,6 +42,9 @@ Rational = Union[int, Fraction]
 # Coordinate kinds; the numeric values fix the canonical variable order:
 # parameters, then base variables, then jet coordinates.
 PARAM, BASE, JET = 0, 1, 2
+
+# Largest total degree of a monomial, and largest exponent of ``**``.
+MAX_DEGREE = 1000
 
 
 class SignatureMismatchError(ValueError):
@@ -58,6 +78,69 @@ def _as_coeff(q) -> Rational:
     if isinstance(q, Fraction):
         return q.numerator if q.denominator == 1 else q
     raise TypeError(f"expected int or Fraction, got {type(q).__name__}")
+
+
+# -- the intern table ----------------------------------------------------------
+
+_COORDS: list = []  # id -> JetCoordinate
+_IDS: dict = {}  # JetCoordinate -> id
+_KIND: list = []  # id -> kind
+_ORDER: list = []  # id -> |sigma|
+_SHIFTS = tuple({} for _ in range(MAX_BASE_DIM))  # per direction i: id -> id, _DROP or _SKIP
+_DROP, _SKIP = -1, -2
+_LOCK = threading.Lock()
+
+
+def _intern(v: JetCoordinate) -> int:
+    got = _IDS.get(v)
+    if got is None:
+        with _LOCK:
+            got = _IDS.get(v)
+            if got is None:
+                sigma = MultiIndex._unchecked(tuple(v.sigma))
+                got = len(_COORDS)
+                _COORDS.append(JetCoordinate(v.kind, v.index, sigma))
+                _KIND.append(v.kind)
+                _ORDER.append(sum(sigma))
+                _IDS[v] = got
+    return got
+
+
+def _shift(i: int, v: int) -> int:
+    """Fill in and return what D_i makes of id v."""
+    c = _COORDS[v]
+    if c.kind == JET:
+        t = _intern(JetCoordinate(JET, c.index, c.sigma.bump(i)))
+    elif c.kind == BASE and c.index == i:
+        t = _DROP
+    else:
+        t = _SKIP
+    _SHIFTS[i][v] = t
+    return t
+
+
+def _encode(pairs) -> tuple:
+    """Id-form monomial of (JetCoordinate, power) pairs."""
+    return tuple(sorted(chain.from_iterable(repeat(_intern(v), k) for v, k in pairs)))
+
+
+def _decode(mono: tuple) -> tuple:
+    """Coordinate-sorted (JetCoordinate, power) pairs of an id-form monomial."""
+    return tuple(sorted((_COORDS[v], mono.count(v)) for v in set(mono)))
+
+
+def _mul_into(acc: dict, a: "PolyExpr", b: "PolyExpr", k: int = 1) -> None:
+    """Add k * a * b into the id-form term dict acc without building a * b;
+    PolyExpr._make(bundle, acc) then gives the sum.  The caller checks that
+    a and b share acc's bundle."""
+    get = acc.get
+    tb = b._terms.items()
+    for m1, c1 in a._terms.items():
+        if k != 1:
+            c1 = k * c1
+        for m2, c2 in tb:
+            m = tuple(sorted(m1 + m2))
+            acc[m] = get(m, 0) + c1 * c2
 
 
 @dataclass(frozen=True)
@@ -152,20 +235,20 @@ class Bundle:
         return self.const(1)
 
     def base_var(self, i: int) -> "PolyExpr":
-        return PolyExpr._make(self, {((self.base_coord(i), 1),): 1})
+        return PolyExpr._make(self, {(_intern(self.base_coord(i)),): 1})
 
     def jet(self, j: int, sigma) -> "PolyExpr":
-        return PolyExpr._make(self, {((self.jet_coord(j, sigma), 1),): 1})
+        return PolyExpr._make(self, {(_intern(self.jet_coord(j, sigma)),): 1})
 
     def fiber_var(self, j: int) -> "PolyExpr":
         return self.jet(j, MultiIndex.zero(self.n))
 
     def param(self, name: str) -> "PolyExpr":
-        return PolyExpr._make(self, {((self.param_coord(name), 1),): 1})
+        return PolyExpr._make(self, {(_intern(self.param_coord(name)),): 1})
 
     def coord_var(self, v: JetCoordinate) -> "PolyExpr":
         _check_coord(self, v)
-        return PolyExpr._make(self, {((v, 1),): 1})
+        return PolyExpr._make(self, {(_intern(v),): 1})
 
     def to_json(self) -> dict:
         return {"base": list(self.base), "fiber": list(self.fiber), "params": list(self.params)}
@@ -198,58 +281,6 @@ def _check_coord(bundle: Bundle, v: JetCoordinate) -> None:
         raise ValueError(f"coordinate {v} does not belong to signature {bundle}")
 
 
-# Monomials are tuples of (JetCoordinate, power) pairs, sorted by coordinate.
-
-def _mono_mul(m1: tuple, m2: tuple) -> tuple:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        v1, k1 = m1[i]
-        v2, k2 = m2[j]
-        if v1 == v2:
-            out.append((v1, k1 + k2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
-
-
-def _mono_insert(mono: tuple, v: JetCoordinate) -> tuple:
-    """Multiply a monomial by a single coordinate."""
-    for pos, (w, k) in enumerate(mono):
-        if w == v:
-            return mono[:pos] + ((v, k + 1),) + mono[pos + 1:]
-        if v < w:
-            return mono[:pos] + ((v, 1),) + mono[pos:]
-    return mono + ((v, 1),)
-
-
-def _mono_drop_power(mono: tuple, pos: int) -> tuple:
-    v, k = mono[pos]
-    if k == 1:
-        return mono[:pos] + mono[pos + 1:]
-    return mono[:pos] + ((v, k - 1),) + mono[pos + 1:]
-
-
-def _acc(acc: dict, mono: tuple, coeff) -> None:
-    cur = acc.get(mono)
-    if cur is None:
-        acc[mono] = coeff
-    else:
-        acc[mono] = cur + coeff
-
-
 class PolyExpr:
     """A polynomial over the jet coordinates of one bundle, in canonical form.
 
@@ -257,78 +288,85 @@ class PolyExpr:
     operators work, with ints and Fractions coerced to constants.
     """
 
-    __slots__ = ("bundle", "terms", "_jet_order")
+    __slots__ = ("bundle", "_terms", "_jet_order")
 
     def __init__(self, bundle: Bundle, terms: Optional[Mapping] = None):
-        cleaned: dict = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = _as_coeff(coeff)
-                norm: dict = {}
-                for v, k in mono:
-                    if not isinstance(v, JetCoordinate):
-                        raise TypeError(f"monomial variable {v!r} is not a JetCoordinate")
-                    _check_coord(bundle, v)
-                    if not isinstance(k, int) or k <= 0:
-                        raise ValueError(f"monomial power must be a positive int, got {k!r}")
-                    norm[v] = norm.get(v, 0) + k
-                key = tuple(sorted(norm.items()))
-                _acc(cleaned, key, coeff)
-        for mono in [m for m, c in cleaned.items() if c == 0]:
-            del cleaned[mono]
+        """terms maps monomials, each an iterable of (JetCoordinate, power)
+        pairs, to rational coefficients."""
+        acc: dict = {}
+        for mono, coeff in (terms or {}).items():
+            coeff = _as_coeff(coeff)
+            norm: dict = {}
+            for v, k in mono:
+                if not isinstance(v, JetCoordinate):
+                    raise TypeError(f"monomial variable {v!r} is not a JetCoordinate")
+                _check_coord(bundle, v)
+                if not isinstance(k, int) or k <= 0:
+                    raise ValueError(f"monomial power must be a positive int, got {k!r}")
+                norm[v] = norm.get(v, 0) + k
+            degree = sum(norm.values())
+            if degree > MAX_DEGREE:
+                raise ValueError(f"monomial degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}")
+            key = _encode(norm.items())
+            acc[key] = acc.get(key, 0) + coeff
         self.bundle = bundle
-        self.terms = cleaned
+        self._terms = {m: c for m, c in acc.items() if c}
         self._jet_order = None
 
     @classmethod
     def _make(cls, bundle: Bundle, terms: dict) -> "PolyExpr":
-        # Trusted constructor: keys are canonical monomials, values may be 0.
+        # Trusted constructor: keys are id-form monomials, values may be 0.
         self = object.__new__(cls)
-        for mono in [m for m, c in terms.items() if c == 0]:
+        for mono in [m for m, c in terms.items() if not c]:
             del terms[mono]
         self.bundle = bundle
-        self.terms = terms
+        self._terms = terms
         self._jet_order = None
         return self
 
+    def __reduce__(self):
+        # Rebuild from the decoded view: ids are local to one process.
+        return PolyExpr, (self.bundle, self.terms)
+
     # -- structure ---------------------------------------------------------
+
+    @property
+    def terms(self) -> dict:
+        """A fresh dict of monomial -> coefficient, each monomial a
+        coordinate-sorted tuple of (JetCoordinate, power) pairs."""
+        return {_decode(m): c for m, c in self._terms.items()}
 
     @property
     def jet_order(self) -> int:
         """Highest |sigma| among jet coordinates present; 0 if none."""
         if self._jet_order is None:
-            order = 0
-            for mono in self.terms:
-                for v, _ in mono:
-                    if v.kind == JET and v.sigma.order > order:
-                        order = v.sigma.order
-            self._jet_order = order
+            self._jet_order = max((_ORDER[v] for mono in self._terms for v in mono), default=0)
         return self._jet_order
 
     @property
     def degree(self) -> int:
         """Total degree of the largest monomial; 0 for constants and zero."""
-        return max((sum(k for _, k in mono) for mono in self.terms), default=0)
+        return max(map(len, self._terms), default=0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def is_constant(self) -> bool:
-        return all(not mono for mono in self.terms)
+        return not any(self._terms)
 
     def constant_value(self) -> Rational:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((), 0)
+        return self._terms.get((), 0)
 
     def coordinates(self) -> set[JetCoordinate]:
-        return {v for mono in self.terms for v, _ in mono}
+        return {_COORDS[v] for mono in self._terms for v in mono}
 
     def jet_coordinates(self) -> set[JetCoordinate]:
-        return {v for v in self.coordinates() if v.kind == JET}
+        return {_COORDS[v] for mono in self._terms for v in mono if _KIND[v] == JET}
 
     # -- ring operations ----------------------------------------------------
 
@@ -347,23 +385,25 @@ class PolyExpr:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            _acc(acc, mono, c)
+        acc = dict(self._terms)
+        get = acc.get
+        for mono, c in other._terms.items():
+            acc[mono] = get(mono, 0) + c
         return PolyExpr._make(self.bundle, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyExpr":
-        return PolyExpr._make(self.bundle, {m: -c for m, c in self.terms.items()})
+        return PolyExpr._make(self.bundle, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "PolyExpr":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            _acc(acc, mono, -c)
+        acc = dict(self._terms)
+        get = acc.get
+        for mono, c in other._terms.items():
+            acc[mono] = get(mono, 0) - c
         return PolyExpr._make(self.bundle, acc)
 
     def __rsub__(self, other) -> "PolyExpr":
@@ -377,9 +417,7 @@ class PolyExpr:
         if other is None:
             return NotImplemented
         acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _acc(acc, _mono_mul(m1, m2), c1 * c2)
+        _mul_into(acc, self, other)
         return PolyExpr._make(self.bundle, acc)
 
     __rmul__ = __mul__
@@ -388,11 +426,13 @@ class PolyExpr:
         q = _as_coeff(q)
         if q == 0:
             return self.bundle.zero()
-        return PolyExpr._make(self.bundle, {m: c * q for m, c in self.terms.items()})
+        return PolyExpr._make(self.bundle, {m: c * q for m, c in self._terms.items()})
 
     def __pow__(self, k: int) -> "PolyExpr":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
+        if max(k, k * self.degree) > MAX_DEGREE:
+            raise ValueError(f"power {k} of a degree-{self.degree} expression exceeds MAX_DEGREE = {MAX_DEGREE}")
         out = self.bundle.one()
         for _ in range(k):
             out = out * self
@@ -403,7 +443,7 @@ class PolyExpr:
             if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
                 return self.is_constant() and self.constant_value() == other
             return NotImplemented
-        return self.bundle == other.bundle and self.terms == other.terms
+        return self.bundle == other.bundle and self._terms == other._terms
 
     __hash__ = None  # mutable-looking container; equality is structural
 
@@ -412,12 +452,15 @@ class PolyExpr:
     def partial(self, v: JetCoordinate) -> "PolyExpr":
         """Formal partial derivative with respect to a single coordinate."""
         _check_coord(self.bundle, v)
+        vid = _IDS.get(v)
         acc: dict = {}
-        for mono, c in self.terms.items():
-            for pos, (w, k) in enumerate(mono):
-                if w == v:
-                    _acc(acc, _mono_drop_power(mono, pos), k * c)
-                    break
+        get = acc.get
+        for mono, c in self._terms.items():
+            k = mono.count(vid)
+            if k:
+                pos = mono.index(vid)
+                m = mono[:pos] + mono[pos + 1:]
+                acc[m] = get(m, 0) + k * c
         return PolyExpr._make(self.bundle, acc)
 
     def total_derivative(self, i: int) -> "PolyExpr":
@@ -426,18 +469,29 @@ class PolyExpr:
         """
         if not 0 <= i < self.bundle.n:
             raise ValueError(f"base index {i} out of range")
+        shift = _SHIFTS[i]
         acc: dict = {}
-        for mono, c in self.terms.items():
-            for pos, (v, k) in enumerate(mono):
-                if v.kind == PARAM:
+        get = acc.get
+        for mono, c in self._terms.items():
+            last = None
+            for pos, v in enumerate(mono):
+                if v == last:
+                    continue  # each distinct factor once, scaled by its power
+                last = v
+                t = shift.get(v)
+                if t is None:
+                    t = _shift(i, v)
+                if t == _SKIP:
                     continue
-                if v.kind == BASE:
-                    if v.index != i:
-                        continue
-                    _acc(acc, _mono_drop_power(mono, pos), k * c)
+                if t == _DROP:
+                    m = mono[:pos] + mono[pos + 1:]
                 else:
-                    shifted = JetCoordinate(JET, v.index, v.sigma.bump(i))
-                    _acc(acc, _mono_insert(_mono_drop_power(mono, pos), shifted), k * c)
+                    m = list(mono)
+                    m[pos] = t
+                    m.sort()
+                    m = tuple(m)
+                k = mono.count(v)
+                acc[m] = get(m, 0) + (c if k == 1 else k * c)
         return PolyExpr._make(self.bundle, acc)
 
     def total_derivative_multi(self, sigma) -> "PolyExpr":
@@ -470,12 +524,13 @@ class PolyExpr:
 
     def evaluate(self, point: Mapping[JetCoordinate, Rational]) -> Rational:
         """Exact value at a full assignment of coordinates to rationals."""
+        missing = [v for v in self.coordinates() if v not in point]
+        if missing:
+            raise EvaluationError(f"coordinate {self.bundle.coord_name(min(missing))} is not assigned")
         total = Fraction(0)
         for mono, c in self.terms.items():
             val = Fraction(c)
             for v, k in mono:
-                if v not in point:
-                    raise EvaluationError(f"coordinate {self.bundle.coord_name(v)} is not assigned")
                 val *= _as_coeff(point[v]) ** k
             total += val
         return _as_coeff(total)
@@ -487,27 +542,23 @@ class PolyExpr:
         for name in self.bundle.params:
             if name not in target.params:
                 raise SignatureMismatchError(f"target signature lacks parameter {name!r}")
-        out: dict = {}
-        for mono, c in self.terms.items():
-            new = []
-            for v, k in mono:
-                if v.kind == PARAM:
-                    v = target.param_coord(self.bundle.params[v.index])
-                new.append((v, k))
-            out[tuple(sorted(new))] = c
-        return PolyExpr._make(target, out)
+
+        def move(v: JetCoordinate) -> JetCoordinate:
+            return target.param_coord(self.bundle.params[v.index]) if v.kind == PARAM else v
+
+        return PolyExpr(target, {tuple((move(v), k) for v, k in mono): c for mono, c in self.terms.items()})
 
     # -- serialization and display -------------------------------------------
 
     def to_json(self) -> dict:
         from .printing import coord_token, display_order
 
+        terms = self.terms
         monos = []
-        for mono in display_order(self.terms):
-            coeff = self.terms[mono]
+        for mono in display_order(terms):
             monos.append(
                 {
-                    "coeff": str(Fraction(coeff)),
+                    "coeff": str(Fraction(terms[mono])),
                     "vars": [{"var": coord_token(self.bundle, v), "pow": k} for v, k in mono],
                 }
             )
@@ -522,12 +573,9 @@ class PolyExpr:
             if not isinstance(entry["coeff"], str):
                 raise TypeError(f"coefficient must be a string, got {entry['coeff']!r}")
             coeff = _as_coeff(Fraction(entry["coeff"]))
-            mono: dict = {}
-            for var in entry.get("vars", ()):
-                v = parse_coord_token(bundle, var["var"])
-                mono[v] = mono.get(v, 0) + int(var["pow"])
-            _acc(acc, tuple(sorted(mono.items())), coeff)
-        return PolyExpr._make(bundle, acc)
+            mono = tuple((parse_coord_token(bundle, var["var"]), int(var["pow"])) for var in entry.get("vars", ()))
+            acc[mono] = acc.get(mono, 0) + coeff
+        return cls(bundle, acc)
 
     def __str__(self) -> str:
         from .printing import poly_text
@@ -551,8 +599,8 @@ def random_expr(
     The same seed always yields the same expression; zero coefficients
     drawn from the pool simply thin the expression out.
     """
-    if max_jet_order < 0 or max_degree < 0 or max_terms < 1 or not coeff_pool:
-        raise ValueError("bounds must be positive and the coefficient pool non-empty")
+    if max_jet_order < 0 or not 0 <= max_degree <= MAX_DEGREE or max_terms < 1 or not coeff_pool:
+        raise ValueError("bounds must be positive, max_degree at most MAX_DEGREE and the coefficient pool non-empty")
     coeffs = [_as_coeff(q) for q in coeff_pool]
     rng = random.Random(seed)
     pool: list[JetCoordinate] = []
@@ -561,15 +609,13 @@ def random_expr(
     for i in range(bundle.n):
         pool.append(JetCoordinate(BASE, i))
     pool.extend(bundle.jet_coordinates_up_to(max_jet_order))
+    ids = [_intern(v) for v in pool]
     acc: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         coeff = rng.choice(coeffs)
         if coeff == 0:
             continue
         deg = rng.randint(0, max_degree)
-        mono: dict = {}
-        for _ in range(deg):
-            v = rng.choice(pool)
-            mono[v] = mono.get(v, 0) + 1
-        _acc(acc, tuple(sorted(mono.items())), coeff)
+        key = tuple(sorted(rng.choice(ids) for _ in range(deg)))
+        acc[key] = acc.get(key, 0) + coeff
     return PolyExpr._make(bundle, acc)

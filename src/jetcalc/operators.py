@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError
+from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError, _mul_into
 from .multiindex import MultiIndex, binom_product, sub_indices
 from .vectorops import VectorOperator
 
@@ -215,11 +215,11 @@ class CDiffOperator:
         if g.rank != self.cols:
             raise ShapeMismatchError(f"operator has {self.cols} columns, operand rank {g.rank}")
         cache = DerivativeCache(g)
-        comps = [self.bundle.zero() for _ in range(self.rows)]
+        accs = [{} for _ in range(self.rows)]
         for (i, j), cell in self._entries.items():
             for sigma, coeff in cell.items():
-                comps[i] = comps[i] + coeff * cache.get(j, sigma)
-        return VectorOperator(comps)
+                _mul_into(accs[i], coeff, cache.get(j, sigma))
+        return VectorOperator(PolyExpr._make(self.bundle, acc) for acc in accs)
 
     def compose(self, other: "CDiffOperator") -> "CDiffOperator":
         """Operator product self after other, expanded to canonical form."""
@@ -244,12 +244,13 @@ class CDiffOperator:
                             db = caches[j2, l].get(k, kappa)
                             if not db:
                                 continue
-                            mult = binom_product(sigma, kappa)
-                            term = a * db if mult == 1 else (a * db).scale(mult)
                             key = sigma.checked_sub(kappa) + tau
-                            prev = out_cell.get(key)
-                            out_cell[key] = term if prev is None else prev + term
-        return CDiffOperator._make(self.bundle, self.rows, other.cols, acc)
+                            _mul_into(out_cell.setdefault(key, {}), a, db, binom_product(sigma, kappa))
+        entries = {
+            ij: {key: PolyExpr._make(self.bundle, terms) for key, terms in cell.items()}
+            for ij, cell in acc.items()
+        }
+        return CDiffOperator._make(self.bundle, self.rows, other.cols, entries)
 
     def __mul__(self, other):
         if isinstance(other, CDiffOperator):

@@ -160,7 +160,8 @@ def _signed_sum(terms) -> str:
 def _poly(style: Style, e) -> str:
     if e.is_zero():
         return "0"
-    return _signed_sum(_term(style, e.bundle, m, e.terms[m]) for m in display_order(e.terms))
+    terms = e.terms
+    return _signed_sum(_term(style, e.bundle, m, terms[m]) for m in display_order(terms))
 
 
 def _join(brackets: tuple, entries) -> str:
@@ -178,8 +179,9 @@ def _cdiff_entry(style: Style, bundle, terms: dict) -> str:
     pieces = []
     for sigma in sorted(terms, key=lambda s: (s.order, s), reverse=True):
         coeff = terms[sigma]
-        if len(coeff.terms) == 1:
-            ((mono, c),) = coeff.terms.items()
+        coeff_terms = coeff.terms
+        if len(coeff_terms) == 1:
+            ((mono, c),) = coeff_terms.items()
             neg, body = _term(style, bundle, mono, c)
         else:
             neg, body = False, style.group[0] + _poly(style, coeff) + style.group[1]

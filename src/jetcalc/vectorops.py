@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .expressions import JET, Bundle, PolyExpr, Rational, SignatureMismatchError
+from .expressions import _KIND, JET, Bundle, PolyExpr, Rational, SignatureMismatchError
 
 
 class RankMismatchError(ValueError):
@@ -104,7 +104,7 @@ class VectorOperator:
         """
         out = []
         for c in self.components:
-            kept = {m: q for m, q in c.terms.items() if any(v.kind == JET for v, _ in m)}
+            kept = {m: q for m, q in c._terms.items() if any(_KIND[v] == JET for v in m)}
             out.append(PolyExpr._make(c.bundle, kept))
         return VectorOperator(out)
 

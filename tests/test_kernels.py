@@ -1,0 +1,262 @@
+"""The interned-id monomial kernels of jetcalc.expressions.
+
+A test-only reference implements the ring and derivative kernels on the
+decoded ``PolyExpr.terms`` view, with monomials as coordinate-sorted
+(JetCoordinate, power) pairs; the id kernels must agree with it term by term.
+Interning order is process-local, so the last tests rerun the CLI and the
+suites in fresh processes whose intern tables were filled in shuffled orders.
+"""
+
+import json
+import os
+import pickle
+import random
+import subprocess
+import sys
+import threading
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import jetcalc
+from jetcalc import Bundle, PolyExpr, random_expr
+from jetcalc.cli import main
+from jetcalc.expressions import (
+    _COORDS,
+    _IDS,
+    BASE,
+    JET,
+    MAX_DEGREE,
+    PARAM,
+    JetCoordinate,
+    _intern,
+    _mul_into,
+)
+from jetcalc.multiindex import MultiIndex
+
+BUNDLE = Bundle(("x", "y"), ("u", "v"), ("c",))
+POOL = (-2, -1, Fraction(1, 2), 1, 3)
+seeds = st.integers(min_value=0, max_value=2**20)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+# -- reference kernels on (JetCoordinate, power) pairs ---------------------------
+
+
+def ref_clean(acc):
+    return {m: c for m, c in acc.items() if c}
+
+
+def ref_monomial(powers):
+    return tuple(sorted((v, k) for v, k in powers.items() if k))
+
+
+def ref_add(t1, t2, sign=1):
+    acc = dict(t1)
+    for m, c in t2.items():
+        acc[m] = acc.get(m, 0) + sign * c
+    return ref_clean(acc)
+
+
+def ref_mul(t1, t2):
+    acc = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            powers = dict(m1)
+            for v, k in m2:
+                powers[v] = powers.get(v, 0) + k
+            m = ref_monomial(powers)
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return ref_clean(acc)
+
+
+def ref_partial(t, v):
+    acc = {}
+    for mono, c in t.items():
+        powers = dict(mono)
+        k = powers.get(v, 0)
+        if k:
+            powers[v] = k - 1
+            m = ref_monomial(powers)
+            acc[m] = acc.get(m, 0) + k * c
+    return ref_clean(acc)
+
+
+def ref_total_derivative(t, i):
+    acc = {}
+    for mono, c in t.items():
+        for v, k in mono:
+            if v.kind == PARAM or (v.kind == BASE and v.index != i):
+                continue
+            powers = dict(mono)
+            powers[v] = k - 1
+            if v.kind == JET:
+                w = JetCoordinate(JET, v.index, v.sigma.bump(i))
+                powers[w] = powers.get(w, 0) + 1
+            m = ref_monomial(powers)
+            acc[m] = acc.get(m, 0) + k * c
+    return ref_clean(acc)
+
+
+def draw(seed):
+    return random_expr(BUNDLE, seed, max_jet_order=2, max_degree=3, coeff_pool=POOL, max_terms=6)
+
+
+class TestDifferentialOracle:
+    @given(seed_a=seeds, seed_b=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_ring_kernels(self, seed_a, seed_b):
+        a, b = draw(seed_a), draw(seed_b)
+        assert (a + b).terms == ref_add(a.terms, b.terms)
+        assert (a - b).terms == ref_add(a.terms, b.terms, -1)
+        assert (a * b).terms == ref_mul(a.terms, b.terms)
+        assert (a * b).degree == max((sum(k for _, k in m) for m in (a * b).terms), default=0)
+
+    @given(seed_a=seeds, seed_b=seeds, k=st.sampled_from((-1, 1, 3)))
+    @settings(max_examples=40, deadline=None)
+    def test_mul_into(self, seed_a, seed_b, k):
+        a, b = draw(seed_a), draw(seed_b)
+        acc = {}
+        _mul_into(acc, a, b, k)
+        _mul_into(acc, b, b)
+        expected = ref_add({m: k * c for m, c in ref_mul(a.terms, b.terms).items()}, ref_mul(b.terms, b.terms))
+        assert PolyExpr._make(BUNDLE, acc).terms == expected
+
+    @given(seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_derivative_kernels(self, seed):
+        e = draw(seed)
+        for i in range(BUNDLE.n):
+            assert e.total_derivative(i).terms == ref_total_derivative(e.terms, i)
+        for v in [BUNDLE.param_coord("c"), BUNDLE.base_coord(1)] + BUNDLE.jet_coordinates_up_to(3):
+            assert e.partial(v).terms == ref_partial(e.terms, v)
+
+
+class TestDegreeBound:
+    def test_power_at_the_bound(self, scalar_bundle):
+        b = scalar_bundle
+        u, p = b.fiber_var(0), b.jet(0, (1,))
+        expected = MAX_DEGREE * u ** (MAX_DEGREE - 1) * p
+        assert (u**MAX_DEGREE).total_derivative(0) == expected
+
+    def test_power_beyond_the_bound(self, scalar_bundle):
+        u = scalar_bundle.fiber_var(0)
+        with pytest.raises(ValueError):
+            u ** (MAX_DEGREE + 1)
+        with pytest.raises(ValueError):
+            (u * u) ** (MAX_DEGREE // 2 + 1)
+        with pytest.raises(ValueError):
+            scalar_bundle.one() ** (MAX_DEGREE + 1)
+
+    def test_constructor_and_json(self, scalar_bundle):
+        mono = ((scalar_bundle.fiber_coord(0), MAX_DEGREE + 1),)
+        with pytest.raises(ValueError):
+            PolyExpr(scalar_bundle, {mono: 1})
+        for power in (MAX_DEGREE + 1, 0):  # u^0 would be a non-canonical 1
+            doc = {"monomials": [{"coeff": "1", "vars": [{"var": "p[1]^(0)", "pow": power}]}]}
+            with pytest.raises(ValueError):
+                PolyExpr.from_json(doc, scalar_bundle)
+
+    def test_cli_rejects_a_huge_exponent(self, tmp_path, capsys):
+        session = tmp_path / "huge.jet"
+        session.write_text("base x; fiber u; op F = [u^100000];")
+        code = main(["linearize", "--session", str(session), "--op", "F"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
+# -- fresh processes with shuffled intern tables ---------------------------------
+
+SHUFFLE = """
+import random, sys
+from jetcalc.expressions import _intern, indices_up_to, JetCoordinate
+coords = [JetCoordinate(kind, index) for kind in (0, 1) for index in range(2)]
+coords += [JetCoordinate(2, j, s) for n in (1, 2) for j in range(2) for s in indices_up_to(n, 5)]
+random.Random(int(sys.argv[1])).shuffle(coords)
+for v in coords:
+    _intern(v)
+"""
+
+TRANSCRIPT = """
+import contextlib, io, json
+from jetcalc import VectorOperator
+from jetcalc.cli import main
+from jetcalc.identities import SUITE_IDENTITIES, run_random_suite
+INTRO = {intro!r}
+commands = [
+    ["linearize", "--op", "F"],
+    ["bracket", "--left", "F", "--right", "G"],
+    ["hessian", "--f", "F", "--g", "G", "--h", "U"],
+    ["anomaly", "--f", "F", "--g", "G"],
+]
+for cmd in commands:
+    for fmt in ("text", "latex", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(cmd + ["--session", INTRO, "--format", fmt])
+        print(code, out.getvalue())
+VectorOperator.is_zero = lambda self: False
+for identity in SUITE_IDENTITIES:
+    print(json.dumps(run_random_suite(identity, trials=3, seed=5)))
+"""
+
+
+def run_fresh(script: str, *args, stdin: bytes = b"") -> bytes:
+    env = dict(os.environ)
+    src = str(Path(jetcalc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        input=stdin, capture_output=True, env=env, check=True, timeout=300,
+    )
+    return done.stdout
+
+
+class TestProcessLocalIds:
+    def test_pickle_rebuilds_from_coordinates(self):
+        e = draw(7) * draw(8).total_derivative(0)
+        load = SHUFFLE + (
+            "import json, pickle\n"
+            "e = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(json.dumps([e.to_json(), e.total_derivative(1).to_json()]))\n"
+        )
+        out = run_fresh(load, 3, stdin=pickle.dumps(e))
+        assert json.loads(out) == [e.to_json(), e.total_derivative(1).to_json()]
+
+    def test_output_independent_of_intern_order(self):
+        transcript = TRANSCRIPT.format(intro=str(ROOT / "fixtures" / "intro.jet"))
+        normal = run_fresh("import sys\n" + transcript)
+        assert normal.count(b"error") == 0 and len(normal.splitlines()) > 20
+        for seed in (1, 2):
+            assert run_fresh(SHUFFLE + transcript, seed) == normal
+
+    def test_concurrent_interning_gives_one_id_per_coordinate(self):
+        # Fresh coordinates (three base directions, high orders) that no other
+        # test interns, raced by more threads than cores.
+        fresh = [JetCoordinate(JET, 9, MultiIndex((a, b, 40))) for a in range(20) for b in range(20)]
+        seen = [None] * 4
+
+        def work(k):
+            order = fresh[:]
+            random.Random(k).shuffle(order)
+            seen[k] = {v: _intern(v) for v in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(seen))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(ids == seen[0] for ids in seen)
+        assert len(_COORDS) == len(_IDS)
+        assert all(_COORDS[seen[0][v]] == v for v in fresh)
