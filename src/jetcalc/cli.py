@@ -9,6 +9,7 @@ across runs with the same inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from .calculus import (
 from .dsl import parse
 from .expressions import PolyExpr
 from .identities import IDENTITIES, check_commutation, run_check, run_random_suite
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, check_order
 from .printing import cdiff_text, latex, poly_text, vector_text
 from .structures import (
     AuxClaim,
@@ -160,9 +161,11 @@ def _cmd_anomaly(args) -> int:
 
 def _comma_index(text: str, what: str) -> MultiIndex:
     try:
-        return MultiIndex(tuple(int(s) for s in text.split(",")))
+        index = MultiIndex(tuple(int(s) for s in text.split(",")))
+        check_order(index.order, "order")
     except ValueError as e:
         raise UsageError(f"bad {what} {text!r}: {e}") from None
+    return index
 
 
 def _verify_explicit(args) -> dict:
@@ -399,9 +402,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged, so one instance serves every call
+    # of main in a process; build_parser stays public and returns a fresh one.
+    return build_parser()
+
+
 def main(argv=None) -> int:
+    """Run one jetcalc command and return its exit code (0, 1 or 2).
+
+    Safe to call repeatedly in one process: the argument parser is built on
+    the first call and reused afterwards.
+    """
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .expressions import Bundle, PolyExpr
-from .multiindex import MAX_BASE_DIM, MultiIndex
+from .multiindex import MAX_BASE_DIM, MAX_ORDER, MultiIndex
 from .vectorops import VectorOperator
 
 KEYWORDS = ("base", "fiber", "param", "op")
@@ -60,9 +60,9 @@ def tokenize(source: str) -> list[Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < len(source) and source[i].isdigit():
+            while i < len(source) and source[i].isdecimal():
                 i += 1
             tokens.append(Token("int", source[start:i], line, col))
             col += i - start
@@ -110,6 +110,15 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def expect_int(self) -> int:
+        tok = self.expect("int")
+        try:
+            return int(tok.value)
+        except ValueError:  # more digits than int() converts
+            raise DslError(
+                f"integer literal of {len(tok.value)} digits is too long", tok.line, tok.col
+            ) from None
 
     def expect(self, type_: str) -> Token:
         tok = self.peek()
@@ -202,19 +211,22 @@ class _Parser:
         base = self.parse_atom()
         if self.peek().type == "^":
             self.next()
-            exp_tok = self.expect("int")
-            return base ** int(exp_tok.value)
+            exp_tok = self.peek()
+            exp = self.expect_int()
+            try:
+                return base**exp
+            except ValueError as e:
+                raise DslError(str(e), exp_tok.line, exp_tok.col) from None
         return base
 
     def parse_atom(self) -> PolyExpr:
         tok = self.peek()
         if tok.type == "int":
-            self.next()
-            num = int(tok.value)
+            num = self.expect_int()
             if self.peek().type == "/":
                 self.next()
-                den_tok = self.expect("int")
-                den = int(den_tok.value)
+                den_tok = self.peek()
+                den = self.expect_int()
                 if den == 0:
                     raise DslError("zero denominator", den_tok.line, den_tok.col)
                 return self.bundle.const(Fraction(num, den))
@@ -245,15 +257,15 @@ class _Parser:
                         f"{ch!r} in jet suffix is not a declared base variable", tok.line, tok.col
                     )
                 counts[bundle.base.index(ch)] += 1
-            return bundle.jet(j, MultiIndex(tuple(counts)))
+            return self._jet(j, counts, tok)
         if self.peek().type == "[":
             if name not in bundle.fiber:
                 raise DslError(f"undeclared fiber variable {name!r}", tok.line, tok.col)
             self.next()
-            entries = [int(self.expect("int").value)]
+            entries = [self.expect_int()]
             while self.peek().type == ",":
                 self.next()
-                entries.append(int(self.expect("int").value))
+                entries.append(self.expect_int())
             close = self.expect("]")
             if len(entries) != bundle.n:
                 raise DslError(
@@ -261,7 +273,7 @@ class _Parser:
                     close.line,
                     close.col,
                 )
-            return bundle.jet(bundle.fiber.index(name), MultiIndex(tuple(entries)))
+            return self._jet(bundle.fiber.index(name), entries, tok)
         if name in bundle.fiber:
             return bundle.fiber_var(bundle.fiber.index(name))
         if name in bundle.base:
@@ -269,6 +281,12 @@ class _Parser:
         if name in bundle.params:
             return bundle.param(name)
         raise DslError(f"undeclared symbol {name!r}", tok.line, tok.col)
+
+    def _jet(self, j: int, entries: list, tok: Token) -> PolyExpr:
+        order = sum(entries)
+        if order > MAX_ORDER:
+            raise DslError(f"jet order {order} exceeds the limit {MAX_ORDER}", tok.line, tok.col)
+        return self.bundle.jet(j, MultiIndex(tuple(entries)))
 
 
 def parse(source: str) -> SessionFile:

@@ -27,7 +27,7 @@ from .calculus import (
     random_vector_operator,
 )
 from .expressions import Bundle, PolyExpr, indices_up_to, random_expr
-from .multiindex import MultiIndex, binom_product, sub_indices
+from .multiindex import MultiIndex, binom_product, check_order, sub_indices
 from .operators import CDiffOperator
 from .vectorops import VectorOperator
 
@@ -212,6 +212,7 @@ def run_check(identity: str, operands: Sequence[VectorOperator], probe_order: in
     """Run the check of an identity whose operands are all vector operators,
     given in the order of its operand names; antihom is evaluated on the jet
     coordinates up to probe_order."""
+    check_order(probe_order, "probe order")
     args = list(operands)
     if identity == "antihom":
         bundle = args[0].bundle
@@ -240,6 +241,8 @@ def run_random_suite(
         raise ValueError(f"unknown identity {identity!r}; pick one of {SUITE_IDENTITIES}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    check_order(max_jet_order, "max jet order")
+    check_order(max_index_order, "max index order")
     regime = dict(
         max_jet_order=max_jet_order,
         max_degree=max_degree,

@@ -16,6 +16,19 @@ from typing import Iterable, Iterator, Optional
 
 MAX_BASE_DIM = 8
 
+# Largest jet order |sigma| accepted from input: DSL jet coordinates, CLI
+# multi-indices, probe orders and suite jet orders.  The number of jet
+# coordinates up to order k grows like k**n, so this bounds the work an input
+# can ask for.  Arithmetic inside the library (total derivatives, composition)
+# may go past it and is never checked.
+MAX_ORDER = 16
+
+
+def check_order(order: int, what: str) -> None:
+    """Raise ValueError naming what if order exceeds MAX_ORDER."""
+    if order > MAX_ORDER:
+        raise ValueError(f"{what} {order} exceeds the limit {MAX_ORDER}")
+
 
 class MultiIndex(tuple):
     """Exponent vector over the base variables.

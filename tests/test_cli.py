@@ -1,9 +1,13 @@
 import json
+import random
 
 import pytest
 
+from jetcalc import cli
 from jetcalc.cli import main
 from jetcalc.dsl import parse, print_session
+from jetcalc.identities import IDENTITIES
+from jetcalc.multiindex import MAX_ORDER
 
 INTRO = "fixtures/intro.jet"
 
@@ -244,6 +248,135 @@ class TestUsageErrors:
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_vacuous_suite(self, trials, capsys):
         self._assert_error(["verify", "prop2", "--random", trials], capsys)
+
+    def test_non_decimal_digit(self, tmp_path, capsys):
+        session = tmp_path / "digits.jet"
+        session.write_text("base x; fiber u; op F = [u^²];")
+        self._assert_error(["linearize", "--session", str(session), "--op", "F"], capsys)
+
+
+# Each boundary where an order enters from the command line; "K" stands for
+# the order under test and "S" for the session file.
+ORDER_BOUNDARIES = [
+    ["verify", "antihom", "--session", "S", "--operands", "F", "G", "--probe-order", "K"],
+    ["verify", "antihom", "--random", "1", "--probe-order", "K"],
+    ["verify", "bracket-oracle", "--random", "1", "--max-order", "K"],
+    ["verify", "commutation-lemma", "--session", "S", "--operands", "F", "--zeta", "K",
+     "--tau", "1"],
+    ["verify", "commutation-lemma", "--session", "S", "--operands", "F", "--zeta", "1",
+     "--tau", "K"],
+]
+
+
+class TestOrderLimit:
+    @staticmethod
+    def _argv(template, session, order):
+        return [{"S": session, "K": str(order)}.get(a, a) for a in template]
+
+    @pytest.mark.parametrize("template", ORDER_BOUNDARIES)
+    def test_at_the_limit(self, template, intro_session, capsys):
+        code = main(self._argv(template, intro_session, MAX_ORDER))
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.endswith("holds: true\n")
+
+    @pytest.mark.parametrize("template", ORDER_BOUNDARIES)
+    def test_beyond_the_limit(self, template, intro_session, capsys):
+        code = main(self._argv(template, intro_session, MAX_ORDER + 1))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"order {MAX_ORDER + 1} exceeds the limit {MAX_ORDER}" in captured.err
+
+    def test_session_jet_order(self, tmp_path, capsys):
+        session = tmp_path / "order.jet"
+        session.write_text(f"base x; fiber u; op F = [u[{MAX_ORDER + 1}]];")
+        code = main(["linearize", "--session", str(session), "--op", "F"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: line 1, col 26: jet order")
+
+
+SUBCOMMANDS = (
+    "linearize", "bracket", "hessian", "anomaly", "verify", "check-symmetry", "check-aux",
+    "section4",
+)
+
+
+class TestRepeatedMain:
+    """main builds its parser once per process; no call may see another's state."""
+
+    @staticmethod
+    def _units(session):
+        computations = {
+            "linearize": ["--op", "F"],
+            "bracket": ["--left", "F", "--right", "G"],
+            "hessian": ["--f", "F", "--g", "G", "--h", "U"],
+            "anomaly": ["--f", "F", "--g", "G"],
+        }
+        units = [
+            [[command, "--session", session, *opts, "--format", fmt]]
+            for command, opts in computations.items()
+            for fmt in ("text", "latex", "json")
+        ]
+        for identity, (_, operands) in IDENTITIES.items():
+            argv = ["verify", identity, "--session", session,
+                    "--operands", *["F", "G", "H"][: len(operands)]]
+            if identity == "commutation-lemma":
+                argv += ["--zeta", "1", "--tau", "2"]
+            units.append([argv])
+        # --random after --operands: the second parse must not keep the operands.
+        units.append(
+            [["verify", "jacobi", "--session", session, "--operands", "F", "G", "H"],
+             ["verify", "jacobi", "--random", "1"]]
+        )
+        units += [
+            [["bracket", "--session", session, "--left", "F"]],
+            [["verify", "no-such-identity"]],
+            [["linearize", "--session", session, "--op", "NOPE"]],
+            [["--help"]],
+        ]
+        units += [[[command, "--help"]] for command in SUBCOMMANDS]
+        return units
+
+    @staticmethod
+    def _run(sequence, capsys):
+        results = []
+        for argv in sequence:
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            results.append((argv, code, captured.out, captured.err))
+        return results
+
+    def test_cached_parser_matches_a_fresh_parser(self, intro_session, monkeypatch, capsys):
+        rng = random.Random(11)
+        units = self._units(intro_session)
+        sequence = [
+            argv for _ in range(2) for unit in rng.sample(units, len(units)) for argv in unit
+        ]
+
+        builds = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        cached = self._run(sequence, capsys)
+        assert len(builds) == 1
+
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = self._run(sequence, capsys)
+        assert cached == fresh
+        assert {code for _, code, _, _ in cached} == {0, 2}
+        random_runs = [out for argv, _, out, _ in cached if "--random" in argv]
+        assert random_runs == 2 * [
+            "identity: jacobi\nseed: 0\ntrial 0: pass\ntrials: 1\nfailures: 0\nholds: true\n"
+        ]
+        assert all(out.startswith("usage: jetcalc") for argv, _, out, _ in cached
+                   if argv[-1] == "--help")
 
 
 class TestRoundTrip:

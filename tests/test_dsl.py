@@ -4,6 +4,7 @@ import pytest
 
 from jetcalc import Bundle, VectorOperator
 from jetcalc.dsl import DslError, parse, parse_expression, print_session
+from jetcalc.multiindex import MAX_ORDER
 
 INTRO = """base x;
 fiber u;
@@ -116,6 +117,53 @@ class TestErrors:
     def test_names_with_underscores_rejected(self):
         with pytest.raises(DslError):
             parse("base x; fiber u; param c_0; op F = [u];")
+
+    @pytest.mark.parametrize(
+        "body, col",
+        [("[²]", 26), ("[u^²]", 28), ("[u[²]]", 28), ("[u[1]*³]", 31)],
+    )
+    def test_non_decimal_digit_has_a_position(self, body, col):
+        with pytest.raises(DslError) as err:
+            parse(f"base x; fiber u; op F = {body};")
+        assert (err.value.line, err.value.col) == (1, col)
+        assert "unexpected character" in str(err.value)
+
+    def test_decimal_digits_of_any_script(self):
+        # '٣' (ARABIC-INDIC DIGIT THREE) is a decimal digit: it reads as 3.
+        assert parse("base x; fiber u; op F = [٣*u_x^٢];") == parse(
+            "base x; fiber u; op F = [3*u_x^2];"
+        )
+
+    def test_overlong_integer_literal_has_a_position(self):
+        with pytest.raises(DslError) as err:
+            parse("base x; fiber u;\nop F = [u^" + "1" * 5000 + "];")
+        assert (err.value.line, err.value.col) == (2, 11)
+
+    def test_exponent_beyond_max_degree_has_a_position(self):
+        with pytest.raises(DslError) as err:
+            parse("base x; fiber u; op F = [u^1001];")
+        assert (err.value.line, err.value.col) == (1, 28)
+
+    @pytest.mark.parametrize(
+        "jet",
+        [f"u[{MAX_ORDER}]", "u_" + "x" * MAX_ORDER],
+    )
+    def test_jet_order_at_the_limit(self, jet):
+        session = parse(f"base x; fiber u; op F = [{jet}];")
+        assert session.operators["F"] == VectorOperator(
+            [session.bundle.jet(0, (MAX_ORDER,))]
+        )
+
+    @pytest.mark.parametrize(
+        "jet",
+        [f"u[{MAX_ORDER + 1}]", "u_" + "x" * (MAX_ORDER + 1), f"u[{MAX_ORDER},1]"],
+    )
+    def test_jet_order_beyond_the_limit(self, jet):
+        base = "x y" if "," in jet else "x"
+        with pytest.raises(DslError) as err:
+            parse(f"base {base};\nfiber u; op F = [1 + {jet}];")
+        assert (err.value.line, err.value.col) == (2, 22)
+        assert f"jet order {MAX_ORDER + 1} exceeds the limit {MAX_ORDER}" in str(err.value)
 
 
 class TestRoundTrip:

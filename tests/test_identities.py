@@ -17,6 +17,7 @@ from jetcalc import (
     run_random_suite,
 )
 from jetcalc.identities import SUITE_IDENTITIES, trial_seed
+from jetcalc.multiindex import MAX_ORDER
 
 
 def cubic(bundle):
@@ -163,6 +164,13 @@ class TestSuites:
     def test_no_vacuous_suite(self, trials):
         with pytest.raises(ValueError, match="at least one trial"):
             run_random_suite("prop2", trials=trials)
+
+    @pytest.mark.parametrize("bound", ["max_jet_order", "max_index_order"])
+    def test_suite_orders_at_and_beyond_the_limit(self, bound):
+        report = run_random_suite("commutation-lemma", trials=1, seed=1, **{bound: MAX_ORDER})
+        assert report["holds"]
+        with pytest.raises(ValueError, match=f"order {MAX_ORDER + 1} exceeds the limit"):
+            run_random_suite("commutation-lemma", trials=1, **{bound: MAX_ORDER + 1})
 
     def test_failure_fixture_shape(self, intro_pair):
         # force a nonzero residual through a deliberately wrong check and make
