@@ -56,10 +56,8 @@ def linearize(f: VectorOperator) -> CDiffOperator:
     bundle = f.bundle
     entries: dict = {}
     for i, comp in enumerate(f.components):
-        for v in comp.jet_coordinates():
-            coeff = comp.partial(v)
-            if coeff:
-                entries.setdefault((i, v.index), {})[v.sigma] = coeff
+        for v, coeff in comp._jet_partials().items():
+            entries.setdefault((i, v.index), {})[v.sigma] = coeff
     return CDiffOperator._make(bundle, f.rank, bundle.r, entries)
 
 
@@ -85,11 +83,18 @@ def evolutionary_apply(
     if target.bundle != g.bundle:
         raise SignatureMismatchError("operands carry different signatures")
     acc: dict = {}
-    for v in target.jet_coordinates():
+    _evolutionary_into(acc, target, cache)
+    return PolyExpr._make(g.bundle, acc)
+
+
+def _evolutionary_into(acc: dict, target: PolyExpr, cache: DerivativeCache, k: int = 1) -> None:
+    """Add k times the evolutionary derivative of target, generated by the
+    operator behind cache, into the id-form term dict acc.  The caller
+    checks signatures and ranks."""
+    for v, dv in target._jet_partials().items():
         dg = cache.get(v.index, v.sigma)
         if dg:
-            _mul_into(acc, dg, target.partial(v))
-    return PolyExpr._make(g.bundle, acc)
+            _mul_into(acc, dg, dv, k)
 
 
 def jacobi_bracket(f: VectorOperator, g: VectorOperator) -> VectorOperator:
@@ -100,7 +105,8 @@ def jacobi_bracket(f: VectorOperator, g: VectorOperator) -> VectorOperator:
 
 
 def jacobi_bracket_coord(f: VectorOperator, g: VectorOperator) -> VectorOperator:
-    """Jacobi bracket from the expanded coordinate sums.
+    """Jacobi bracket from the expanded coordinate sums: component i is
+    E_g(f_i) - E_f(g_i), summed into one accumulator.
 
     Independent of the operator-algebra code path; serves as its oracle.
     """
@@ -110,14 +116,8 @@ def jacobi_bracket_coord(f: VectorOperator, g: VectorOperator) -> VectorOperator
     comps = []
     for i in range(f.rank):
         acc: dict = {}
-        for v in f[i].jet_coordinates():
-            dg = gcache.get(v.index, v.sigma)
-            if dg:
-                _mul_into(acc, dg, f[i].partial(v))
-        for v in g[i].jet_coordinates():
-            df = fcache.get(v.index, v.sigma)
-            if df:
-                _mul_into(acc, df, g[i].partial(v), -1)
+        _evolutionary_into(acc, f[i], gcache)
+        _evolutionary_into(acc, g[i], fcache, -1)
         comps.append(PolyExpr._make(f.bundle, acc))
     return VectorOperator(comps)
 
@@ -131,15 +131,13 @@ def hessian_form(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Vec
     comps = []
     for i in range(f.rank):
         acc: dict = {}
-        for v in f[i].jet_coordinates():
-            first = f[i].partial(v)
+        for v, first in f[i]._jet_partials().items():
             dg = gcache.get(v.index, v.sigma)
-            if not dg or not first:
+            if not dg:
                 continue
-            for w in first.jet_coordinates():
-                second = first.partial(w)
+            for w, second in first._jet_partials().items():
                 dh = hcache.get(w.index, w.sigma)
-                if second and dh:
+                if dh:
                     _mul_into(acc, second * dg, dh)
         comps.append(PolyExpr._make(f.bundle, acc))
     return VectorOperator(comps)
@@ -156,8 +154,8 @@ def hessian_operator(f: VectorOperator, g: VectorOperator) -> CDiffOperator:
     cache = DerivativeCache(g)
     entries: dict = {}
     for i, comp in enumerate(f.components):
-        for v in comp.jet_coordinates():
-            coeff = evolutionary_apply(g, comp.partial(v), cache)
+        for v, first in comp._jet_partials().items():
+            coeff = evolutionary_apply(g, first, cache)
             if coeff:
                 cell = entries.setdefault((i, v.index), {})
                 cell[v.sigma] = cell.get(v.sigma, f.bundle.zero()) + coeff

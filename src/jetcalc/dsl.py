@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .expressions import Bundle, PolyExpr
+from .expressions import MAX_DEGREE, Bundle, PolyExpr
 from .multiindex import MAX_BASE_DIM, MAX_ORDER, MultiIndex
 from .vectorops import VectorOperator
 
@@ -197,8 +197,16 @@ class _Parser:
     def parse_term(self) -> PolyExpr:
         left = self.parse_factor()
         while self.peek().type == "*":
-            self.next()
-            left = left * self.parse_factor()
+            star = self.next()
+            right = self.parse_factor()
+            # Over the rationals the degree of a product is the sum of the
+            # degrees, so the bound is checked before the product is built.
+            degree = left.degree + right.degree
+            if degree > MAX_DEGREE:
+                raise DslError(
+                    f"product of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", star.line, star.col
+                )
+            left = left * right
         return left
 
     def parse_factor(self) -> PolyExpr:

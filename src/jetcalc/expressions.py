@@ -23,7 +23,7 @@ decodes to a dict whose monomials are coordinate-sorted tuples of
 (JetCoordinate, power) pairs, and printing, JSON and pickling read that view.
 Because a monomial holds one id per power, its total degree is bounded by
 MAX_DEGREE wherever a power is set: the PolyExpr constructor, from_json and
-``**``.
+``**``; the session DSL also checks it at each product, ``*`` itself does not.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ _IDS: dict = {}  # JetCoordinate -> id
 _KIND: list = []  # id -> kind
 _ORDER: list = []  # id -> |sigma|
 _SHIFTS = tuple({} for _ in range(MAX_BASE_DIM))  # per direction i: id -> id, _DROP or _SKIP
-_DROP, _SKIP = -1, -2
+_DROP, _SKIP = -1, -2  # negative, so a shift entry t is an id exactly when t >= 0
 _LOCK = threading.Lock()
 
 
@@ -132,13 +132,22 @@ def _decode(mono: tuple) -> tuple:
 def _mul_into(acc: dict, a: "PolyExpr", b: "PolyExpr", k: int = 1) -> None:
     """Add k * a * b into the id-form term dict acc without building a * b;
     PolyExpr._make(bundle, acc) then gives the sum.  The caller checks that
-    a and b share acc's bundle."""
+    a and b share acc's bundle.  The operand with fewer terms drives the
+    outer loop, and a constant outer monomial adds its multiple of the other
+    operand term by term, without building or sorting a monomial."""
+    ta, tb = a._terms, b._terms
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
     get = acc.get
-    tb = b._terms.items()
-    for m1, c1 in a._terms.items():
+    inner = tb.items()
+    for m1, c1 in ta.items():
         if k != 1:
             c1 = k * c1
-        for m2, c2 in tb:
+        if not m1:
+            for m2, c2 in inner:
+                acc[m2] = get(m2, 0) + c1 * c2
+            continue
+        for m2, c2 in inner:
             m = tuple(sorted(m1 + m2))
             acc[m] = get(m, 0) + c1 * c2
 
@@ -317,8 +326,9 @@ class PolyExpr:
     def _make(cls, bundle: Bundle, terms: dict) -> "PolyExpr":
         # Trusted constructor: keys are id-form monomials, values may be 0.
         self = object.__new__(cls)
-        for mono in [m for m, c in terms.items() if not c]:
-            del terms[mono]
+        if 0 in terms.values():
+            for mono in [m for m, c in terms.items() if not c]:
+                del terms[mono]
         self.bundle = bundle
         self._terms = terms
         self._jet_order = None
@@ -463,6 +473,28 @@ class PolyExpr:
                 acc[m] = get(m, 0) + k * c
         return PolyExpr._make(self.bundle, acc)
 
+    def _jet_partials(self) -> dict:
+        """{v: self.partial(v)} for every jet coordinate v present, from one
+        pass over the terms; no value is zero."""
+        accs: dict = {}
+        for mono, c in self._terms.items():
+            last = len(mono) - 1
+            start = 0
+            for pos, v in enumerate(mono):
+                if pos < last and mono[pos + 1] == v:
+                    continue
+                end = pos + 1
+                k = end - start
+                start = end
+                if _KIND[v] != JET:
+                    continue
+                acc = accs.get(v)
+                if acc is None:
+                    acc = accs[v] = {}
+                # Distinct monomials lose one v to distinct monomials: no sums.
+                acc[mono[:pos] + mono[end:]] = c if k == 1 else k * c
+        return {_COORDS[v]: PolyExpr._make(self.bundle, acc) for v, acc in accs.items()}
+
     def total_derivative(self, i: int) -> "PolyExpr":
         """Total derivative along base variable i:
         d/dx^i plus the shift p^j_sigma -> p^j_{sigma+1_i} through the chain rule.
@@ -473,24 +505,29 @@ class PolyExpr:
         acc: dict = {}
         get = acc.get
         for mono, c in self._terms.items():
-            last = None
+            # Each run of equal ids is one factor v^k: act once, at the run's
+            # last position, scaled by the run length k.
+            last = len(mono) - 1
+            start = 0
             for pos, v in enumerate(mono):
-                if v == last:
-                    continue  # each distinct factor once, scaled by its power
-                last = v
-                t = shift.get(v)
-                if t is None:
-                    t = _shift(i, v)
-                if t == _SKIP:
+                if pos < last and mono[pos + 1] == v:
                     continue
-                if t == _DROP:
-                    m = mono[:pos] + mono[pos + 1:]
-                else:
+                end = pos + 1
+                k = end - start
+                start = end
+                try:
+                    t = shift[v]
+                except KeyError:
+                    t = _shift(i, v)
+                if t >= 0:
                     m = list(mono)
                     m[pos] = t
                     m.sort()
                     m = tuple(m)
-                k = mono.count(v)
+                elif t == _DROP:
+                    m = mono[:pos] + mono[end:]
+                else:
+                    continue
                 acc[m] = get(m, 0) + (c if k == 1 else k * c)
         return PolyExpr._make(self.bundle, acc)
 

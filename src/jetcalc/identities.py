@@ -17,6 +17,7 @@ from typing import Sequence, Union
 
 from .calculus import (
     DerivativeCache,
+    _evolutionary_into,
     ad_apply,
     evolutionary_apply,
     hessian_form,
@@ -124,7 +125,8 @@ def check_evolutionary_antihomomorphism(
     """Commutator of evolutionary derivations is minus the derivation of the bracket.
 
     Evaluated on a family of probe expressions; the stacked defects form the
-    residual, one component per probe.
+    residual, one component per probe.  Each defect
+    E_f(E_g e) - E_g(E_f e) + E_{f,g}(e) is summed into one accumulator.
     """
     probes = list(probes)
     if not probes:
@@ -133,14 +135,13 @@ def check_evolutionary_antihomomorphism(
     fc, gc, bc = DerivativeCache(f), DerivativeCache(g), DerivativeCache(bracket)
     defects = []
     for e in probes:
-        d = (
-            evolutionary_apply(f, evolutionary_apply(g, e, gc), fc)
-            - evolutionary_apply(g, evolutionary_apply(f, e, fc), gc)
-            + evolutionary_apply(bracket, e, bc)
-        )
-        defects.append(d)
+        acc: dict = {}
+        _evolutionary_into(acc, evolutionary_apply(g, e, gc), fc)
+        _evolutionary_into(acc, evolutionary_apply(f, e, fc), gc, -1)
+        _evolutionary_into(acc, e, bc)
+        defects.append(PolyExpr._make(f.bundle, acc))
     value = VectorOperator(defects)
-    return _residual("antihom", value, f=f, g=g, probes=[str(e) for e in probes])
+    return _residual("antihom", value, f=f, g=g, probes=probes)
 
 
 def check_commutation(zeta, tau, fiber: int, e: PolyExpr) -> Residual:
@@ -243,6 +244,11 @@ def run_random_suite(
         raise ValueError(f"need at least one trial, got {trials}")
     check_order(max_jet_order, "max jet order")
     check_order(max_index_order, "max index order")
+    if max_index_order < 0:
+        raise ValueError(f"max index order must be non-negative, got {max_index_order}")
+    for what, choices in (("base", n_choices), ("fiber", r_choices)):
+        if not choices or not set(choices) <= {1, 2}:
+            raise ValueError(f"{what} dimension choices must be a non-empty selection of 1 and 2, got {choices!r}")
     regime = dict(
         max_jet_order=max_jet_order,
         max_degree=max_degree,
@@ -260,23 +266,26 @@ def run_random_suite(
             fiber = rng.randrange(bundle.r)
             e = random_expr(bundle, rng.randrange(2**32), **regime)
             res = check_commutation(zeta, tau, fiber, e)
-            inputs = {
-                "zeta": list(zeta),
-                "tau": list(tau),
-                "fiber": fiber,
-                "e": e.to_json(),
-                "signature": bundle.to_json(),
-            }
         else:
             ops = {
                 name: random_vector_operator(bundle, rng.randrange(2**32), **regime)
                 for name in IDENTITIES[identity][1]
             }
             res = run_check(identity, list(ops.values()), probe_order)
-            inputs = {name: op.to_json() for name, op in ops.items()}
-            if identity == "antihom":
-                inputs["probe_order"] = probe_order
         if not res.holds:
+            # Serializing the inputs is not free, so only failing trials do it.
+            if identity == "commutation-lemma":
+                inputs = {
+                    "zeta": list(zeta),
+                    "tau": list(tau),
+                    "fiber": fiber,
+                    "e": e.to_json(),
+                    "signature": bundle.to_json(),
+                }
+            else:
+                inputs = {name: op.to_json() for name, op in ops.items()}
+                if identity == "antihom":
+                    inputs["probe_order"] = probe_order
             failures.append(
                 {
                     "trial": k,

@@ -4,6 +4,7 @@ import pytest
 
 from jetcalc import Bundle, VectorOperator
 from jetcalc.dsl import DslError, parse, parse_expression, print_session
+from jetcalc.expressions import MAX_DEGREE
 from jetcalc.multiindex import MAX_ORDER
 
 INTRO = """base x;
@@ -143,6 +144,16 @@ class TestErrors:
         with pytest.raises(DslError) as err:
             parse("base x; fiber u; op F = [u^1001];")
         assert (err.value.line, err.value.col) == (1, 28)
+
+    def test_product_at_max_degree(self):
+        session = parse("base x; fiber u; op F = [u^600*u^400*1];")
+        assert session.operators["F"][0].degree == MAX_DEGREE
+
+    def test_product_beyond_max_degree_has_a_position(self):
+        with pytest.raises(DslError) as err:
+            parse("base x; fiber u;\nop F = [u^600*(u^300*u^100)*u];")
+        assert (err.value.line, err.value.col) == (2, 28)
+        assert "product of degree 1001" in str(err.value)
 
     @pytest.mark.parametrize(
         "jet",

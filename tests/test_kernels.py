@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetcalc
-from jetcalc import Bundle, PolyExpr, random_expr
+from jetcalc import Bundle, PolyExpr, VectorOperator, calculus, identities, random_expr
+from jetcalc.calculus import evolutionary_apply, random_vector_operator
 from jetcalc.cli import main
 from jetcalc.expressions import (
     _COORDS,
@@ -135,6 +136,78 @@ class TestDifferentialOracle:
             assert e.partial(v).terms == ref_partial(e.terms, v)
 
 
+U, V, UX, UY = (BUNDLE.jet(j, s) for j, s in ((0, (0, 0)), (1, (0, 0)), (0, (1, 0)), (0, (0, 1))))
+X, C = BUNDLE.base_var(0), BUNDLE.param("c")
+SMALL = 3 + U * UX  # two terms, one of them constant
+SMALL_NO_CONST = U * UX - V
+LARGE = U**2 - Fraction(1, 2) * V * C + X * UY + UX**3
+LARGE_CONST = LARGE + 5
+
+
+class TestKernels:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (SMALL, LARGE),  # |a| < |b|, constant in the outer operand
+            (LARGE, SMALL),  # |a| > |b|, constant in the outer operand
+            (SMALL, SMALL_NO_CONST),  # |a| = |b|
+            (SMALL_NO_CONST, LARGE_CONST),  # constant in the inner operand
+            (LARGE_CONST, SMALL),  # constants on both sides
+            (LARGE_CONST, LARGE),  # |a| > |b|, constant in the inner operand
+        ],
+    )
+    @pytest.mark.parametrize("k", [1, -1, 3, Fraction(-2, 3)])
+    def test_mul_into_loop_orders(self, a, b, k):
+        before = (a.terms, b.terms)
+        # A nonempty accumulator; for k = 1 it cancels the product exactly.
+        start = {m: -c for m, c in (a * b)._terms.items()} if k == 1 else dict(V._terms)
+        acc = dict(start)
+        _mul_into(acc, a, b, k)
+        expected = ref_add(
+            PolyExpr._make(BUNDLE, dict(start)).terms,
+            {m: k * c for m, c in ref_mul(a.terms, b.terms).items()},
+        )
+        assert PolyExpr._make(BUNDLE, acc).terms == expected
+        assert (a.terms, b.terms) == before
+
+    def test_total_derivative_on_powers(self):
+        e = U**3 * UX**2 * X**2 * C - 2 * V**2 * U + Fraction(3, 4) * UY**4 * X
+        for i in range(BUNDLE.n):
+            assert e.total_derivative(i).terms == ref_total_derivative(e.terms, i)
+        assert (U**3).total_derivative(0) == 3 * U**2 * UX
+        assert (X**2 * UX**2).total_derivative(0) == 2 * X * UX**2 + 2 * X**2 * UX * BUNDLE.jet(0, (2, 0))
+
+    @given(seed_a=seeds, seed_b=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_jet_partials_in_one_pass(self, seed_a, seed_b):
+        e = draw(seed_a) * draw(seed_b) + draw(seed_a + 1) ** 2
+        partials = e._jet_partials()
+        assert set(partials) == e.jet_coordinates()
+        for v in BUNDLE.jet_coordinates_up_to(4):
+            assert partials.get(v, BUNDLE.zero()) == e.partial(v)
+            assert partials.get(v, BUNDLE.zero()).terms == ref_partial(e.terms, v)
+
+    def test_fused_antihom_defect(self, monkeypatch):
+        # With the bracket doubled the defect is no longer zero; the one
+        # accumulator must still equal the public expression.
+        f = random_vector_operator(BUNDLE, 3, max_jet_order=2, max_degree=3, coeff_pool=POOL)
+        g = random_vector_operator(BUNDLE, 4, max_jet_order=2, max_degree=3, coeff_pool=POOL)
+        monkeypatch.setattr(identities, "jacobi_bracket", lambda f, g: calculus.jacobi_bracket(f, g).scale(2))
+        probes = [BUNDLE.coord_var(v) for v in BUNDLE.jet_coordinates_up_to(2)] + [draw(5), U * UX**2]
+        res = identities.check_evolutionary_antihomomorphism(f, g, probes)
+        twice = calculus.jacobi_bracket(f, g).scale(2)
+        expected = [
+            evolutionary_apply(f, evolutionary_apply(g, e))
+            - evolutionary_apply(g, evolutionary_apply(f, e))
+            + evolutionary_apply(twice, e)
+            for e in probes
+        ]
+        assert res.value == VectorOperator(expected)
+        assert [d.terms for d in res.value.components] == [d.terms for d in expected]
+        assert not res.holds
+        assert all(evolutionary_apply(g, evolutionary_apply(f, e)) for e in probes[-2:])
+
+
 class TestDegreeBound:
     def test_power_at_the_bound(self, scalar_bundle):
         b = scalar_bundle
@@ -159,6 +232,18 @@ class TestDegreeBound:
             doc = {"monomials": [{"coeff": "1", "vars": [{"var": "p[1]^(0)", "pow": power}]}]}
             with pytest.raises(ValueError):
                 PolyExpr.from_json(doc, scalar_bundle)
+
+    @pytest.mark.parametrize("factor, code", [("u^400", 0), ("u^401", 2)])
+    def test_cli_bounds_a_product(self, tmp_path, capsys, factor, code):
+        session = tmp_path / "product.jet"
+        session.write_text(f"base x; fiber u; op F = [u^600*{factor}];")
+        assert main(["linearize", "--session", str(session), "--op", "F"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith("error: ") and "1001" in captured.err
+            assert captured.out == ""
+        else:
+            assert "1000*u^999" in captured.out
 
     def test_cli_rejects_a_huge_exponent(self, tmp_path, capsys):
         session = tmp_path / "huge.jet"
