@@ -158,7 +158,7 @@ def hessian_operator(f: VectorOperator, g: VectorOperator) -> CDiffOperator:
             coeff = evolutionary_apply(g, first, cache)
             if coeff:
                 cell = entries.setdefault((i, v.index), {})
-                cell[v.sigma] = cell.get(v.sigma, f.bundle.zero()) + coeff
+                cell[v.sigma] = coeff
     return CDiffOperator._make(f.bundle, f.rank, f.bundle.r, entries)
 
 

@@ -44,10 +44,15 @@ class UsageError(ValueError):
 def _load_session(args):
     if not getattr(args, "session", None):
         raise UsageError("this command needs --session FILE")
-    path = Path(args.session)
-    if not path.exists():
-        raise UsageError(f"session file {path} does not exist")
-    return parse(path.read_text())
+    try:
+        with open(args.session, encoding="utf-8") as f:
+            text = f.read()
+    except OSError as e:
+        path = Path(args.session)
+        if not path.exists():
+            raise UsageError(f"session file {path} does not exist") from None
+        raise UsageError(f"cannot read session file {path}: {e}") from None
+    return parse(text)
 
 
 def _named_op(session, name: str) -> VectorOperator:
@@ -284,7 +289,7 @@ def _run_fixtures(args, kind: str) -> int:
         raise UsageError(f"fixtures file {path} does not exist")
     try:
         report = evaluate_claim_file(path, kind=kind)
-    except (KeyError, ValueError, json.JSONDecodeError) as e:
+    except (KeyError, OSError, ValueError, json.JSONDecodeError) as e:
         raise UsageError(f"bad fixtures file {path}: {e}") from None
     if args.format == "json":
         _emit_json(report)

@@ -17,11 +17,13 @@ printing a parsed session yields text that parses back to an equal session.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from itertools import islice
+from typing import Optional
 
-from .expressions import MAX_DEGREE, Bundle, PolyExpr
+from .expressions import JET, MAX_DEGREE, Bundle, JetCoordinate, PolyExpr, _intern
 from .multiindex import MAX_BASE_DIM, MAX_ORDER, MultiIndex
 from .vectorops import VectorOperator
 
@@ -38,50 +40,35 @@ class DslError(ValueError):
         self.col = col
 
 
-class Token(NamedTuple):
-    type: str  # "ident", "int", "eof", or the punctuation character itself
-    value: str
-    line: int
-    col: int
+# A token is a decimal run, a word run (an identifier when it starts with a
+# letter) or one other character; whitespace between tokens is skipped.  \s,
+# \d and \w are the Unicode classes of str.isspace, str.isdecimal and
+# str.isalnum (or "_").
+_TOKEN = re.compile(r"\d+|\w+|\S")
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdecimal():
-            start = i
-            while i < len(source) and source[i].isdecimal():
-                i += 1
-            tokens.append(Token("int", source[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha():
-            start = i
-            while i < len(source) and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(Token("ident", source[start:i], line, col))
-            col += i - start
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+def tokenize(source: str) -> list[str]:
+    """The token texts of source, then "" for the end of input."""
+    tokens = _TOKEN.findall(source)
+    for k, tok in enumerate(tokens):
+        if not (tok[0].isalpha() or tok[0].isdecimal() or tok in _PUNCT):
+            raise DslError(f"unexpected character {tok[0]!r}", *_position(source, k))
+    tokens.append("")
     return tokens
+
+
+def _kind(tok: str) -> str:
+    """"int", "ident", "eof", or the punctuation character itself."""
+    if not tok:
+        return "eof"
+    return "int" if tok[0].isdecimal() else "ident" if tok[0].isalpha() else tok
+
+
+def _position(source: str, k: int) -> tuple[int, int]:
+    """Line and column of token k, or of the end of input; only errors need them."""
+    m = next(islice(_TOKEN.finditer(source), k, None), None)
+    offset = len(source) if m is None else m.start()
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 @dataclass
@@ -91,224 +78,244 @@ class SessionFile:
     bundle: Bundle
     operators: dict[str, VectorOperator] = field(default_factory=dict)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SessionFile):
-            return NotImplemented
-        return self.bundle == other.bundle and self.operators == other.operators
-
 
 class _Parser:
-    def __init__(self, tokens: list[Token], bundle: Optional[Bundle] = None):
-        self.tokens = tokens
+    """Recursive descent over the token texts; self.pos indexes the next token."""
+
+    def __init__(self, source: str, bundle: Optional[Bundle] = None):
+        self.source = source
+        self.tokens = tokenize(source)
         self.pos = 0
         self.bundle = bundle
+        self.symbol_ids: dict[str, int] = {}  # name -> coordinate id, see parse_factor
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, k: int) -> DslError:
+        return DslError(message, *_position(self.source, k))
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> str:
+        """The next token, which must be of the given kind (see _kind)."""
+        tok = self.tokens[self.pos]
+        if _kind(tok) != kind:
+            what = "end of input" if not tok else repr(tok)
+            raise self.error(f"expected {kind!r}, found {what}", self.pos)
         self.pos += 1
         return tok
 
     def expect_int(self) -> int:
         tok = self.expect("int")
         try:
-            return int(tok.value)
+            return int(tok)
         except ValueError:  # more digits than int() converts
-            raise DslError(
-                f"integer literal of {len(tok.value)} digits is too long", tok.line, tok.col
-            ) from None
-
-    def expect(self, type_: str) -> Token:
-        tok = self.peek()
-        if tok.type != type_:
-            what = "end of input" if tok.type == "eof" else repr(tok.value)
-            raise DslError(f"expected {type_!r}, found {what}", tok.line, tok.col)
-        return self.next()
+            raise self.error(f"integer literal of {len(tok)} digits is too long", self.pos - 1) from None
 
     # -- declarations ---------------------------------------------------------
 
     def parse_session(self) -> SessionFile:
         decls = {"base": [], "fiber": [], "param": []}
-        seen: dict[str, Token] = {}
-        while self.peek().type == "ident" and self.peek().value in ("base", "fiber", "param"):
-            kind = self.next().value
-            count = 0
-            while self.peek().type == "ident":
-                tok = self.next()
-                self._check_name(tok, seen)
-                decls[kind].append(tok.value)
-                count += 1
-            if count == 0:
-                tok = self.peek()
-                raise DslError(f"expected a name after {kind!r}", tok.line, tok.col)
+        seen: set = set()
+        while self.tokens[self.pos] in decls:
+            kind = self.next()
+            first = self.pos
+            while _kind(self.tokens[self.pos]) == "ident":
+                self._check_name(self.pos, seen)
+                decls[kind].append(self.next())
+            if self.pos == first:
+                raise self.error(f"expected a name after {kind!r}", self.pos)
             self.expect(";")
-        head = self.peek()
+        head = self.pos
         if not decls["base"]:
-            raise DslError("no base variables declared", head.line, head.col)
+            raise self.error("no base variables declared", head)
         if not decls["fiber"]:
-            raise DslError("no fiber variables declared", head.line, head.col)
+            raise self.error("no fiber variables declared", head)
         if len(decls["base"]) > MAX_BASE_DIM:
-            raise DslError(f"at most {MAX_BASE_DIM} base variables supported", head.line, head.col)
+            raise self.error(f"at most {MAX_BASE_DIM} base variables supported", head)
         self.bundle = Bundle(tuple(decls["base"]), tuple(decls["fiber"]), tuple(decls["param"]))
         session = SessionFile(self.bundle)
-        while self.peek().type != "eof":
-            tok = self.peek()
-            if tok.type == "ident" and tok.value in ("base", "fiber", "param"):
-                raise DslError("declarations must precede operator definitions", tok.line, tok.col)
-            if not (tok.type == "ident" and tok.value == "op"):
-                what = repr(tok.value)
-                raise DslError(f"expected 'op', found {what}", tok.line, tok.col)
-            self.next()
-            name_tok = self.expect("ident")
-            self._check_name(name_tok, seen)
+        while self.tokens[self.pos]:
+            tok = self.next()
+            if tok in decls:
+                raise self.error("declarations must precede operator definitions", self.pos - 1)
+            if tok != "op":
+                raise self.error(f"expected 'op', found {tok!r}", self.pos - 1)
+            name = self.expect("ident")
+            self._check_name(self.pos - 1, seen)
             self.expect("=")
             self.expect("[")
-            comps = [self.parse_sum()]
-            while self.peek().type == ",":
+            comps = [self.parse_expr()]
+            while self.tokens[self.pos] == ",":
                 self.next()
-                comps.append(self.parse_sum())
+                comps.append(self.parse_expr())
             self.expect("]")
             self.expect(";")
-            session.operators[name_tok.value] = VectorOperator(comps)
+            session.operators[name] = VectorOperator(comps)
         return session
 
-    def _check_name(self, tok: Token, seen: dict) -> None:
-        name = tok.value
+    def _check_name(self, k: int, seen: set) -> None:
+        name = self.tokens[k]
         if name in KEYWORDS:
-            raise DslError(f"{name!r} is a reserved word", tok.line, tok.col)
+            raise self.error(f"{name!r} is a reserved word", k)
         if "_" in name:
-            raise DslError(f"name {name!r} may not contain underscores", tok.line, tok.col)
+            raise self.error(f"name {name!r} may not contain underscores", k)
         if name in seen:
-            raise DslError(f"duplicate name {name!r}", tok.line, tok.col)
-        seen[name] = tok
+            raise self.error(f"duplicate name {name!r}", k)
+        seen.add(name)
 
     # -- expressions -------------------------------------------------------------
+    #
+    #   sum    := term (("+" | "-") term)*
+    #   term   := factor ("*" factor)*
+    #   factor := "-"* atom ("^" int)?
+    #   atom   := int ("/" int)? | name | fiber "[" int ("," int)* "]" | "(" sum ")"
+    #
+    # Each method returns a fresh id-form term dict, monomial -> nonzero
+    # coefficient (the representation inside PolyExpr, see expressions.py);
+    # parse_expr wraps one per component, so no intermediate PolyExpr is made.
 
-    def parse_sum(self) -> PolyExpr:
-        left = self.parse_term()
-        while self.peek().type in ("+", "-"):
-            op = self.next().type
-            right = self.parse_term()
-            left = left + right if op == "+" else left - right
-        return left
+    def parse_expr(self) -> PolyExpr:
+        return PolyExpr._make(self.bundle, self.parse_sum())
 
-    def parse_term(self) -> PolyExpr:
+    def parse_sum(self) -> dict:
+        acc = self.parse_term()
+        while self.tokens[self.pos] in ("+", "-"):
+            sign = 1 if self.next() == "+" else -1
+            for mono, c in self.parse_term().items():
+                c = acc.get(mono, 0) + sign * c
+                if c:
+                    acc[mono] = c
+                else:
+                    del acc[mono]
+        return acc
+
+    def parse_term(self) -> dict:
         left = self.parse_factor()
-        while self.peek().type == "*":
-            star = self.next()
+        while self.tokens[self.pos] == "*":
+            star = self.pos
+            self.pos += 1
             right = self.parse_factor()
             # Over the rationals the degree of a product is the sum of the
             # degrees, so the bound is checked before the product is built.
-            degree = left.degree + right.degree
+            degree = max(map(len, left), default=0) + max(map(len, right), default=0)
             if degree > MAX_DEGREE:
-                raise DslError(
-                    f"product of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", star.line, star.col
-                )
-            left = left * right
+                raise self.error(f"product of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", star)
+            left = _product(left, right)
         return left
 
-    def parse_factor(self) -> PolyExpr:
-        if self.peek().type == "-":
-            self.next()
-            return -self.parse_factor()
-        return self.parse_power()
-
-    def parse_power(self) -> PolyExpr:
-        base = self.parse_atom()
-        if self.peek().type == "^":
-            self.next()
-            exp_tok = self.peek()
-            exp = self.expect_int()
-            try:
-                return base**exp
-            except ValueError as e:
-                raise DslError(str(e), exp_tok.line, exp_tok.col) from None
-        return base
-
-    def parse_atom(self) -> PolyExpr:
-        tok = self.peek()
-        if tok.type == "int":
-            num = self.expect_int()
-            if self.peek().type == "/":
-                self.next()
-                den_tok = self.peek()
+    def parse_factor(self) -> dict:
+        tokens = self.tokens
+        negate = False
+        while tokens[self.pos] == "-":
+            self.pos += 1
+            negate = not negate
+        k = self.pos
+        tok = tokens[k]
+        if tok[:1].isalpha():
+            self.pos += 1
+            # A name means the same coordinate throughout a session unless a
+            # multi-index follows it, so the others are resolved once.
+            if tokens[self.pos] == "[":
+                vid = _intern(self._resolve_symbol(tok, k))
+            else:
+                vid = self.symbol_ids.get(tok)
+                if vid is None:
+                    vid = self.symbol_ids[tok] = _intern(self._resolve_symbol(tok, k))
+            terms = {(vid,): 1}
+        elif tok[:1].isdecimal():
+            q = self.expect_int()
+            if tokens[self.pos] == "/":
+                self.pos += 1
                 den = self.expect_int()
                 if den == 0:
-                    raise DslError("zero denominator", den_tok.line, den_tok.col)
-                return self.bundle.const(Fraction(num, den))
-            return self.bundle.const(num)
-        if tok.type == "(":
-            self.next()
-            inner = self.parse_sum()
+                    raise self.error("zero denominator", self.pos - 1)
+                q = Fraction(q, den)
+                q = q.numerator if q.denominator == 1 else q
+            terms = {(): q} if q else {}
+        elif tok == "(":
+            self.pos += 1
+            terms = self.parse_sum()
             self.expect(")")
-            return inner
-        if tok.type == "ident":
-            self.next()
-            return self._resolve_symbol(tok)
-        what = "end of input" if tok.type == "eof" else repr(tok.value)
-        raise DslError(f"expected an expression, found {what}", tok.line, tok.col)
+        else:
+            what = "end of input" if not tok else repr(tok)
+            raise self.error(f"expected an expression, found {what}", k)
+        if tokens[self.pos] == "^":
+            self.pos += 1
+            exp = self.expect_int()
+            try:
+                terms = (PolyExpr._make(self.bundle, terms) ** exp)._terms
+            except ValueError as e:
+                raise self.error(str(e), self.pos - 1) from None
+        return {mono: -c for mono, c in terms.items()} if negate else terms
 
-    def _resolve_symbol(self, tok: Token) -> PolyExpr:
+    def _resolve_symbol(self, name: str, k: int) -> JetCoordinate:
         bundle = self.bundle
-        name = tok.value
         if "_" in name:
             head, _, suffix = name.partition("_")
             if head not in bundle.fiber:
-                raise DslError(f"undeclared fiber variable {head!r}", tok.line, tok.col)
+                raise self.error(f"undeclared fiber variable {head!r}", k)
             j = bundle.fiber.index(head)
             counts = [0] * bundle.n
             for ch in suffix:
                 if ch not in bundle.base:
-                    raise DslError(
-                        f"{ch!r} in jet suffix is not a declared base variable", tok.line, tok.col
-                    )
+                    raise self.error(f"{ch!r} in jet suffix is not a declared base variable", k)
                 counts[bundle.base.index(ch)] += 1
-            return self._jet(j, counts, tok)
-        if self.peek().type == "[":
+            return self._jet(j, counts, k)
+        if self.tokens[self.pos] == "[":
             if name not in bundle.fiber:
-                raise DslError(f"undeclared fiber variable {name!r}", tok.line, tok.col)
+                raise self.error(f"undeclared fiber variable {name!r}", k)
             self.next()
             entries = [self.expect_int()]
-            while self.peek().type == ",":
+            while self.tokens[self.pos] == ",":
                 self.next()
                 entries.append(self.expect_int())
-            close = self.expect("]")
+            self.expect("]")
             if len(entries) != bundle.n:
-                raise DslError(
-                    f"multi-index needs {bundle.n} entries, got {len(entries)}",
-                    close.line,
-                    close.col,
-                )
-            return self._jet(bundle.fiber.index(name), entries, tok)
+                raise self.error(f"multi-index needs {bundle.n} entries, got {len(entries)}", self.pos - 1)
+            return self._jet(bundle.fiber.index(name), entries, k)
         if name in bundle.fiber:
-            return bundle.fiber_var(bundle.fiber.index(name))
+            return self._jet(bundle.fiber.index(name), [0] * bundle.n, k)
         if name in bundle.base:
-            return bundle.base_var(bundle.base.index(name))
+            return bundle.base_coord(bundle.base.index(name))
         if name in bundle.params:
-            return bundle.param(name)
-        raise DslError(f"undeclared symbol {name!r}", tok.line, tok.col)
+            return bundle.param_coord(name)
+        raise self.error(f"undeclared symbol {name!r}", k)
 
-    def _jet(self, j: int, entries: list, tok: Token) -> PolyExpr:
+    def _jet(self, j: int, entries: list, k: int) -> JetCoordinate:
         order = sum(entries)
         if order > MAX_ORDER:
-            raise DslError(f"jet order {order} exceeds the limit {MAX_ORDER}", tok.line, tok.col)
-        return self.bundle.jet(j, MultiIndex(tuple(entries)))
+            raise self.error(f"jet order {order} exceeds the limit {MAX_ORDER}", k)
+        # j and the entries are checked, so the coordinate needs no validation.
+        return JetCoordinate(JET, j, MultiIndex._unchecked(tuple(entries)))
+
+
+def _product(a: dict, b: dict) -> dict:
+    """a * b on term dicts (expressions._mul_into takes PolyExprs; wrapping costs 15% of a parse)."""
+    if len(a) == 1 == len(b):  # the common case, one monomial times another
+        ((m1, c1),), ((m2, c2),) = a.items(), b.items()
+        return {tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2: c1 * c2}
+    acc: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+            acc[mono] = acc.get(mono, 0) + c1 * c2
+    return {mono: c for mono, c in acc.items() if c}
 
 
 def parse(source: str) -> SessionFile:
     """Parse a full session file."""
-    return _Parser(tokenize(source)).parse_session()
+    return _Parser(source).parse_session()
 
 
 def parse_expression(source: str, bundle: Bundle) -> PolyExpr:
     """Parse a single expression against an existing signature."""
-    parser = _Parser(tokenize(source), bundle)
-    expr = parser.parse_sum()
-    tok = parser.peek()
-    if tok.type != "eof":
-        raise DslError(f"unexpected trailing input {tok.value!r}", tok.line, tok.col)
+    parser = _Parser(source, bundle)
+    expr = parser.parse_expr()
+    tok = parser.tokens[parser.pos]
+    if tok:
+        raise parser.error(f"unexpected trailing input {tok!r}", parser.pos)
     return expr
 
 

@@ -212,12 +212,6 @@ class Bundle:
             raise ValueError(f"unknown parameter {name!r}") from None
         return JetCoordinate(PARAM, k)
 
-    def zero_index(self) -> MultiIndex:
-        return MultiIndex.zero(self.n)
-
-    def unit_index(self, i: int) -> MultiIndex:
-        return MultiIndex.unit(self.n, i)
-
     def jet_coordinates_up_to(self, max_order: int) -> list[JetCoordinate]:
         """All p^j_sigma with |sigma| <= max_order, fibers outermost, sigma lex."""
         out = []

@@ -115,12 +115,6 @@ def _subscript(style: Style, bundle, sigma: MultiIndex) -> str:
     return opening + ",".join(str(e) for e in sigma) + closing
 
 
-def jet_text(bundle, j: int, sigma: MultiIndex) -> str:
-    from .expressions import JET, JetCoordinate
-
-    return coord_name(TEXT, bundle, JetCoordinate(JET, j, sigma))
-
-
 def coord_name(style: Style, bundle, v) -> str:
     """Display name of one coordinate."""
     from .expressions import JET, PARAM

@@ -156,7 +156,7 @@ def evaluate_claim_file(path: Union[str, Path], kind: Optional[str] = None) -> d
     Returns a report with one entry per claim (residual shown in text form)
     and an all_match verdict; kind restricts to "symmetry" or "aux" claims.
     """
-    data = json.loads(Path(path).read_text())
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     results = []
     for record in data["claims"]:
         if kind is not None and record["kind"] != kind:

@@ -254,6 +254,13 @@ class TestUsageErrors:
         session.write_text("base x; fiber u; op F = [u^²];")
         self._assert_error(["linearize", "--session", str(session), "--op", "F"], capsys)
 
+    @pytest.mark.parametrize(
+        "argv", [["linearize", "--op", "F", "--session"], ["check-aux", "--fixtures"]]
+    )
+    def test_unreadable_input_file(self, argv, tmp_path, capsys):
+        # A directory exists but cannot be read as a file.
+        self._assert_error([*argv, str(tmp_path)], capsys)
+
 
 # Each boundary where an order enters from the command line; "K" stands for
 # the order under test and "S" for the session file.

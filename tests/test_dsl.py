@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetcalc import Bundle, VectorOperator
-from jetcalc.dsl import DslError, parse, parse_expression, print_session
+from jetcalc.calculus import random_vector_operator
+from jetcalc.dsl import DslError, SessionFile, parse, parse_expression, print_session
 from jetcalc.expressions import MAX_DEGREE
 from jetcalc.multiindex import MAX_ORDER
 
@@ -52,6 +55,23 @@ class TestParse:
         b = session.bundle
         p, u = b.jet(0, (1,)), b.fiber_var(0)
         assert session.operators["F"] == VectorOperator([-(p**2) + 2 * u * (u - 1)])
+
+    def test_bare_name_and_multi_index_in_one_session(self):
+        # Names are resolved once per session, but u[1] is not u.
+        session = parse("base x; fiber u; op F = [u + u[1] + u]; op G = [u[1] - u_x];")
+        b = session.bundle
+        assert session.operators["F"] == VectorOperator([2 * b.fiber_var(0) + b.jet(0, (1,))])
+        assert session.operators["G"] == VectorOperator([b.zero()])
+
+    def test_names_that_spell_token_kinds(self):
+        session = parse("base x; fiber int; param eof ident; op F = [int*eof + ident];")
+        b = session.bundle
+        assert session.operators["F"] == VectorOperator(
+            [b.fiber_var(0) * b.param("eof") + b.param("ident")]
+        )
+        with pytest.raises(DslError) as err:
+            parse("base x; fiber int; op F = [int[int]];")
+        assert "expected 'int', found 'int'" in str(err.value)
 
     def test_parameters_used_in_expressions(self):
         session = parse("base x; fiber u; param a b; op F = [a*u + b];")
@@ -114,6 +134,17 @@ class TestErrors:
         with pytest.raises(DslError) as err:
             parse("base x; fiber u; op F = [u ? 1];")
         assert err.value.line == 1
+
+    def test_position_after_crlf_and_tabs(self):
+        with pytest.raises(DslError) as err:
+            parse("base x;\r\nfiber u;\r\n\top F = [u @];")
+        assert (err.value.line, err.value.col) == (3, 12)
+
+    def test_end_of_input_position(self):
+        with pytest.raises(DslError) as err:
+            parse("base x;\nfiber u;\nop F = [u ")
+        assert (err.value.line, err.value.col) == (3, 11)
+        assert "end of input" in str(err.value)
 
     def test_names_with_underscores_rejected(self):
         with pytest.raises(DslError):
@@ -199,3 +230,17 @@ class TestRoundTrip:
         assert e == b.jet(0, (1,)) ** 2 - b.param("c") * b.fiber_var(0) + 2
         with pytest.raises(DslError):
             parse_expression("u_x^2 extra", scalar_bundle)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2), r=st.integers(1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_random_sessions_roundtrip(self, seed, n, r):
+        bundle = Bundle(("x", "y")[:n], ("u", "v")[:r], ("c",))
+        ops = {
+            name: random_vector_operator(
+                bundle, seed + k, max_jet_order=3, max_degree=3,
+                coeff_pool=[-3, -1, Fraction(1, 2), 2, Fraction(-7, 3)], max_terms=5,
+            )
+            for k, name in enumerate("FGH")
+        }
+        session = SessionFile(bundle, ops)
+        assert parse(print_session(session)) == session
