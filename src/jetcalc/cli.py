@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import printing
 from .calculus import (
     hessian_form,
     hessian_operator,
@@ -22,10 +23,14 @@ from .calculus import (
     linearize,
 )
 from .dsl import parse
-from .expressions import PolyExpr
-from .identities import IDENTITIES, check_commutation, run_check, run_random_suite
+from .identities import (
+    IDENTITIES,
+    anomaly_operators,
+    check_commutation,
+    run_check,
+    run_random_suite,
+)
 from .multiindex import MultiIndex, check_order
-from .printing import cdiff_text, latex, poly_text, vector_text
 from .structures import (
     AuxClaim,
     SymmetryClaim,
@@ -61,18 +66,32 @@ def _named_op(session, name: str) -> VectorOperator:
     return session.operators[name]
 
 
-def _render(obj, fmt: str) -> str:
-    if fmt == "latex":
-        return latex(obj)
-    if isinstance(obj, VectorOperator):
-        return vector_text(obj)
-    if isinstance(obj, PolyExpr):
-        return poly_text(obj)
-    return cdiff_text(obj)
+def _render(value, fmt: str) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if not hasattr(value, "to_json"):
+        return str(value)
+    return printing.latex(value) if fmt == "latex" else printing.text(value)
 
 
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2))
+def _emit(args, head: dict, rows: list, ok: bool = True) -> int:
+    """Print one result and return its exit code: 0 if ok, else 1.
+
+    JSON is head followed by the rows; text and LaTeX print one
+    "label: value" line per row.  A row is (JSON key, text label, value), and
+    a None key or label leaves the row out of that output.
+    """
+    if args.format == "json":
+        doc = dict(head)
+        for key, _, value in rows:
+            if key is not None:
+                doc[key] = value.to_json() if hasattr(value, "to_json") else value
+        print(json.dumps(doc, indent=2))
+    else:
+        for _, label, value in rows:
+            if label is not None:
+                print(f"{label}: {_render(value, args.format)}")
+    return 0 if ok else 1
 
 
 # -- command handlers ----------------------------------------------------------
@@ -80,13 +99,8 @@ def _emit_json(doc) -> None:
 
 def _cmd_linearize(args) -> int:
     session = _load_session(args)
-    op = _named_op(session, args.op)
-    lin = linearize(op)
-    if args.format == "json":
-        _emit_json({"command": "linearize", "op": args.op, "linearization": lin.to_json()})
-    else:
-        print(f"linearization: {_render(lin, args.format)}")
-    return 0
+    rows = [("linearization", "linearization", linearize(_named_op(session, args.op)))]
+    return _emit(args, {"command": "linearize", "op": args.op}, rows)
 
 
 def _cmd_bracket(args) -> int:
@@ -96,72 +110,37 @@ def _cmd_bracket(args) -> int:
     via_lin = jacobi_bracket(f, g)
     via_coord = jacobi_bracket_coord(f, g)
     agree = via_lin == via_coord
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "bracket",
-                "left": args.left,
-                "right": args.right,
-                "bracket": via_lin.to_json(),
-                "coordinate": via_coord.to_json(),
-                "agree": agree,
-            }
-        )
-    else:
-        body = _render(via_lin, args.format) if f.rank > 1 else _render(via_lin[0], args.format)
-        coord_body = (
-            _render(via_coord, args.format) if f.rank > 1 else _render(via_coord[0], args.format)
-        )
-        print(f"bracket: {body}")
-        print(f"coordinate: {coord_body}")
-        print(f"agree: {str(agree).lower()}")
-    return 0 if agree else 1
+    if f.rank == 1 and args.format != "json":  # text and LaTeX print a scalar bracket bare
+        via_lin, via_coord = via_lin[0], via_coord[0]
+    rows = [
+        ("bracket", "bracket", via_lin),
+        ("coordinate", "coordinate", via_coord),
+        ("agree", "agree", agree),
+    ]
+    return _emit(args, {"command": "bracket", "left": args.left, "right": args.right}, rows, agree)
 
 
 def _cmd_hessian(args) -> int:
     session = _load_session(args)
     f = _named_op(session, args.f)
     g = _named_op(session, args.g)
-    op = hessian_operator(f, g)
-    doc = {"command": "hessian", "f": args.f, "g": args.g, "operator": op.to_json()}
-    lines = [f"operator: {_render(op, args.format)}"]
+    rows = [("operator", "operator", hessian_operator(f, g))]
     if args.h:
-        h = _named_op(session, args.h)
-        form = hessian_form(f, g, h)
-        doc["h"] = args.h
-        doc["form"] = form.to_json()
-        lines.append(f"form: {_render(form, args.format)}")
-    if args.format == "json":
-        _emit_json(doc)
-    else:
-        print("\n".join(lines))
-    return 0
+        form = hessian_form(f, g, _named_op(session, args.h))
+        rows += [("h", None, args.h), ("form", "form", form)]
+    return _emit(args, {"command": "hessian", "f": args.f, "g": args.g}, rows)
 
 
 def _cmd_anomaly(args) -> int:
     session = _load_session(args)
-    f = _named_op(session, args.f)
-    g = _named_op(session, args.g)
-    lf, lg = linearize(f), linearize(g)
-    lhs = lf.commutator(lg) - linearize(jacobi_bracket(f, g))
-    rhs = hessian_operator(g, f) - hessian_operator(f, g)
+    lhs, rhs = anomaly_operators(_named_op(session, args.f), _named_op(session, args.g))
     equal = lhs == rhs
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "anomaly",
-                "f": args.f,
-                "g": args.g,
-                "commutator_minus_linearized_bracket": lhs.to_json(),
-                "hessian_difference": rhs.to_json(),
-                "equal": equal,
-            }
-        )
-    else:
-        print(f"commutator minus linearized bracket: {_render(lhs, args.format)}")
-        print(f"hessian difference: {_render(rhs, args.format)}")
-        print(f"equal: {str(equal).lower()}")
-    return 0 if equal else 1
+    rows = [
+        ("commutator_minus_linearized_bracket", "commutator minus linearized bracket", lhs),
+        ("hessian_difference", "hessian difference", rhs),
+        ("equal", "equal", equal),
+    ]
+    return _emit(args, {"command": "anomaly", "f": args.f, "g": args.g}, rows, equal)
 
 
 def _comma_index(text: str, what: str) -> MultiIndex:
@@ -186,6 +165,9 @@ def _verify_explicit(args) -> dict:
             raise UsageError("verify commutation-lemma needs --zeta and --tau")
         zeta = _comma_index(args.zeta, "--zeta")
         tau = _comma_index(args.tau, "--tau")
+        fibers = session.bundle.r
+        if not 1 <= args.fiber <= fibers:
+            raise UsageError(f"--fiber {args.fiber} is out of range 1..{fibers}")
         res = check_commutation(zeta, tau, args.fiber - 1, ops[0][0])
     else:
         res = run_check(identity, ops, args.probe_order)
@@ -212,75 +194,46 @@ def _cmd_verify(args) -> int:
             max_degree=args.max_degree,
             probe_order=args.probe_order,
         )
-    if args.format == "json":
-        _emit_json(report)
-    else:
-        print(f"identity: {report['identity']}")
-        print(f"seed: {report['seed']}")
-        failed = {f["trial"] for f in report["failures"] if "trial" in f}
-        for k in range(report["trials"]):
-            print(f"trial {k}: " + ("FAIL" if k in failed else "pass"))
-        print(f"trials: {report['trials']}")
-        print(f"failures: {len(report['failures'])}")
-        print(f"holds: {str(report['holds']).lower()}")
-    return 0 if report["holds"] else 1
+    failed = {f["trial"] for f in report["failures"] if "trial" in f}
+    rows = [
+        (None, "identity", report["identity"]),
+        (None, "seed", report["seed"]),
+        *((None, f"trial {k}", "FAIL" if k in failed else "pass") for k in range(report["trials"])),
+        (None, "trials", report["trials"]),
+        (None, "failures", len(report["failures"])),
+        (None, "holds", report["holds"]),
+    ]
+    return _emit(args, report, rows, report["holds"])
 
 
-def _cmd_check_symmetry(args) -> int:
+def _cmd_check(args) -> int:
+    """check-symmetry and check-aux: every claim of one kind in a fixtures
+    file, or one claim built from named session operators."""
+    kind = args.command.removeprefix("check-")
     if args.fixtures:
-        return _run_fixtures(args, kind="symmetry")
-    if not (args.f and args.h and args.theta):
-        raise UsageError("check-symmetry needs --f, --h and --theta (or --fixtures)")
+        return _run_fixtures(args, kind)
+    symmetry = kind == "symmetry"
+    names = (args.f, args.h, args.theta) if symmetry else (args.f, args.g, args.lam, args.mu)
+    if not all(names):
+        needs = "--f, --h and --theta" if symmetry else "--f, --g, --lambda and --mu"
+        raise UsageError(f"{args.command} needs {needs} (or --fixtures)")
     session = _load_session(args)
-    claim = SymmetryClaim(
-        _named_op(session, args.f), _named_op(session, args.h), _named_op(session, args.theta)
-    )
-    res = symmetry_residual(claim)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "check-symmetry",
-                "bracket_form": res.value.to_json(),
-                "module_form": res.context["module_form"].to_json(),
-                "holds": res.holds,
-            }
-        )
+    ops = [_named_op(session, n) for n in names]
+    if symmetry:
+        res = symmetry_residual(SymmetryClaim(*ops))
+        rows = [
+            ("bracket_form", "bracket form", res.value),
+            ("module_form", "module form", res.context["module_form"]),
+        ]
     else:
-        print(f"bracket form: {_render(res.value, args.format)}")
-        print(f"module form: {_render(res.context['module_form'], args.format)}")
-        print(f"holds: {str(res.holds).lower()}")
-    return 0 if res.holds else 1
-
-
-def _cmd_check_aux(args) -> int:
-    if args.fixtures:
-        return _run_fixtures(args, kind="aux")
-    if not (args.f and args.g and args.lam and args.mu):
-        raise UsageError("check-aux needs --f, --g, --lambda and --mu (or --fixtures)")
-    session = _load_session(args)
-    claim = AuxClaim(
-        _named_op(session, args.f),
-        _named_op(session, args.g),
-        _named_op(session, args.lam),
-        _named_op(session, args.mu),
-    )
-    res = aux_residual(claim)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "check-aux",
-                "residual": res.value.to_json(),
-                "order_mu": res.context["order_mu"],
-                "order_f": res.context["order_f"],
-                "scalar_order_ok": res.context["scalar_order_ok"],
-                "holds": res.holds,
-            }
-        )
-    else:
-        print(f"residual: {_render(res.value, args.format)}")
-        print(f"order(mu): {res.context['order_mu']}, order(f): {res.context['order_f']}")
-        print(f"holds: {str(res.holds).lower()}")
-    return 0 if res.holds else 1
+        res = aux_residual(AuxClaim(*ops))
+        ctx = res.context
+        rows = [
+            ("residual", "residual", res.value),
+            (None, "order(mu)", f"{ctx['order_mu']}, order(f): {ctx['order_f']}"),
+            *((key, None, ctx[key]) for key in ("order_mu", "order_f", "scalar_order_ok")),
+        ]
+    return _emit(args, {"command": args.command}, [*rows, ("holds", "holds", res.holds)], res.holds)
 
 
 def _run_fixtures(args, kind: str) -> int:
@@ -291,15 +244,14 @@ def _run_fixtures(args, kind: str) -> int:
         report = evaluate_claim_file(path, kind=kind)
     except (KeyError, OSError, ValueError, json.JSONDecodeError) as e:
         raise UsageError(f"bad fixtures file {path}: {e}") from None
-    if args.format == "json":
-        _emit_json(report)
-    else:
-        for claim in report["claims"]:
-            got = "zero" if claim["holds"] else "nonzero"
-            verdict = "match" if claim["matches"] else "MISMATCH"
-            print(f"claim {claim['name']} ({claim['kind']}): expect {claim['expect']}, got {got}: {verdict}")
-        print(f"all match: {str(report['all_match']).lower()}")
-    return 0 if report["all_match"] else 1
+    rows = []
+    for claim in report["claims"]:
+        got = "zero" if claim["holds"] else "nonzero"
+        verdict = "match" if claim["matches"] else "MISMATCH"
+        outcome = f"expect {claim['expect']}, got {got}: {verdict}"
+        rows.append((None, f"claim {claim['name']} ({claim['kind']})", outcome))
+    rows.append((None, "all match", report["all_match"]))
+    return _emit(args, report, rows, report["all_match"])
 
 
 def _cmd_section4(args) -> int:
@@ -309,29 +261,16 @@ def _cmd_section4(args) -> int:
         "the full bracket nonzero; the pair passes the symmetry test only if the "
         "free terms are ignored"
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "section4",
-                "f": ex.f.to_json(),
-                "g": ex.g.to_json(),
-                "linearization_f": linearize(ex.f).to_json(),
-                "full_bracket": ex.full_bracket.to_json(),
-                "full_bracket_coordinate": ex.full_bracket_coord.to_json(),
-                "linear_part_bracket": ex.linear_part_bracket.to_json(),
-                "note": note,
-            }
-        )
-    else:
-        fmt = args.format
-        print(f"f: {_render(ex.f, fmt)}")
-        print(f"g: {_render(ex.g, fmt)}")
-        print(f"linearization of f: {_render(linearize(ex.f), fmt)}")
-        print(f"full bracket: {_render(ex.full_bracket, fmt)}")
-        print(f"full bracket (coordinate formula): {_render(ex.full_bracket_coord, fmt)}")
-        print(f"linear-part bracket: {_render(ex.linear_part_bracket, fmt)}")
-        print(f"note: {note}")
-    return 0
+    rows = [
+        ("f", "f", ex.f),
+        ("g", "g", ex.g),
+        ("linearization_f", "linearization of f", linearize(ex.f)),
+        ("full_bracket", "full bracket", ex.full_bracket),
+        ("full_bracket_coordinate", "full bracket (coordinate formula)", ex.full_bracket_coord),
+        ("linear_part_bracket", "linear-part bracket", ex.linear_part_bracket),
+        ("note", "note", note),
+    ]
+    return _emit(args, {"command": "section4"}, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h")
     p.add_argument("--theta")
     p.add_argument("--fixtures", help="claims file; checks every symmetry claim in it")
-    p.set_defaults(func=_cmd_check_symmetry)
+    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("check-aux", help="auxiliary-integral claim residual")
     common(p)
@@ -398,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--mu")
     p.add_argument("--fixtures", help="claims file; checks every aux claim in it")
-    p.set_defaults(func=_cmd_check_aux)
+    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("section4", help="the non-homogeneous diagonal pair example")
     common(p)

@@ -76,6 +76,16 @@ def check_hessian_symmetry(f: VectorOperator, g: VectorOperator, h: VectorOperat
     return _residual("hess-sym", value, f=f, g=g, h=h)
 
 
+def anomaly_operators(
+    f: VectorOperator, g: VectorOperator
+) -> tuple[CDiffOperator, CDiffOperator]:
+    """Both sides of the linearization anomaly as matrix operators: the
+    commutator of linearizations minus the linearized bracket, and the
+    difference of Hessian operators Hess(g, f) - Hess(f, g)."""
+    lhs = linearize(f).commutator(linearize(g)) - linearize(jacobi_bracket(f, g))
+    return lhs, hessian_operator(g, f) - hessian_operator(f, g)
+
+
 def check_linearization_anomaly(
     f: VectorOperator, g: VectorOperator, h: VectorOperator
 ) -> Residual:
@@ -84,13 +94,13 @@ def check_linearization_anomaly(
 
     The left side goes through the operator algebra, the right side through
     the trilinear form, so the two sides cannot share a bug.  Both sides are
-    also assembled as matrix operators and compared canonically; holds needs
-    both comparisons, and the context records the operator one.
+    also assembled as matrix operators (anomaly_operators) and compared
+    canonically; holds needs both comparisons, and the context records the
+    operator one.
     """
-    lf, lg = linearize(f), linearize(g)
-    lhs_op = lf.commutator(lg) - linearize(jacobi_bracket(f, g))
+    lhs_op, rhs_op = anomaly_operators(f, g)
     value = lhs_op.apply(h) - (hessian_form(g, f, h) - hessian_form(f, g, h))
-    operator_form_equal = lhs_op == hessian_operator(g, f) - hessian_operator(f, g)
+    operator_form_equal = lhs_op == rhs_op
     res = _residual("prop2", value, f=f, g=g, h=h, operator_form_equal=operator_form_equal)
     res.holds = res.holds and operator_form_equal
     return res

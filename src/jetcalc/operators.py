@@ -120,11 +120,6 @@ class CDiffOperator:
         return cls._make(bundle, size, size, {(i, i): {zero: bundle.one()} for i in range(size)})
 
     @classmethod
-    def single(cls, bundle: Bundle, rows: int, cols: int, i: int, j: int, sigma, coeff) -> "CDiffOperator":
-        """One term coeff * D_sigma in entry (i, j)."""
-        return cls(bundle, rows, cols, {(i, j): {sigma: coeff}})
-
-    @classmethod
     def total_derivative(cls, bundle: Bundle, sigma, size: int = 1) -> "CDiffOperator":
         """D_sigma times the identity of the given size."""
         sigma = sigma if isinstance(sigma, MultiIndex) else MultiIndex(sigma)

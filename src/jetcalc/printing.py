@@ -32,10 +32,6 @@ def display_order(terms) -> list:
     return sorted(terms, key=key, reverse=True)
 
 
-def multiindex_text(sigma: MultiIndex) -> str:
-    return "(" + ",".join(str(e) for e in sigma) + ")"
-
-
 def coord_token(bundle, v) -> str:
     """Positional token used in JSON documents."""
     from .expressions import BASE, PARAM
@@ -220,16 +216,22 @@ def cdiff_latex(op) -> str:
     return _cdiff(LATEX, op)
 
 
-def latex(obj) -> str:
-    """LaTeX form of a PolyExpr, VectorOperator or CDiffOperator."""
+def _by_type(obj, poly, vector, cdiff, what: str) -> str:
     from .expressions import PolyExpr
     from .operators import CDiffOperator
     from .vectorops import VectorOperator
 
-    if isinstance(obj, PolyExpr):
-        return poly_latex(obj)
-    if isinstance(obj, VectorOperator):
-        return vector_latex(obj)
-    if isinstance(obj, CDiffOperator):
-        return cdiff_latex(obj)
-    raise TypeError(f"cannot render {type(obj).__name__} as LaTeX")
+    for cls, printer in ((PolyExpr, poly), (VectorOperator, vector), (CDiffOperator, cdiff)):
+        if isinstance(obj, cls):
+            return printer(obj)
+    raise TypeError(f"cannot render {type(obj).__name__} as {what}")
+
+
+def text(obj) -> str:
+    """Text form of a PolyExpr, VectorOperator or CDiffOperator."""
+    return _by_type(obj, poly_text, vector_text, cdiff_text, "text")
+
+
+def latex(obj) -> str:
+    """LaTeX form of a PolyExpr, VectorOperator or CDiffOperator."""
+    return _by_type(obj, poly_latex, vector_latex, cdiff_latex, "LaTeX")

@@ -216,6 +216,7 @@ class TestUsageErrors:
         assert code == 2
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+        return captured.err
 
     def test_rank_mismatch(self, tmp_path, capsys):
         session = tmp_path / "ranks.jet"
@@ -232,11 +233,12 @@ class TestUsageErrors:
         )
 
     def test_fiber_out_of_range(self, intro_session, capsys):
-        self._assert_error(
-            ["verify", "commutation-lemma", "--session", intro_session, "--operands", "F",
-             "--zeta", "1", "--tau", "1", "--fiber", "0"],
-            capsys,
-        )
+        # The message names the option and the 1-based value the user gave.
+        for fiber in ("0", "2"):
+            argv = ["verify", "commutation-lemma", "--session", intro_session, "--operands",
+                    "F", "--zeta", "1", "--tau", "1", "--fiber", fiber]
+            err = self._assert_error(argv, capsys)
+            assert err == f"error: --fiber {fiber} is out of range 1..1\n"
 
     def test_index_length_mismatch(self, intro_session, capsys):
         self._assert_error(

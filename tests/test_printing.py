@@ -1,11 +1,9 @@
 from fractions import Fraction
 
 from jetcalc import Bundle, CDiffOperator, VectorOperator, linearize, jacobi_bracket
-from jetcalc.multiindex import MultiIndex
 from jetcalc.printing import (
     cdiff_latex,
     cdiff_text,
-    multiindex_text,
     poly_latex,
     poly_text,
     vector_latex,
@@ -38,10 +36,6 @@ class TestText:
         b = plane_bundle
         v = VectorOperator([b.const(-1), b.const(1)])
         assert vector_text(v) == "[-1, 1]"
-
-    def test_multiindex(self):
-        assert multiindex_text(MultiIndex((2, 1))) == "(2,1)"
-        assert multiindex_text(MultiIndex((0,))) == "(0)"
 
     def test_cdiff_scalar(self, intro_pair):
         b, f, g = intro_pair
