@@ -74,14 +74,12 @@ def evolutionary_apply(
     applications share the derivative chains.
     """
     _require_section_rank(g, "generating operator")
+    if target.bundle != g.bundle:
+        raise SignatureMismatchError("operands carry different signatures")
     if cache is None:
         cache = DerivativeCache(g)
     if isinstance(target, VectorOperator):
-        if target.bundle != g.bundle:
-            raise SignatureMismatchError("operands carry different signatures")
         return VectorOperator(evolutionary_apply(g, c, cache) for c in target.components)
-    if target.bundle != g.bundle:
-        raise SignatureMismatchError("operands carry different signatures")
     acc: dict = {}
     _evolutionary_into(acc, target, cache)
     return PolyExpr._make(g.bundle, acc)
@@ -94,7 +92,7 @@ def _evolutionary_into(acc: dict, target: PolyExpr, cache: DerivativeCache, k: i
     for v, dv in target._jet_partials().items():
         dg = cache.get(v.index, v.sigma)
         if dg:
-            _mul_into(acc, dg, dv, k)
+            _mul_into(acc, dg._terms, dv._terms, k)
 
 
 def jacobi_bracket(f: VectorOperator, g: VectorOperator) -> VectorOperator:
@@ -138,7 +136,7 @@ def hessian_form(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Vec
             for w, second in first._jet_partials().items():
                 dh = hcache.get(w.index, w.sigma)
                 if dh:
-                    _mul_into(acc, second * dg, dh)
+                    _mul_into(acc, (second * dg)._terms, dh._terms)
         comps.append(PolyExpr._make(f.bundle, acc))
     return VectorOperator(comps)
 
@@ -189,14 +187,12 @@ def substitute_section(e: PolyExpr, sections: Sequence[PolyExpr]) -> PolyExpr:
 def random_vector_operator(
     bundle: Bundle,
     seed: int,
-    rank: Optional[int] = None,
     max_jet_order: int = 2,
     max_degree: int = 2,
     coeff_pool: Sequence[Rational] = (-2, -1, 1, 2),
     max_terms: int = 4,
 ) -> VectorOperator:
-    """Deterministic random operator; component seeds derive from the master seed."""
-    rank = bundle.r if rank is None else rank
+    """Deterministic random operator of rank bundle.r; component seeds derive from the master seed."""
     rng = random.Random(seed)
     return VectorOperator(
         random_expr(
@@ -207,5 +203,5 @@ def random_vector_operator(
             coeff_pool=coeff_pool,
             max_terms=max_terms,
         )
-        for _ in range(rank)
+        for _ in range(bundle.r)
     )

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from .expressions import JET, MAX_DEGREE, Bundle, JetCoordinate, PolyExpr, _intern
+from .expressions import JET, MAX_DEGREE, Bundle, JetCoordinate, PolyExpr, _intern, _mul_into
 from .multiindex import MAX_BASE_DIM, MAX_ORDER, MultiIndex
 from .vectorops import VectorOperator
 
@@ -202,7 +202,9 @@ class _Parser:
             degree = max(map(len, left), default=0) + max(map(len, right), default=0)
             if degree > MAX_DEGREE:
                 raise self.error(f"product of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", star)
-            left = _product(left, right)
+            acc: dict = {}
+            _mul_into(acc, left, right)
+            left = {mono: c for mono, c in acc.items() if c}
         return left
 
     def parse_factor(self) -> dict:
@@ -289,19 +291,6 @@ class _Parser:
             raise self.error(f"jet order {order} exceeds the limit {MAX_ORDER}", k)
         # j and the entries are checked, so the coordinate needs no validation.
         return JetCoordinate(JET, j, MultiIndex._unchecked(tuple(entries)))
-
-
-def _product(a: dict, b: dict) -> dict:
-    """a * b on term dicts (expressions._mul_into takes PolyExprs; wrapping costs 15% of a parse)."""
-    if len(a) == 1 == len(b):  # the common case, one monomial times another
-        ((m1, c1),), ((m2, c2),) = a.items(), b.items()
-        return {tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2: c1 * c2}
-    acc: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
-            acc[mono] = acc.get(mono, 0) + c1 * c2
-    return {mono: c for mono, c in acc.items() if c}
 
 
 def parse(source: str) -> SessionFile:

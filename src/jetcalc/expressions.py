@@ -129,13 +129,12 @@ def _decode(mono: tuple) -> tuple:
     return tuple(sorted((_COORDS[v], mono.count(v)) for v in set(mono)))
 
 
-def _mul_into(acc: dict, a: "PolyExpr", b: "PolyExpr", k: int = 1) -> None:
-    """Add k * a * b into the id-form term dict acc without building a * b;
-    PolyExpr._make(bundle, acc) then gives the sum.  The caller checks that
-    a and b share acc's bundle.  The operand with fewer terms drives the
-    outer loop, and a constant outer monomial adds its multiple of the other
-    operand term by term, without building or sorting a monomial."""
-    ta, tb = a._terms, b._terms
+def _mul_into(acc: dict, ta: dict, tb: dict, k: int = 1) -> None:
+    """Add k * ta * tb, for id-form term dicts ta and tb, into acc without
+    building the product; PolyExpr._make(bundle, acc) then gives the sum.  The
+    caller checks that all share one bundle.  The operand with fewer terms
+    drives the outer loop, and a constant outer monomial adds its multiple of
+    the other operand term by term, without building or sorting a monomial."""
     if len(ta) > len(tb):
         ta, tb = tb, ta
     get = acc.get
@@ -220,11 +219,6 @@ class Bundle:
                 out.append(JetCoordinate(JET, j, sigma))
         return out
 
-    def coord_name(self, v: JetCoordinate) -> str:
-        from .printing import TEXT, coord_name
-
-        return coord_name(TEXT, self, v)
-
     # -- expression constructors ------------------------------------------
 
     def const(self, q: Rational) -> "PolyExpr":
@@ -304,7 +298,7 @@ class PolyExpr:
                 if not isinstance(v, JetCoordinate):
                     raise TypeError(f"monomial variable {v!r} is not a JetCoordinate")
                 _check_coord(bundle, v)
-                if not isinstance(k, int) or k <= 0:
+                if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
                     raise ValueError(f"monomial power must be a positive int, got {k!r}")
                 norm[v] = norm.get(v, 0) + k
             degree = sum(norm.values())
@@ -361,11 +355,6 @@ class PolyExpr:
     def is_constant(self) -> bool:
         return not any(self._terms)
 
-    def constant_value(self) -> Rational:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self._terms.get((), 0)
-
     def coordinates(self) -> set[JetCoordinate]:
         return {_COORDS[v] for mono in self._terms for v in mono}
 
@@ -421,7 +410,7 @@ class PolyExpr:
         if other is None:
             return NotImplemented
         acc: dict = {}
-        _mul_into(acc, self, other)
+        _mul_into(acc, self._terms, other._terms)
         return PolyExpr._make(self.bundle, acc)
 
     __rmul__ = __mul__
@@ -445,7 +434,7 @@ class PolyExpr:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyExpr):
             if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-                return self.is_constant() and self.constant_value() == other
+                return self.is_constant() and self._terms.get((), 0) == other
             return NotImplemented
         return self.bundle == other.bundle and self._terms == other._terms
 
@@ -555,9 +544,11 @@ class PolyExpr:
 
     def evaluate(self, point: Mapping[JetCoordinate, Rational]) -> Rational:
         """Exact value at a full assignment of coordinates to rationals."""
+        from .printing import TEXT, coord_name
+
         missing = [v for v in self.coordinates() if v not in point]
         if missing:
-            raise EvaluationError(f"coordinate {self.bundle.coord_name(min(missing))} is not assigned")
+            raise EvaluationError(f"coordinate {coord_name(TEXT, self.bundle, min(missing))} is not assigned")
         total = Fraction(0)
         for mono, c in self.terms.items():
             val = Fraction(c)
@@ -604,7 +595,7 @@ class PolyExpr:
             if not isinstance(entry["coeff"], str):
                 raise TypeError(f"coefficient must be a string, got {entry['coeff']!r}")
             coeff = _as_coeff(Fraction(entry["coeff"]))
-            mono = tuple((parse_coord_token(bundle, var["var"]), int(var["pow"])) for var in entry.get("vars", ()))
+            mono = tuple((parse_coord_token(bundle, var["var"]), var["pow"]) for var in entry.get("vars", ()))
             acc[mono] = acc.get(mono, 0) + coeff
         return cls(bundle, acc)
 

@@ -3,10 +3,11 @@
 Every check instantiates concrete polynomial operators, computes the exact
 defect of one identity and wraps it in a Residual; holds is true exactly
 when the canonical form of the defect is zero.  The randomized suites draw
-inputs from a seeded regime (default: 100 trials, one or two base and fiber
-variables, jet order and degree at most 2, coefficients in -2..2) and record
-the master seed plus full replay fixtures for any failure.  Trial k of a
-suite with master seed s uses seed s * 1_000_003 + k.
+inputs from a seeded regime (default: 100 trials, jet order and degree at
+most 2, coefficients in -2..2; always one or two base and fiber variables
+and commutation indices of order at most 3) and record the master seed plus
+full replay fixtures for any failure.  Trial k of a suite with master seed s
+uses seed s * 1_000_003 + k.
 """
 
 from __future__ import annotations
@@ -213,12 +214,6 @@ def trial_seed(master_seed: int, k: int) -> int:
     return master_seed * 1_000_003 + k
 
 
-def _suite_bundle(rng: random.Random, n_choices, r_choices) -> Bundle:
-    n = rng.choice(list(n_choices))
-    r = rng.choice(list(r_choices))
-    return Bundle(("x", "y")[:n], ("u", "v")[:r])
-
-
 def run_check(identity: str, operands: Sequence[VectorOperator], probe_order: int) -> Residual:
     """Run the check of an identity whose operands are all vector operators,
     given in the order of its operand names; antihom is evaluated on the jet
@@ -235,13 +230,10 @@ def run_random_suite(
     identity: str,
     trials: int = 100,
     seed: int = 0,
-    n_choices: Sequence[int] = (1, 2),
-    r_choices: Sequence[int] = (1, 2),
     max_jet_order: int = 2,
     max_degree: int = 2,
     coeff_pool: Sequence = DEFAULT_COEFF_POOL,
     probe_order: int = 4,
-    max_index_order: int = 3,
 ) -> dict:
     """Run one identity's randomized suite; returns the verification report.
 
@@ -253,12 +245,6 @@ def run_random_suite(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     check_order(max_jet_order, "max jet order")
-    check_order(max_index_order, "max index order")
-    if max_index_order < 0:
-        raise ValueError(f"max index order must be non-negative, got {max_index_order}")
-    for what, choices in (("base", n_choices), ("fiber", r_choices)):
-        if not choices or not set(choices) <= {1, 2}:
-            raise ValueError(f"{what} dimension choices must be a non-empty selection of 1 and 2, got {choices!r}")
     regime = dict(
         max_jet_order=max_jet_order,
         max_degree=max_degree,
@@ -269,11 +255,12 @@ def run_random_suite(
     for k in range(trials):
         tseed = trial_seed(seed, k)
         rng = random.Random(tseed)
-        bundle = _suite_bundle(rng, n_choices, r_choices)
+        n, r = rng.choice((1, 2)), rng.choice((1, 2))
+        bundle = Bundle(("x", "y")[:n], ("u", "v")[:r])
         if identity == "commutation-lemma":
-            choices = indices_up_to(bundle.n, max_index_order)
+            choices = indices_up_to(n, 3)
             zeta, tau = rng.choice(choices), rng.choice(choices)
-            fiber = rng.randrange(bundle.r)
+            fiber = rng.randrange(r)
             e = random_expr(bundle, rng.randrange(2**32), **regime)
             res = check_commutation(zeta, tau, fiber, e)
         else:
@@ -311,8 +298,8 @@ def run_random_suite(
         "failures": failures,
         "holds": not failures,
         "regime": {
-            "n": list(n_choices),
-            "r": list(r_choices),
+            "n": [1, 2],
+            "r": [1, 2],
             "max_jet_order": max_jet_order,
             "max_degree": max_degree,
             "coeff_pool": [str(c) for c in coeff_pool],

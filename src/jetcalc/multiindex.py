@@ -92,12 +92,6 @@ class MultiIndex(tuple):
             return None
         return MultiIndex._unchecked(diff)
 
-    def contains(self, other: "MultiIndex") -> bool:
-        """Whether ``other`` <= self entrywise."""
-        if len(self) != len(other):
-            raise ValueError(f"multi-index length mismatch: {len(self)} vs {len(other)}")
-        return all(b <= a for a, b in zip(self, other))
-
 
 def binom_product(tau: MultiIndex, kappa: MultiIndex) -> int:
     """Product of entrywise binomial coefficients C(tau_i, kappa_i).
@@ -106,7 +100,7 @@ def binom_product(tau: MultiIndex, kappa: MultiIndex) -> int:
     partial derivative moved through the iterated total derivative D_tau;
     requires kappa <= tau entrywise.
     """
-    if not tau.contains(kappa):
+    if tau.checked_sub(kappa) is None:
         raise ValueError(f"{kappa} is not contained in {tau}")
     out = 1
     for t, k in zip(tau, kappa):

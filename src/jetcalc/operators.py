@@ -114,23 +114,20 @@ class CDiffOperator:
         return cls._make(bundle, rows, cols, {})
 
     @classmethod
-    def identity(cls, bundle: Bundle, size: Optional[int] = None) -> "CDiffOperator":
-        size = bundle.r if size is None else size
-        zero = MultiIndex.zero(bundle.n)
-        return cls._make(bundle, size, size, {(i, i): {zero: bundle.one()} for i in range(size)})
+    def identity(cls, bundle: Bundle) -> "CDiffOperator":
+        """The bundle.r x bundle.r identity."""
+        one = {MultiIndex.zero(bundle.n): bundle.one()}
+        return cls._make(bundle, bundle.r, bundle.r, {(i, i): one for i in range(bundle.r)})
 
     @classmethod
-    def total_derivative(cls, bundle: Bundle, sigma, size: int = 1) -> "CDiffOperator":
-        """D_sigma times the identity of the given size."""
-        sigma = sigma if isinstance(sigma, MultiIndex) else MultiIndex(sigma)
-        one = bundle.one()
-        return cls(bundle, size, size, {(i, i): {sigma: one} for i in range(size)})
+    def total_derivative(cls, bundle: Bundle, sigma) -> "CDiffOperator":
+        """The 1x1 operator D_sigma."""
+        return cls(bundle, 1, 1, {(0, 0): {sigma: bundle.one()}})
 
     @classmethod
-    def multiplication(cls, e: PolyExpr, size: int = 1) -> "CDiffOperator":
-        """The zero-order operator e times the identity."""
-        zero = MultiIndex.zero(e.bundle.n)
-        return cls(e.bundle, size, size, {(i, i): {zero: e} for i in range(size)})
+    def multiplication(cls, e: PolyExpr) -> "CDiffOperator":
+        """The 1x1 zero-order operator e."""
+        return cls(e.bundle, 1, 1, {(0, 0): {MultiIndex.zero(e.bundle.n): e}})
 
     # -- structure -------------------------------------------------------------
 
@@ -213,7 +210,7 @@ class CDiffOperator:
         accs = [{} for _ in range(self.rows)]
         for (i, j), cell in self._entries.items():
             for sigma, coeff in cell.items():
-                _mul_into(accs[i], coeff, cache.get(j, sigma))
+                _mul_into(accs[i], coeff._terms, cache.get(j, sigma)._terms)
         return VectorOperator(PolyExpr._make(self.bundle, acc) for acc in accs)
 
     def compose(self, other: "CDiffOperator") -> "CDiffOperator":
@@ -236,11 +233,11 @@ class CDiffOperator:
                 for k, tau in enumerate(right_cell):
                     for sigma, a in left_cell.items():
                         for kappa in sub_indices(sigma):
-                            db = caches[j2, l].get(k, kappa)
+                            db = caches[j2, l].get(k, kappa)._terms
                             if not db:
                                 continue
                             key = sigma.checked_sub(kappa) + tau
-                            _mul_into(out_cell.setdefault(key, {}), a, db, binom_product(sigma, kappa))
+                            _mul_into(out_cell.setdefault(key, {}), a._terms, db, binom_product(sigma, kappa))
         entries = {
             ij: {key: PolyExpr._make(self.bundle, terms) for key, terms in cell.items()}
             for ij, cell in acc.items()

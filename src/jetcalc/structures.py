@@ -128,14 +128,26 @@ def nonhomogeneous_diagonal_pair() -> DiagonalPairExample:
 # -- claim fixture files -----------------------------------------------------
 
 
+def _strings(data: dict, key: str) -> list:
+    """data[key], which must be a list of strings."""
+    value = data[key]
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ValueError(f"field {key!r} must be a list of strings, got {value!r}")
+    return value
+
+
 def parse_claim(record: dict) -> tuple[str, Union[SymmetryClaim, AuxClaim], str]:
     """Build one claim from its JSON record; returns (name, claim, expect)."""
     from .dsl import parse_expression
 
-    bundle = Bundle.from_json(record["signature"])
+    sig = record["signature"]
+    if not isinstance(sig, dict):
+        raise ValueError(f"field 'signature' must be an object, got {sig!r}")
+    sig = {"params": [], **sig}
+    bundle = Bundle(*(_strings(sig, key) for key in ("base", "fiber", "params")))
 
     def op(key: str) -> VectorOperator:
-        return VectorOperator(parse_expression(s, bundle) for s in record[key])
+        return VectorOperator(parse_expression(s, bundle) for s in _strings(record, key))
 
     kind = record["kind"]
     expect = record["expect"]
@@ -157,8 +169,11 @@ def evaluate_claim_file(path: Union[str, Path], kind: Optional[str] = None) -> d
     and an all_match verdict; kind restricts to "symmetry" or "aux" claims.
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    records = data.get("claims") if isinstance(data, dict) else None
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise ValueError("a claims file must be an object whose field 'claims' is a list of objects")
     results = []
-    for record in data["claims"]:
+    for record in records:
         if kind is not None and record["kind"] != kind:
             continue
         name, claim, expect = parse_claim(record)

@@ -34,9 +34,8 @@ class VectorOperator:
         self.components = components
 
     @classmethod
-    def zero(cls, bundle: Bundle, rank: Optional[int] = None) -> "VectorOperator":
-        rank = bundle.r if rank is None else rank
-        return cls(tuple(bundle.zero() for _ in range(rank)))
+    def zero(cls, bundle: Bundle) -> "VectorOperator":
+        return cls(tuple(bundle.zero() for _ in range(bundle.r)))
 
     @property
     def bundle(self) -> Bundle:

@@ -256,6 +256,30 @@ class TestUsageErrors:
         session.write_text("base x; fiber u; op F = [u^²];")
         self._assert_error(["linearize", "--session", str(session), "--op", "F"], capsys)
 
+    AUX_CLAIM = {
+        "kind": "aux",
+        "signature": {"base": ["x"], "fiber": ["u"]},
+        "f": ["u_xx"], "g": ["u_x"], "lambda": ["0"], "mu": ["0"],
+        "expect": "zero",
+    }
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([{"name": "a"}], "'claims'"),
+            ({"claims": {"a": 1}}, "'claims'"),
+            ({"claims": [1]}, "'claims'"),
+            ({"claims": [{**AUX_CLAIM, "signature": 5}]}, "'signature'"),
+            ({"claims": [{**AUX_CLAIM, "f": 7}]}, "'f'"),
+            ({"claims": [{**AUX_CLAIM, "g": [3]}]}, "'g'"),
+        ],
+    )
+    def test_malformed_claims_file(self, doc, field, tmp_path, capsys):
+        path = tmp_path / "claims.json"
+        path.write_text(json.dumps(doc))
+        err = self._assert_error(["check-aux", "--fixtures", str(path)], capsys)
+        assert field in err
+
     @pytest.mark.parametrize(
         "argv", [["linearize", "--op", "F", "--session"], ["check-aux", "--fixtures"]]
     )

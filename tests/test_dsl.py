@@ -56,6 +56,13 @@ class TestParse:
         p, u = b.jet(0, (1,)), b.fiber_var(0)
         assert session.operators["F"] == VectorOperator([-(p**2) + 2 * u * (u - 1)])
 
+    def test_product_whose_terms_cancel(self):
+        # (u+1)*(u-1) cancels its u terms; the sum around it must still parse.
+        session = parse("base x; fiber u; op F = [1 + (u+1)*(u-1)];")
+        b = session.bundle
+        assert session.operators["F"] == VectorOperator([b.fiber_var(0) ** 2])
+        assert parse_expression("(u+1)*(u-1) - u^2", b) == -1
+
     def test_bare_name_and_multi_index_in_one_session(self):
         # Names are resolved once per session, but u[1] is not u.
         session = parse("base x; fiber u; op F = [u + u[1] + u]; op G = [u[1] - u_x];")

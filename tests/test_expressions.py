@@ -240,6 +240,13 @@ class TestStructure:
         with pytest.raises(TypeError):
             PolyExpr.from_json(doc, scalar_bundle)
 
+    @pytest.mark.parametrize("power", [1.9, "2", True])
+    def test_json_rejects_non_int_powers(self, scalar_bundle, power):
+        doc = scalar_bundle.fiber_var(0).to_json()
+        doc["monomials"][0]["vars"][0]["pow"] = power
+        with pytest.raises(ValueError, match="monomial power must be a positive int"):
+            PolyExpr.from_json(doc, scalar_bundle)
+
     def test_canonical_equality_vs_int(self, scalar_bundle):
         assert scalar_bundle.const(Fraction(4, 2)) == 2
         assert scalar_bundle.zero() == 0

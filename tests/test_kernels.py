@@ -121,8 +121,8 @@ class TestDifferentialOracle:
     def test_mul_into(self, seed_a, seed_b, k):
         a, b = draw(seed_a), draw(seed_b)
         acc = {}
-        _mul_into(acc, a, b, k)
-        _mul_into(acc, b, b)
+        _mul_into(acc, a._terms, b._terms, k)
+        _mul_into(acc, b._terms, b._terms)
         expected = ref_add({m: k * c for m, c in ref_mul(a.terms, b.terms).items()}, ref_mul(b.terms, b.terms))
         assert PolyExpr._make(BUNDLE, acc).terms == expected
 
@@ -162,7 +162,7 @@ class TestKernels:
         # A nonempty accumulator; for k = 1 it cancels the product exactly.
         start = {m: -c for m, c in (a * b)._terms.items()} if k == 1 else dict(V._terms)
         acc = dict(start)
-        _mul_into(acc, a, b, k)
+        _mul_into(acc, a._terms, b._terms, k)
         expected = ref_add(
             PolyExpr._make(BUNDLE, dict(start)).terms,
             {m: k * c for m, c in ref_mul(a.terms, b.terms).items()},

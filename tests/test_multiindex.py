@@ -138,4 +138,4 @@ class TestSubIndices:
         assert len(subs) == expected
         assert len(set(subs)) == len(subs)
         assert subs == sorted(subs)
-        assert all(sigma.contains(k) for k in subs)
+        assert all(sigma.checked_sub(k) is not None for k in subs)

@@ -42,7 +42,7 @@ class TestText:
         assert cdiff_text(linearize(f)) == "2*u_x*D_x"
         assert cdiff_text(linearize(g)) == "D_x"
         assert cdiff_text(CDiffOperator.zero(b, 1, 1)) == "0"
-        assert cdiff_text(CDiffOperator.identity(b, 1)) == "1"
+        assert cdiff_text(CDiffOperator.identity(b)) == "1"
 
     def test_cdiff_multi_term_coefficient(self, scalar_bundle):
         b = scalar_bundle
