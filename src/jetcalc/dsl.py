@@ -18,12 +18,11 @@ printing a parsed session yields text that parses back to an equal session.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from .expressions import JET, MAX_DEGREE, Bundle, JetCoordinate, PolyExpr, _intern, _mul_into
+from .expressions import JET, MAX_DEGREE, Bundle, JetCoordinate, PolyExpr, _intern, _mul_into, _Record
 from .multiindex import MAX_BASE_DIM, MAX_ORDER, MultiIndex
 from .vectorops import VectorOperator
 
@@ -71,12 +70,12 @@ def _position(source: str, k: int) -> tuple[int, int]:
     return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-@dataclass
-class SessionFile:
+class SessionFile(_Record):
     """A parsed session: the bundle signature and named operators, in order."""
 
-    bundle: Bundle
-    operators: dict[str, VectorOperator] = field(default_factory=dict)
+    def __init__(self, bundle: Bundle, operators: Optional[dict[str, VectorOperator]] = None):
+        self.bundle = bundle
+        self.operators = {} if operators is None else operators
 
 
 class _Parser:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product, repeat
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
@@ -151,32 +150,56 @@ def _mul_into(acc: dict, ta: dict, tb: dict, k: int = 1) -> None:
             acc[m] = get(m, 0) + c1 * c2
 
 
-@dataclass(frozen=True)
-class Bundle:
+class _Record:
+    """Equality and repr over the instance's fields, as a dataclass gives them."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+def _strings(data: dict, key: str) -> list:
+    """data[key], which must be a list of strings."""
+    value = data[key]
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ValueError(f"field {key!r} must be a list of strings, got {value!r}")
+    return value
+
+
+class _Signature(NamedTuple):
+    base: tuple[str, ...]
+    fiber: tuple[str, ...]
+    params: tuple[str, ...]
+
+
+class Bundle(_Signature):
     """Bundle signature: base variable, fiber variable and parameter names.
 
     Declared once and carried by every value; mixing signatures raises
-    SignatureMismatchError rather than coercing.
+    SignatureMismatchError rather than coercing.  A tuple of the three name
+    tuples, so equality and hashing run in C; the constructor normalises and
+    validates, also when a pickle is loaded.
     """
 
-    base: tuple[str, ...]
-    fiber: tuple[str, ...]
-    params: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(self.base))
-        object.__setattr__(self, "fiber", tuple(self.fiber))
-        object.__setattr__(self, "params", tuple(self.params))
+    def __new__(cls, base, fiber, params=()):
+        self = super().__new__(cls, tuple(base), tuple(fiber), tuple(params))
         if not 1 <= len(self.base) <= MAX_BASE_DIM:
             raise ValueError(f"need between 1 and {MAX_BASE_DIM} base variables")
         if len(self.fiber) < 1:
             raise ValueError("need at least one fiber variable")
         names = self.base + self.fiber + self.params
         for name in names:
-            if not name.isidentifier() or "_" in name:
+            if not isinstance(name, str) or not name.isidentifier() or "_" in name:
                 raise ValueError(f"bad variable name {name!r}: must be an identifier without underscores")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate names in signature: {names}")
+        return self
 
     @property
     def n(self) -> int:
@@ -252,7 +275,9 @@ class Bundle:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Bundle":
-        return cls(tuple(data["base"]), tuple(data["fiber"]), tuple(data.get("params", ())))
+        if not isinstance(data, dict):
+            raise ValueError(f"field 'signature' must be an object, got {data!r}")
+        return cls(*(_strings({"params": [], **data}, key) for key in cls._fields))
 
 
 def indices_up_to(n: int, max_order: int) -> list[MultiIndex]:
@@ -590,8 +615,11 @@ class PolyExpr:
     def from_json(cls, data: Mapping, bundle: Bundle) -> "PolyExpr":
         from .printing import parse_coord_token
 
+        monos = data.get("monomials") if isinstance(data, dict) else None
+        if not isinstance(monos, list):
+            raise ValueError(f"a polynomial must be an object whose field 'monomials' is a list, got {data!r}")
         acc: dict = {}
-        for entry in data["monomials"]:
+        for entry in monos:
             if not isinstance(entry["coeff"], str):
                 raise TypeError(f"coefficient must be a string, got {entry['coeff']!r}")
             coeff = _as_coeff(Fraction(entry["coeff"]))

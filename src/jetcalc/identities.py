@@ -13,8 +13,7 @@ uses seed s * 1_000_003 + k.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .calculus import (
     DerivativeCache,
@@ -28,7 +27,7 @@ from .calculus import (
     linearize,
     random_vector_operator,
 )
-from .expressions import Bundle, PolyExpr, indices_up_to, random_expr
+from .expressions import Bundle, PolyExpr, _Record, indices_up_to, random_expr
 from .multiindex import MultiIndex, binom_product, check_order, sub_indices
 from .operators import CDiffOperator
 from .vectorops import VectorOperator
@@ -52,8 +51,7 @@ SUITE_IDENTITIES = tuple(IDENTITIES)
 DEFAULT_COEFF_POOL = (-2, -1, 0, 1, 2)
 
 
-@dataclass
-class Residual:
+class Residual(_Record):
     """Exact defect of one identity instance.
 
     value is a VectorOperator (for probe-family checks, one component per
@@ -62,9 +60,10 @@ class Residual:
     the identity name and its inputs.
     """
 
-    value: Union[VectorOperator, CDiffOperator]
-    holds: bool
-    context: dict = field(default_factory=dict)
+    def __init__(self, value: Union[VectorOperator, CDiffOperator], holds: bool, context: Optional[dict] = None):
+        self.value = value
+        self.holds = holds
+        self.context = {} if context is None else context
 
 
 def _residual(name: str, value, **context) -> Residual:

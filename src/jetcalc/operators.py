@@ -284,7 +284,10 @@ class CDiffOperator:
     def from_json(cls, data: Mapping, bundle: Optional[Bundle] = None) -> "CDiffOperator":
         if bundle is None:
             bundle = Bundle.from_json(data["signature"])
-        rows, cols = data["shape"]
+        shape = data["shape"]
+        if not (isinstance(shape, list) and len(shape) == 2 and all(type(k) is int for k in shape)):
+            raise ValueError(f"field 'shape' must be a list of two ints, got {shape!r}")
+        rows, cols = shape
         entries: dict = {}
         for rec in data.get("entries", ()):
             cell = entries.setdefault((rec["i"] - 1, rec["j"] - 1), {})

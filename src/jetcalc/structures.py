@@ -11,25 +11,22 @@ fixture file whose expressions are written in the session DSL.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .calculus import jacobi_bracket, jacobi_bracket_coord, linearize
-from .expressions import Bundle
+from .expressions import Bundle, _strings
 from .identities import Residual, _residual
 from .vectorops import VectorOperator
 
 
-@dataclass(frozen=True)
-class SymmetryClaim:
+class SymmetryClaim(NamedTuple):
     f: VectorOperator
     h: VectorOperator
     theta: VectorOperator
 
 
-@dataclass(frozen=True)
-class AuxClaim:
+class AuxClaim(NamedTuple):
     f: VectorOperator
     g: VectorOperator
     lam: VectorOperator
@@ -82,8 +79,7 @@ def graded_additivity_check(
     return _residual("graded-additivity", value, f=f, h1=h1, theta1=theta1, h2=h2, theta2=theta2)
 
 
-@dataclass(frozen=True)
-class DiagonalPairExample:
+class DiagonalPairExample(NamedTuple):
     """The non-homogeneous constant-coefficient diagonal pair in two base and
     two fiber variables, with its bracket computed by both implementations."""
 
@@ -128,23 +124,11 @@ def nonhomogeneous_diagonal_pair() -> DiagonalPairExample:
 # -- claim fixture files -----------------------------------------------------
 
 
-def _strings(data: dict, key: str) -> list:
-    """data[key], which must be a list of strings."""
-    value = data[key]
-    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-        raise ValueError(f"field {key!r} must be a list of strings, got {value!r}")
-    return value
-
-
 def parse_claim(record: dict) -> tuple[str, Union[SymmetryClaim, AuxClaim], str]:
     """Build one claim from its JSON record; returns (name, claim, expect)."""
     from .dsl import parse_expression
 
-    sig = record["signature"]
-    if not isinstance(sig, dict):
-        raise ValueError(f"field 'signature' must be an object, got {sig!r}")
-    sig = {"params": [], **sig}
-    bundle = Bundle(*(_strings(sig, key) for key in ("base", "fiber", "params")))
+    bundle = Bundle.from_json(record["signature"])
 
     def op(key: str) -> VectorOperator:
         return VectorOperator(parse_expression(s, bundle) for s in _strings(record, key))

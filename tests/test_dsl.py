@@ -88,6 +88,13 @@ class TestParse:
         )
 
 
+def test_session_operators_default_to_a_fresh_dict():
+    bundle = Bundle(("x",), ("u",))
+    first, second = SessionFile(bundle), SessionFile(bundle)
+    first.operators["F"] = VectorOperator([bundle.fiber_var(0)])
+    assert second.operators == {}
+
+
 class TestErrors:
     def test_unbalanced_bracket(self):
         with pytest.raises(DslError) as err:

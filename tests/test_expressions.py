@@ -1,11 +1,21 @@
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetcalc import Bundle, EvaluationError, PolyExpr, SignatureMismatchError, random_expr
+from jetcalc import (
+    Bundle,
+    CDiffOperator,
+    EvaluationError,
+    PolyExpr,
+    SignatureMismatchError,
+    VectorOperator,
+    random_expr,
+)
 from jetcalc.multiindex import MultiIndex
 
 seeds = st.integers(min_value=0, max_value=2**20)
@@ -49,6 +59,59 @@ class TestRing:
             Bundle(("x", "x"), ("u",))
         with pytest.raises(ValueError):
             Bundle((), ("u",))
+
+
+class TestBundleRecord:
+    def test_repr_and_the_error_that_embeds_it(self, scalar_bundle, plane_bundle):
+        text = "Bundle(base=('x',), fiber=('u',), params=('c',))"
+        assert repr(scalar_bundle) == text
+        message = f"cannot combine values over {text} and Bundle(base=('x', 'y'), fiber=('u', 'v'), params=())"
+        with pytest.raises(SignatureMismatchError, match=re.escape(message)):
+            scalar_bundle.one() + plane_bundle.one()
+
+    def test_equal_bundles_hash_equal(self, scalar_bundle):
+        other = Bundle(["x"], ["u"], ["c"])
+        assert other == scalar_bundle and hash(other) == hash(scalar_bundle)
+
+    def test_frozen(self, scalar_bundle):
+        with pytest.raises(AttributeError):
+            scalar_bundle.base = ("y",)
+        with pytest.raises(AttributeError):
+            scalar_bundle.extra = 1
+
+    def test_pickle_round_trip_revalidates(self, plane_bundle):
+        assert pickle.loads(pickle.dumps(plane_bundle)) == plane_bundle
+        # The same pickle with one fiber name changed to a base name.
+        data = pickle.dumps(Bundle(("x", "y"), ("u", "q")))
+        with pytest.raises(ValueError, match="duplicate names"):
+            pickle.loads(data.replace(b"q", b"y"))
+
+    def test_non_string_name_rejected(self):
+        with pytest.raises(ValueError, match="bad variable name 1"):
+            Bundle((1,), ("u",))
+
+
+SIGNATURE = {"base": ["x"], "fiber": ["u"]}
+
+
+# Each wrong-shaped JSON document, and the field its error must name.
+@pytest.mark.parametrize(
+    "load, field",
+    [
+        (lambda: Bundle.from_json(5), "signature"),
+        (lambda: Bundle.from_json({"base": "xy", "fiber": ["u"]}), "'base'"),
+        (lambda: Bundle.from_json({"base": [1], "fiber": ["u"]}), "'base'"),
+        (lambda: VectorOperator.from_json({"signature": 5, "components": []}), "signature"),
+        (lambda: VectorOperator.from_json({"signature": SIGNATURE, "components": [7]}), "'monomials'"),
+        (lambda: CDiffOperator.from_json({"signature": SIGNATURE, "shape": 3}), "'shape'"),
+        (lambda: PolyExpr.from_json({"monomials": 5}, Bundle(("x",), ("u",))), "'monomials'"),
+    ],
+    ids=["bundle-not-object", "base-string", "base-int-name", "signature-not-object",
+         "component-not-object", "shape-not-list", "monomials-not-list"],
+)
+def test_json_of_the_wrong_shape_names_the_field(load, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        load()
 
 
 class TestPartial:

@@ -16,12 +16,21 @@ from jetcalc import (
     random_vector_operator,
     run_random_suite,
 )
-from jetcalc.identities import SUITE_IDENTITIES, trial_seed
+from jetcalc.identities import SUITE_IDENTITIES, Residual, trial_seed
 from jetcalc.multiindex import MAX_ORDER
 
 
 def cubic(bundle):
     return VectorOperator([bundle.fiber_var(0) ** 3])
+
+
+def test_residual_fields_are_assignable(scalar_bundle):
+    zero = VectorOperator.zero(scalar_bundle)
+    res, other = Residual(zero, True), Residual(zero, True)
+    res.context["identity"] = "x"
+    assert other.context == {}
+    res.holds, res.context = False, {}
+    assert (res.holds, res.context) == (False, {})
 
 
 class TestHessianSymmetry:

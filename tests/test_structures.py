@@ -108,6 +108,13 @@ class TestGradedAdditivity:
         assert graded_additivity_check(f, h, t, zero, zero).holds
 
 
+def test_claims_are_frozen(scalar_bundle):
+    f = VectorOperator([scalar_bundle.fiber_var(0)])
+    for claim in (SymmetryClaim(f, f, f), AuxClaim(f, f, f, f), nonhomogeneous_diagonal_pair()):
+        with pytest.raises(AttributeError):
+            claim.f = f
+
+
 class TestDiagonalPair:
     def test_exact_brackets(self):
         ex = nonhomogeneous_diagonal_pair()
