@@ -22,9 +22,7 @@ from typing import Optional, Sequence, Union
 
 from .expressions import (
     Bundle,
-    JetCoordinate,
     PolyExpr,
-    Rational,
     SignatureMismatchError,
     _mul_into,
     random_expr,
@@ -38,13 +36,6 @@ def _require_section_rank(f: VectorOperator, role: str) -> None:
         raise RankMismatchError(
             f"{role} has rank {f.rank}, but the bundle has {f.bundle.r} fiber variables"
         )
-
-
-def _require_same(f: VectorOperator, g: VectorOperator) -> None:
-    if f.bundle != g.bundle:
-        raise SignatureMismatchError("operands carry different signatures")
-    if f.rank != g.rank:
-        raise RankMismatchError(f"rank mismatch: {f.rank} vs {g.rank}")
 
 
 def linearize(f: VectorOperator) -> CDiffOperator:
@@ -97,7 +88,7 @@ def _evolutionary_into(acc: dict, target: PolyExpr, cache: DerivativeCache, k: i
 
 def jacobi_bracket(f: VectorOperator, g: VectorOperator) -> VectorOperator:
     """Higher Jacobi bracket {f, g}, via linearization."""
-    _require_same(f, g)
+    f._coerce(g)
     _require_section_rank(f, "left operand")
     return linearize(f).apply(g) - linearize(g).apply(f)
 
@@ -108,7 +99,7 @@ def jacobi_bracket_coord(f: VectorOperator, g: VectorOperator) -> VectorOperator
 
     Independent of the operator-algebra code path; serves as its oracle.
     """
-    _require_same(f, g)
+    f._coerce(g)
     _require_section_rank(f, "left operand")
     fcache, gcache = DerivativeCache(f), DerivativeCache(g)
     comps = []
@@ -122,8 +113,8 @@ def jacobi_bracket_coord(f: VectorOperator, g: VectorOperator) -> VectorOperator
 
 def hessian_form(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> VectorOperator:
     """Trilinear Hessian: second partials of f contracted with derivatives of g and h."""
-    _require_same(f, g)
-    _require_same(f, h)
+    f._coerce(g)
+    f._coerce(h)
     _require_section_rank(f, "operator")
     gcache, hcache = DerivativeCache(g), DerivativeCache(h)
     comps = []
@@ -147,7 +138,7 @@ def hessian_operator(f: VectorOperator, g: VectorOperator) -> CDiffOperator:
     Entry (i, j) at key sigma is the evolutionary derivative along g of
     dF_i/dp^j_sigma; it vanishes identically when f is linear.
     """
-    _require_same(f, g)
+    f._coerce(g)
     _require_section_rank(f, "operator")
     cache = DerivativeCache(g)
     entries: dict = {}
@@ -184,24 +175,8 @@ def substitute_section(e: PolyExpr, sections: Sequence[PolyExpr]) -> PolyExpr:
     return e.substitute({v: cache.get(v.index, v.sigma) for v in e.jet_coordinates()})
 
 
-def random_vector_operator(
-    bundle: Bundle,
-    seed: int,
-    max_jet_order: int = 2,
-    max_degree: int = 2,
-    coeff_pool: Sequence[Rational] = (-2, -1, 1, 2),
-    max_terms: int = 4,
-) -> VectorOperator:
-    """Deterministic random operator of rank bundle.r; component seeds derive from the master seed."""
+def random_vector_operator(bundle: Bundle, seed: int, **bounds) -> VectorOperator:
+    """Deterministic random operator of rank bundle.r; component seeds derive
+    from the master seed, and bounds are random_expr's keyword bounds."""
     rng = random.Random(seed)
-    return VectorOperator(
-        random_expr(
-            bundle,
-            rng.randrange(2**32),
-            max_jet_order=max_jet_order,
-            max_degree=max_degree,
-            coeff_pool=coeff_pool,
-            max_terms=max_terms,
-        )
-        for _ in range(bundle.r)
-    )
+    return VectorOperator(random_expr(bundle, rng.randrange(2**32), **bounds) for _ in range(bundle.r))

@@ -280,36 +280,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--session", help="session file declaring variables and operators")
         p.add_argument("--format", choices=("text", "json", "latex"), default="text")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("linearize", help="universal linearization of a named operator")
-    common(p)
+    p = command("linearize", _cmd_linearize, "universal linearization of a named operator")
     p.add_argument("--op", required=True)
-    p.set_defaults(func=_cmd_linearize)
 
-    p = sub.add_parser("bracket", help="Jacobi bracket, both implementations")
-    common(p)
+    p = command("bracket", _cmd_bracket, "Jacobi bracket, both implementations")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.set_defaults(func=_cmd_bracket)
 
-    p = sub.add_parser("hessian", help="Hessian operator (and trilinear form with --h)")
-    common(p)
+    p = command("hessian", _cmd_hessian, "Hessian operator (and trilinear form with --h)")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--h")
-    p.set_defaults(func=_cmd_hessian)
 
-    p = sub.add_parser("anomaly", help="both sides of the linearization-anomaly identity")
-    common(p)
+    p = command("anomaly", _cmd_anomaly, "both sides of the linearization-anomaly identity")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.set_defaults(func=_cmd_anomaly)
 
-    p = sub.add_parser("verify", help="verify an identity on random or named operands")
-    common(p)
+    p = command("verify", _cmd_verify, "verify an identity on random or named operands")
     p.add_argument("identity", choices=IDENTITIES)
     p.add_argument("--random", type=int, default=100, metavar="N", help="number of random trials")
     p.add_argument("--seed", type=int, default=0)
@@ -320,28 +314,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", help="multi-index for commutation-lemma, e.g. 1,0")
     p.add_argument("--tau", help="multi-index for commutation-lemma, e.g. 2,0")
     p.add_argument("--fiber", type=int, default=1, help="1-based fiber index for commutation-lemma")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("check-symmetry", help="symmetry claim residual")
-    common(p)
+    p = command("check-symmetry", _cmd_check, "symmetry claim residual")
     p.add_argument("--f")
     p.add_argument("--h")
     p.add_argument("--theta")
     p.add_argument("--fixtures", help="claims file; checks every symmetry claim in it")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("check-aux", help="auxiliary-integral claim residual")
-    common(p)
+    p = command("check-aux", _cmd_check, "auxiliary-integral claim residual")
     p.add_argument("--f")
     p.add_argument("--g")
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--mu")
     p.add_argument("--fixtures", help="claims file; checks every aux claim in it")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("section4", help="the non-homogeneous diagonal pair example")
-    common(p)
-    p.set_defaults(func=_cmd_section4)
+    command("section4", _cmd_section4, "the non-homogeneous diagonal pair example")
 
     return parser
 

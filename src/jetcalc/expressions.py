@@ -162,11 +162,25 @@ class _Record:
         return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
-def _strings(data: dict, key: str) -> list:
-    """data[key], which must be a list of strings."""
+_JSON_KINDS = {  # a JSON type's name, alone and in the plural
+    dict: ("an object", "objects"),
+    list: ("a list", "lists"),
+    str: ("a string", "strings"),
+    int: ("an int", "ints"),
+}
+
+
+def _field(data, key: str, kind: Optional[type] = None, item: Optional[type] = None):
+    """data[key] of a JSON document: of type kind, and a list of items if item
+    is given.  A document of another shape raises a ValueError naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object with field {key!r}, got {data!r}")
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
     value = data[key]
-    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-        raise ValueError(f"field {key!r} must be a list of strings, got {value!r}")
+    if kind and (type(value) is not kind or item and any(type(v) is not item for v in value)):
+        what = f"a list of {_JSON_KINDS[item][1]}" if item else _JSON_KINDS[kind][0]
+        raise ValueError(f"field {key!r} must be {what}, got {value!r}")
     return value
 
 
@@ -277,7 +291,7 @@ class Bundle(_Signature):
     def from_json(cls, data: Mapping) -> "Bundle":
         if not isinstance(data, dict):
             raise ValueError(f"field 'signature' must be an object, got {data!r}")
-        return cls(*(_strings({"params": [], **data}, key) for key in cls._fields))
+        return cls(*(_field({"params": [], **data}, key, list, str) for key in cls._fields))
 
 
 def indices_up_to(n: int, max_order: int) -> list[MultiIndex]:
@@ -310,7 +324,7 @@ class PolyExpr:
     operators work, with ints and Fractions coerced to constants.
     """
 
-    __slots__ = ("bundle", "_terms", "_jet_order")
+    __slots__ = ("bundle", "_terms")
 
     def __init__(self, bundle: Bundle, terms: Optional[Mapping] = None):
         """terms maps monomials, each an iterable of (JetCoordinate, power)
@@ -333,7 +347,6 @@ class PolyExpr:
             acc[key] = acc.get(key, 0) + coeff
         self.bundle = bundle
         self._terms = {m: c for m, c in acc.items() if c}
-        self._jet_order = None
 
     @classmethod
     def _make(cls, bundle: Bundle, terms: dict) -> "PolyExpr":
@@ -344,7 +357,6 @@ class PolyExpr:
                 del terms[mono]
         self.bundle = bundle
         self._terms = terms
-        self._jet_order = None
         return self
 
     def __reduce__(self):
@@ -362,9 +374,7 @@ class PolyExpr:
     @property
     def jet_order(self) -> int:
         """Highest |sigma| among jet coordinates present; 0 if none."""
-        if self._jet_order is None:
-            self._jet_order = max((_ORDER[v] for mono in self._terms for v in mono), default=0)
-        return self._jet_order
+        return max((_ORDER[v] for mono in self._terms for v in mono), default=0)
 
     @property
     def degree(self) -> int:
@@ -615,16 +625,16 @@ class PolyExpr:
     def from_json(cls, data: Mapping, bundle: Bundle) -> "PolyExpr":
         from .printing import parse_coord_token
 
-        monos = data.get("monomials") if isinstance(data, dict) else None
-        if not isinstance(monos, list):
-            raise ValueError(f"a polynomial must be an object whose field 'monomials' is a list, got {data!r}")
         acc: dict = {}
-        for entry in monos:
-            if not isinstance(entry["coeff"], str):
-                raise TypeError(f"coefficient must be a string, got {entry['coeff']!r}")
-            coeff = _as_coeff(Fraction(entry["coeff"]))
-            mono = tuple((parse_coord_token(bundle, var["var"]), var["pow"]) for var in entry.get("vars", ()))
-            acc[mono] = acc.get(mono, 0) + coeff
+        for entry in _field(data, "monomials", list, dict):
+            coeff = _field(entry, "coeff")
+            if not isinstance(coeff, str):
+                raise TypeError(f"coefficient must be a string, got {coeff!r}")
+            mono = tuple(
+                (parse_coord_token(bundle, _field(var, "var", str)), _field(var, "pow"))
+                for var in _field({"vars": [], **entry}, "vars", list, dict)
+            )
+            acc[mono] = acc.get(mono, 0) + _as_coeff(Fraction(coeff))
         return cls(bundle, acc)
 
     def __str__(self) -> str:

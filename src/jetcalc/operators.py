@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError, _mul_into
+from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError, _field, _mul_into
 from .multiindex import MultiIndex, binom_product, sub_indices
 from .vectorops import VectorOperator
 
@@ -283,17 +283,17 @@ class CDiffOperator:
     @classmethod
     def from_json(cls, data: Mapping, bundle: Optional[Bundle] = None) -> "CDiffOperator":
         if bundle is None:
-            bundle = Bundle.from_json(data["signature"])
-        shape = data["shape"]
-        if not (isinstance(shape, list) and len(shape) == 2 and all(type(k) is int for k in shape)):
+            bundle = Bundle.from_json(_field(data, "signature"))
+        shape = _field(data, "shape", list, int)
+        if len(shape) != 2:
             raise ValueError(f"field 'shape' must be a list of two ints, got {shape!r}")
         rows, cols = shape
         entries: dict = {}
-        for rec in data.get("entries", ()):
-            cell = entries.setdefault((rec["i"] - 1, rec["j"] - 1), {})
-            for term in rec["terms"]:
-                sigma = MultiIndex(tuple(term["sigma"]))
-                coeff = PolyExpr.from_json(term["coeff"], bundle)
+        for rec in _field({"entries": [], **data}, "entries", list, dict):
+            cell = entries.setdefault((_field(rec, "i", int) - 1, _field(rec, "j", int) - 1), {})
+            for term in _field(rec, "terms", list, dict):
+                sigma = MultiIndex(tuple(_field(term, "sigma", list, int)))
+                coeff = PolyExpr.from_json(_field(term, "coeff"), bundle)
                 cell[sigma] = cell.get(sigma, bundle.zero()) + coeff
         return cls(bundle, rows, cols, entries)
 

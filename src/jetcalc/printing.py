@@ -204,34 +204,23 @@ def cdiff_text(op) -> str:
     return _cdiff(TEXT, op)
 
 
-def poly_latex(e) -> str:
-    return _poly(LATEX, e)
-
-
-def vector_latex(v) -> str:
-    return _vector(LATEX, v)
-
-
-def cdiff_latex(op) -> str:
-    return _cdiff(LATEX, op)
-
-
-def _by_type(obj, poly, vector, cdiff, what: str) -> str:
+def _printer(obj, printers: tuple, what: str):
+    """The one of printers (for a PolyExpr, VectorOperator, CDiffOperator) that fits obj."""
     from .expressions import PolyExpr
     from .operators import CDiffOperator
     from .vectorops import VectorOperator
 
-    for cls, printer in ((PolyExpr, poly), (VectorOperator, vector), (CDiffOperator, cdiff)):
+    for cls, printer in zip((PolyExpr, VectorOperator, CDiffOperator), printers):
         if isinstance(obj, cls):
-            return printer(obj)
+            return printer
     raise TypeError(f"cannot render {type(obj).__name__} as {what}")
 
 
 def text(obj) -> str:
     """Text form of a PolyExpr, VectorOperator or CDiffOperator."""
-    return _by_type(obj, poly_text, vector_text, cdiff_text, "text")
+    return _printer(obj, (poly_text, vector_text, cdiff_text), "text")(obj)
 
 
 def latex(obj) -> str:
     """LaTeX form of a PolyExpr, VectorOperator or CDiffOperator."""
-    return _by_type(obj, poly_latex, vector_latex, cdiff_latex, "LaTeX")
+    return _printer(obj, (_poly, _vector, _cdiff), "LaTeX")(LATEX, obj)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
 from .calculus import jacobi_bracket, jacobi_bracket_coord, linearize
-from .expressions import Bundle, _strings
+from .expressions import Bundle, _field
 from .identities import Residual, _residual
 from .vectorops import VectorOperator
 
@@ -128,10 +128,10 @@ def parse_claim(record: dict) -> tuple[str, Union[SymmetryClaim, AuxClaim], str]
     """Build one claim from its JSON record; returns (name, claim, expect)."""
     from .dsl import parse_expression
 
-    bundle = Bundle.from_json(record["signature"])
+    bundle = Bundle.from_json(_field(record, "signature"))
 
     def op(key: str) -> VectorOperator:
-        return VectorOperator(parse_expression(s, bundle) for s in _strings(record, key))
+        return VectorOperator(parse_expression(s, bundle) for s in _field(record, key, list, str))
 
     kind = record["kind"]
     expect = record["expect"]

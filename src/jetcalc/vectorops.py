@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .expressions import _KIND, JET, Bundle, PolyExpr, Rational, SignatureMismatchError
+from .expressions import _KIND, JET, Bundle, PolyExpr, Rational, SignatureMismatchError, _field
 
 
 class RankMismatchError(ValueError):
@@ -116,8 +116,8 @@ class VectorOperator:
     @classmethod
     def from_json(cls, data: Mapping, bundle: Optional[Bundle] = None) -> "VectorOperator":
         if bundle is None:
-            bundle = Bundle.from_json(data["signature"])
-        return cls(PolyExpr.from_json(c, bundle) for c in data["components"])
+            bundle = Bundle.from_json(_field(data, "signature"))
+        return cls(PolyExpr.from_json(c, bundle) for c in _field(data, "components", list))
 
     def __str__(self) -> str:
         from .printing import vector_text

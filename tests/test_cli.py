@@ -225,6 +225,15 @@ class TestUsageErrors:
             ["bracket", "--session", str(session), "--left", "F", "--right", "G"], capsys
         )
 
+    def test_anomaly_rank_mismatch(self, tmp_path, capsys):
+        # The same message as bracket and hessian, not an internal matrix shape.
+        session = tmp_path / "ranks.jet"
+        session.write_text("base x; fiber u v; op P = [u_x, v]; op Q = [u];")
+        for argv in (["anomaly", "--f", "P", "--g", "Q"], ["bracket", "--left", "P", "--right", "Q"],
+                     ["hessian", "--f", "P", "--g", "Q"]):
+            err = self._assert_error([*argv, "--session", str(session)], capsys)
+            assert err == "error: rank mismatch: 2 vs 1\n"
+
     def test_negative_probe_order(self, intro_session, capsys):
         self._assert_error(
             ["verify", "antihom", "--session", intro_session, "--operands", "F", "G",

@@ -2,8 +2,9 @@
 
 Every command below runs in one process, from the repository root, and its
 exit code and exact stdout are compared with tests/golden/cli.txt.  This pins
-JSON key order, LaTeX output and every text label.  To rewrite the golden
-file after an intended output change, run from the repository root:
+JSON key order, LaTeX output, every text label and the --help text of every
+command, formatted for an 80-column terminal.  To rewrite the golden file
+after an intended output change, run from the repository root:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -21,6 +22,8 @@ GOLDEN = ROOT / "tests" / "golden" / "cli.txt"
 INTRO = "fixtures/intro.jet"
 PLANE = "tests/golden/plane.jet"
 CLAIMS = "fixtures/claims.json"
+SUBCOMMANDS = ("linearize", "bracket", "hessian", "anomaly", "verify", "check-symmetry",
+               "check-aux", "section4")
 
 
 def commands() -> list:
@@ -55,7 +58,8 @@ def commands() -> list:
         + [[*a, "--session", PLANE] for a in plane]
         + standalone
     )
-    return [[*a, "--format", fmt] for a in argvs for fmt in ("text", "latex", "json")]
+    helps = [["--help"]] + [[command, "--help"] for command in SUBCOMMANDS]
+    return [[*a, "--format", fmt] for a in argvs for fmt in ("text", "latex", "json")] + helps
 
 
 def transcript() -> str:
@@ -70,9 +74,11 @@ def transcript() -> str:
 
 def test_cli_output_matches_golden(monkeypatch):
     monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     assert transcript() == GOLDEN.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"
     GOLDEN.write_text(transcript(), encoding="utf-8")

@@ -92,6 +92,17 @@ class TestBundleRecord:
 
 
 SIGNATURE = {"base": ["x"], "fiber": ["u"]}
+BUNDLE = Bundle.from_json(SIGNATURE)
+
+
+def monomial(var: dict) -> dict:
+    """A polynomial document of one monomial with coefficient 1 and one variable entry."""
+    return {"monomials": [{"coeff": "1", "vars": [var]}]}
+
+
+def cdiff(entry) -> dict:
+    """A 1x1 operator document with one entry."""
+    return {"signature": SIGNATURE, "shape": [1, 1], "entries": [entry]}
 
 
 # Each wrong-shaped JSON document, and the field its error must name.
@@ -105,9 +116,20 @@ SIGNATURE = {"base": ["x"], "fiber": ["u"]}
         (lambda: VectorOperator.from_json({"signature": SIGNATURE, "components": [7]}), "'monomials'"),
         (lambda: CDiffOperator.from_json({"signature": SIGNATURE, "shape": 3}), "'shape'"),
         (lambda: PolyExpr.from_json({"monomials": 5}, Bundle(("x",), ("u",))), "'monomials'"),
+        (lambda: VectorOperator.from_json({"signature": SIGNATURE, "components": 5}), "'components'"),
+        (lambda: PolyExpr.from_json({"monomials": [7]}, BUNDLE), "'monomials'"),
+        (lambda: PolyExpr.from_json({"monomials": [{"coeff": "1", "vars": 5}]}, BUNDLE), "'vars'"),
+        (lambda: PolyExpr.from_json(monomial({"var": 5, "pow": 1}), BUNDLE), "'var'"),
+        (lambda: PolyExpr.from_json(monomial({"var": "x[1]"}), BUNDLE), "'pow'"),
+        (lambda: PolyExpr.from_json({"monomials": [{"vars": []}]}, BUNDLE), "'coeff'"),
+        (lambda: CDiffOperator.from_json(cdiff(5)), "'entries'"),
+        (lambda: CDiffOperator.from_json(cdiff({"i": "1", "j": 1, "terms": []})), "'i'"),
+        (lambda: CDiffOperator.from_json(cdiff({"i": 1, "j": 1, "terms": [{"sigma": 5}]})), "'sigma'"),
     ],
     ids=["bundle-not-object", "base-string", "base-int-name", "signature-not-object",
-         "component-not-object", "shape-not-list", "monomials-not-list"],
+         "component-not-object", "shape-not-list", "monomials-not-list", "components-not-list",
+         "monomial-not-object", "vars-not-list", "var-not-string", "pow-missing",
+         "coeff-missing", "entry-not-object", "i-string", "sigma-not-list"],
 )
 def test_json_of_the_wrong_shape_names_the_field(load, field):
     with pytest.raises(ValueError, match=re.escape(field)):

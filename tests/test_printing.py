@@ -1,14 +1,7 @@
 from fractions import Fraction
 
 from jetcalc import Bundle, CDiffOperator, VectorOperator, linearize, jacobi_bracket
-from jetcalc.printing import (
-    cdiff_latex,
-    cdiff_text,
-    poly_latex,
-    poly_text,
-    vector_latex,
-    vector_text,
-)
+from jetcalc.printing import cdiff_text, latex, poly_text, vector_text
 
 
 class TestText:
@@ -71,19 +64,19 @@ class TestText:
 class TestLatex:
     def test_poly(self, intro_pair):
         b, f, g = intro_pair
-        assert poly_latex(jacobi_bracket(f, g)[0]) == r"2\,c\,u_{x}"
-        assert poly_latex(b.const(Fraction(1, 2))) == r"\tfrac{1}{2}"
-        assert poly_latex(b.jet(0, (1,)) ** 2 - 1) == r"u_{x}^{2} - 1"
+        assert latex(jacobi_bracket(f, g)[0]) == r"2\,c\,u_{x}"
+        assert latex(b.const(Fraction(1, 2))) == r"\tfrac{1}{2}"
+        assert latex(b.jet(0, (1,)) ** 2 - 1) == r"u_{x}^{2} - 1"
 
     def test_cdiff(self, intro_pair):
         b, f, g = intro_pair
-        assert cdiff_latex(linearize(f)) == r"2\,u_{x}\,\mathcal{D}_{x}"
-        assert cdiff_latex(linearize(g)) == r"\mathcal{D}_{x}"
+        assert latex(linearize(f)) == r"2\,u_{x}\,\mathcal{D}_{x}"
+        assert latex(linearize(g)) == r"\mathcal{D}_{x}"
 
     def test_vector(self, plane_bundle):
         b = plane_bundle
         v = VectorOperator([b.const(-1), b.const(1)])
-        assert vector_latex(v) == r"\begin{pmatrix}-1 \\ 1\end{pmatrix}"
+        assert latex(v) == r"\begin{pmatrix}-1 \\ 1\end{pmatrix}"
 
     def test_cdiff_matrix(self, plane_bundle):
         one = plane_bundle.one()
@@ -93,7 +86,7 @@ class TestLatex:
             2,
             {(0, 0): {(2, 0): one, (0, 1): -one}, (1, 1): {(1, 1): one, (0, 0): one}},
         )
-        assert cdiff_latex(op) == (
+        assert latex(op) == (
             r"\begin{pmatrix}\mathcal{D}_{xx} - \mathcal{D}_{y} & 0"
             r" \\ 0 & \mathcal{D}_{xy} + 1\end{pmatrix}"
         )
@@ -102,25 +95,25 @@ class TestLatex:
         b = Bundle(("xx", "t"), ("u",), ("cc", "d"))
         e = b.param("cc") * b.base_var(0) ** 2 - b.param("d") * b.jet(0, (2, 1)) + b.base_var(1)
         assert poly_text(e) == "cc*xx^2 - d*u[2,1] + t"
-        assert poly_latex(e) == r"\mathit{cc}\,\mathit{xx}^{2} - d\,u_{(2,1)} + t"
+        assert latex(e) == r"\mathit{cc}\,\mathit{xx}^{2} - d\,u_{(2,1)} + t"
         op = CDiffOperator.total_derivative(b, (2, 0))
-        assert cdiff_latex(op) == r"\mathcal{D}_{(2,0)}"
+        assert latex(op) == r"\mathcal{D}_{(2,0)}"
 
     def test_cdiff_multi_term_coefficient(self, scalar_bundle):
         b = scalar_bundle
         coeff = 2 * b.jet(0, (2,)) + 2 * b.param("c")
         op = CDiffOperator(b, 1, 1, {(0, 0): {(1,): coeff, (0,): -b.one()}})
-        assert cdiff_latex(op) == r"\left(2\,u_{xx} + 2\,c\right)\,\mathcal{D}_{x} - 1"
+        assert latex(op) == r"\left(2\,u_{xx} + 2\,c\right)\,\mathcal{D}_{x} - 1"
 
     def test_negative_fractions(self, scalar_bundle):
         b = scalar_bundle
-        assert poly_latex(b.const(Fraction(-3, 2))) == r"-\tfrac{3}{2}"
-        assert poly_latex(b.fiber_var(0) - b.base_var(0).scale(Fraction(1, 2))) == (
+        assert latex(b.const(Fraction(-3, 2))) == r"-\tfrac{3}{2}"
+        assert latex(b.fiber_var(0) - b.base_var(0).scale(Fraction(1, 2))) == (
             r"u - \tfrac{1}{2}\,x"
         )
-        assert poly_latex(b.jet(0, (1,)).scale(Fraction(-2, 3))) == r"-\tfrac{2}{3}\,u_{x}"
+        assert latex(b.jet(0, (1,)).scale(Fraction(-2, 3))) == r"-\tfrac{2}{3}\,u_{x}"
         op = CDiffOperator(b, 1, 1, {(0, 0): {(1,): b.const(Fraction(-1, 2))}})
-        assert cdiff_latex(op) == r"-\tfrac{1}{2}\,\mathcal{D}_{x}"
+        assert latex(op) == r"-\tfrac{1}{2}\,\mathcal{D}_{x}"
 
 
 class TestJson:
