@@ -23,13 +23,7 @@ from .calculus import (
     linearize,
 )
 from .dsl import parse
-from .identities import (
-    IDENTITIES,
-    anomaly_operators,
-    check_commutation,
-    run_check,
-    run_random_suite,
-)
+from .identities import IDENTITIES, anomaly_operators, run_random_suite, trial, verification_report
 from .multiindex import MultiIndex, check_order
 from .structures import (
     AuxClaim,
@@ -154,32 +148,22 @@ def _comma_index(text: str, what: str) -> MultiIndex:
 
 def _verify_explicit(args) -> dict:
     session = _load_session(args)
-    names = args.operands
-    identity = args.identity
-    count = len(IDENTITIES[identity][1])
-    if len(names) != count:
-        raise UsageError(f"verify {identity} needs {count} operand names, got {len(names)}")
-    ops = [_named_op(session, n) for n in names]
-    if identity == "commutation-lemma":
+    identity, names = args.identity, args.operands
+    operands = IDENTITIES[identity][1]
+    if len(names) != len(operands):
+        raise UsageError(f"verify {identity} needs {len(operands)} operand names, got {len(names)}")
+    inputs = {key: _named_op(session, n) for key, n in zip(operands, names)}
+    if identity == "antihom":
+        inputs["probe_order"] = args.probe_order
+    elif identity == "commutation-lemma":
         if args.zeta is None or args.tau is None:
             raise UsageError("verify commutation-lemma needs --zeta and --tau")
-        zeta = _comma_index(args.zeta, "--zeta")
-        tau = _comma_index(args.tau, "--tau")
-        fibers = session.bundle.r
-        if not 1 <= args.fiber <= fibers:
-            raise UsageError(f"--fiber {args.fiber} is out of range 1..{fibers}")
-        res = check_commutation(zeta, tau, args.fiber - 1, ops[0][0])
-    else:
-        res = run_check(identity, ops, args.probe_order)
-    return {
-        "identity": identity,
-        "trials": 1,
-        "seed": None,
-        "failures": []
-        if res.holds
-        else [{"operands": names, "residual": res.value.to_json()}],
-        "holds": res.holds,
-    }
+        zeta, tau = _comma_index(args.zeta, "--zeta"), _comma_index(args.tau, "--tau")
+        if not 1 <= args.fiber <= session.bundle.r:
+            raise UsageError(f"--fiber {args.fiber} is out of range 1..{session.bundle.r}")
+        inputs = {"zeta": zeta, "tau": tau, "fiber": args.fiber - 1, "e": inputs["e"][0]}
+    record = trial(identity, inputs)[1]
+    return verification_report(identity, 1, None, [record] if record else [])
 
 
 def _cmd_verify(args) -> int:
@@ -194,7 +178,7 @@ def _cmd_verify(args) -> int:
             max_degree=args.max_degree,
             probe_order=args.probe_order,
         )
-    failed = {f["trial"] for f in report["failures"] if "trial" in f}
+    failed = {f["trial"] for f in report["failures"]}
     rows = [
         (None, "identity", report["identity"]),
         (None, "seed", report["seed"]),

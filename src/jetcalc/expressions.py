@@ -184,6 +184,13 @@ def _field(data, key: str, kind: Optional[type] = None, item: Optional[type] = N
     return value
 
 
+def _one_based(i: int, count: int, what: str) -> int:
+    """The 0-based form of a 1-based JSON index, which must lie in 1..count."""
+    if not 1 <= i <= count:
+        raise ValueError(f"{what} is {i}, out of range 1..{count}")
+    return i - 1
+
+
 class _Signature(NamedTuple):
     base: tuple[str, ...]
     fiber: tuple[str, ...]
@@ -250,11 +257,7 @@ class Bundle(_Signature):
 
     def jet_coordinates_up_to(self, max_order: int) -> list[JetCoordinate]:
         """All p^j_sigma with |sigma| <= max_order, fibers outermost, sigma lex."""
-        out = []
-        for j in range(self.r):
-            for sigma in indices_up_to(self.n, max_order):
-                out.append(JetCoordinate(JET, j, sigma))
-        return out
+        return [JetCoordinate(JET, j, sigma) for j in range(self.r) for sigma in indices_up_to(self.n, max_order)]
 
     # -- expression constructors ------------------------------------------
 
@@ -296,12 +299,11 @@ class Bundle(_Signature):
 
 def indices_up_to(n: int, max_order: int) -> list[MultiIndex]:
     """All multi-indices of length n with order <= max_order, lex sorted."""
-    out = [
+    return [
         MultiIndex._unchecked(entries)
         for entries in product(range(max_order + 1), repeat=n)
         if sum(entries) <= max_order
     ]
-    return out
 
 
 def _check_coord(bundle: Bundle, v: JetCoordinate) -> None:
@@ -634,7 +636,10 @@ class PolyExpr:
                 (parse_coord_token(bundle, _field(var, "var", str)), _field(var, "pow"))
                 for var in _field({"vars": [], **entry}, "vars", list, dict)
             )
-            acc[mono] = acc.get(mono, 0) + _as_coeff(Fraction(coeff))
+            try:
+                acc[mono] = acc.get(mono, 0) + _as_coeff(Fraction(coeff))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"field 'coeff' must be a rational 'num/den', got {coeff!r}") from None
         return cls(bundle, acc)
 
     def __str__(self) -> str:

@@ -2,12 +2,14 @@
 
 Every check instantiates concrete polynomial operators, computes the exact
 defect of one identity and wraps it in a Residual; holds is true exactly
-when the canonical form of the defect is zero.  The randomized suites draw
-inputs from a seeded regime (default: 100 trials, jet order and degree at
-most 2, coefficients in -2..2; always one or two base and fiber variables
-and commutation indices of order at most 3) and record the master seed plus
-full replay fixtures for any failure.  Trial k of a suite with master seed s
-uses seed s * 1_000_003 + k.
+when the canonical form of the defect is zero.  trial() runs one check on
+random or explicit inputs; a failing trial, of either kind, is recorded as
+{trial, seed, inputs, residual} with the inputs in JSON form, replayable
+through trial(), and seed None for explicit inputs.  The randomized suites
+draw inputs from a seeded regime (default: 100 trials, jet order and degree
+at most 2, coefficients in -2..2; always one or two base and fiber variables
+and commutation indices of order at most 3).  Trial k of a suite with
+master seed s uses seed s * 1_000_003 + k.
 """
 
 from __future__ import annotations
@@ -214,16 +216,34 @@ def trial_seed(master_seed: int, k: int) -> int:
     return master_seed * 1_000_003 + k
 
 
-def run_check(identity: str, operands: Sequence[VectorOperator], probe_order: int) -> Residual:
-    """Run the check of an identity whose operands are all vector operators,
-    given in the order of its operand names; antihom is evaluated on the jet
-    coordinates up to probe_order."""
-    check_order(probe_order, "probe order")
-    args = list(operands)
+def trial(identity: str, inputs: dict, k: int = 0, seed: Optional[int] = None) -> tuple:
+    """Run one trial on live inputs; returns (residual, failure record or None).
+
+    inputs are the check's arguments by name, in the order of its parameters:
+    the operators named in IDENTITIES, then probe_order for antihom (probes are
+    the jet coordinates up to it); zeta, tau, fiber (0-based) and e for
+    commutation-lemma, whose record adds the signature to the JSON inputs."""
+    args = list(inputs.values())
     if identity == "antihom":
+        check_order(args[-1], "probe order")
         bundle = args[0].bundle
-        args.append([bundle.coord_var(v) for v in bundle.jet_coordinates_up_to(probe_order)])
-    return globals()[IDENTITIES[identity][0]](*args)
+        args[-1] = [bundle.coord_var(v) for v in bundle.jet_coordinates_up_to(args[-1])]
+    res = globals()[IDENTITIES[identity][0]](*args)
+    if res.holds:
+        return res, None
+    # Serializing the inputs is not free, so only failing trials do it.
+    fixture = {
+        key: v.to_json() if hasattr(v, "to_json") else list(v) if isinstance(v, tuple) else v
+        for key, v in inputs.items()
+    }
+    if identity == "commutation-lemma":
+        fixture["signature"] = inputs["e"].bundle.to_json()
+    return res, {"trial": k, "seed": seed, "inputs": fixture, "residual": res.value.to_json()}
+
+
+def verification_report(identity: str, trials: int, seed: Optional[int], failures: list) -> dict:
+    """The head every verify report starts with."""
+    return {"identity": identity, "trials": trials, "seed": seed, "failures": failures, "holds": not failures}
 
 
 def run_random_suite(
@@ -245,11 +265,7 @@ def run_random_suite(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     check_order(max_jet_order, "max jet order")
-    regime = dict(
-        max_jet_order=max_jet_order,
-        max_degree=max_degree,
-        coeff_pool=list(coeff_pool),
-    )
+    regime = dict(max_jet_order=max_jet_order, max_degree=max_degree, coeff_pool=list(coeff_pool))
     failures = []
     for k in range(trials):
         tseed = trial_seed(seed, k)
@@ -258,49 +274,24 @@ def run_random_suite(
         bundle = Bundle(("x", "y")[:n], ("u", "v")[:r])
         if identity == "commutation-lemma":
             choices = indices_up_to(n, 3)
-            zeta, tau = rng.choice(choices), rng.choice(choices)
-            fiber = rng.randrange(r)
-            e = random_expr(bundle, rng.randrange(2**32), **regime)
-            res = check_commutation(zeta, tau, fiber, e)
+            inputs = {
+                "zeta": rng.choice(choices),
+                "tau": rng.choice(choices),
+                "fiber": rng.randrange(r),
+                "e": random_expr(bundle, rng.randrange(2**32), **regime),
+            }
         else:
-            ops = {
+            inputs = {
                 name: random_vector_operator(bundle, rng.randrange(2**32), **regime)
                 for name in IDENTITIES[identity][1]
             }
-            res = run_check(identity, list(ops.values()), probe_order)
-        if not res.holds:
-            # Serializing the inputs is not free, so only failing trials do it.
-            if identity == "commutation-lemma":
-                inputs = {
-                    "zeta": list(zeta),
-                    "tau": list(tau),
-                    "fiber": fiber,
-                    "e": e.to_json(),
-                    "signature": bundle.to_json(),
-                }
-            else:
-                inputs = {name: op.to_json() for name, op in ops.items()}
-                if identity == "antihom":
-                    inputs["probe_order"] = probe_order
-            failures.append(
-                {
-                    "trial": k,
-                    "seed": tseed,
-                    "inputs": inputs,
-                    "residual": res.value.to_json(),
-                }
-            )
+            if identity == "antihom":
+                inputs["probe_order"] = probe_order
+        record = trial(identity, inputs, k, tseed)[1]
+        if record:
+            failures.append(record)
     return {
-        "identity": identity,
-        "trials": trials,
-        "seed": seed,
-        "failures": failures,
-        "holds": not failures,
-        "regime": {
-            "n": [1, 2],
-            "r": [1, 2],
-            "max_jet_order": max_jet_order,
-            "max_degree": max_degree,
-            "coeff_pool": [str(c) for c in coeff_pool],
-        },
+        **verification_report(identity, trials, seed, failures),
+        "regime": {"n": [1, 2], "r": [1, 2], "max_jet_order": max_jet_order, "max_degree": max_degree,
+                   "coeff_pool": [str(c) for c in coeff_pool]},
     }

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError, _field, _mul_into
+from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError, _field, _mul_into, _one_based
 from .multiindex import MultiIndex, binom_product, sub_indices
 from .vectorops import VectorOperator
 
@@ -290,7 +290,9 @@ class CDiffOperator:
         rows, cols = shape
         entries: dict = {}
         for rec in _field({"entries": [], **data}, "entries", list, dict):
-            cell = entries.setdefault((_field(rec, "i", int) - 1, _field(rec, "j", int) - 1), {})
+            i = _one_based(_field(rec, "i", int), rows, "field 'i'")
+            j = _one_based(_field(rec, "j", int), cols, "field 'j'")
+            cell = entries.setdefault((i, j), {})
             for term in _field(rec, "terms", list, dict):
                 sigma = MultiIndex(tuple(_field(term, "sigma", list, int)))
                 coeff = PolyExpr.from_json(_field(term, "coeff"), bundle)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .expressions import _one_based
 from .multiindex import MultiIndex
 
 
@@ -47,11 +48,10 @@ def parse_coord_token(bundle, token: str):
     """Inverse of coord_token."""
 
     if token.startswith("x[") and token.endswith("]"):
-        i = int(token[2:-1]) - 1
-        return bundle.base_coord(i)
+        return bundle.base_coord(_one_based(int(token[2:-1]), bundle.n, f"index of {token!r}"))
     if token.startswith("p[") and "]^(" in token and token.endswith(")"):
         head, tail = token.split("]^(", 1)
-        j = int(head[2:]) - 1
+        j = _one_based(int(head[2:]), bundle.r, f"index of {token!r}")
         body = tail[:-1]
         entries = tuple(int(s) for s in body.split(",")) if body else ()
         return bundle.jet_coord(j, MultiIndex(entries))

@@ -1,9 +1,10 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from jetcalc import cli
+from jetcalc import Bundle, PolyExpr, VectorOperator, cli, identities
 from jetcalc.cli import main
 from jetcalc.dsl import parse, print_session
 from jetcalc.identities import IDENTITIES
@@ -130,6 +131,54 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 2
         assert "3 operand names" in err
+
+
+def forced_failure(monkeypatch, check_name):
+    """Make one check report failure while keeping its real residual."""
+    check = getattr(identities, check_name)
+
+    def failing(*args):
+        res = check(*args)
+        res.holds = False
+        return res
+
+    monkeypatch.setattr(identities, check_name, failing)
+
+
+class TestExplicitFailure:
+    """A failing verify --operands reports the suite's record, with the operands' JSON."""
+
+    def test_named_operands(self, intro_session, monkeypatch, capsys):
+        forced_failure(monkeypatch, "check_jacobi_identity")
+        argv = ["verify", "jacobi", "--session", intro_session, "--operands", "F", "G", "H"]
+        for fmt in ("text", "latex"):
+            assert main([*argv, "--format", fmt]) == 1
+            out = capsys.readouterr().out
+            assert "trial 0: FAIL\n" in out
+            assert "failures: 1\n" in out
+        assert main([*argv, "--format", "json"]) == 1
+        (record,) = json.loads(capsys.readouterr().out)["failures"]
+        assert list(record) == ["trial", "seed", "inputs", "residual"]
+        assert record["trial"] == 0
+        assert record["seed"] is None
+        session = parse(Path(intro_session).read_text(encoding="utf-8"))
+        restored = [VectorOperator.from_json(record["inputs"][key]) for key in ("f", "g", "h")]
+        assert restored == [session.operators[name] for name in ("F", "G", "H")]
+
+    def test_commutation_lemma(self, intro_session, monkeypatch, capsys):
+        forced_failure(monkeypatch, "check_commutation")
+        argv = [
+            "verify", "commutation-lemma", "--session", intro_session, "--operands", "F",
+            "--zeta", "1", "--tau", "2", "--fiber", "1", "--format", "json",
+        ]
+        assert main(argv) == 1
+        (record,) = json.loads(capsys.readouterr().out)["failures"]
+        inputs = record["inputs"]
+        assert list(inputs) == ["zeta", "tau", "fiber", "e", "signature"]
+        assert (inputs["zeta"], inputs["tau"], inputs["fiber"]) == ([1], [2], 0)
+        session = parse(Path(intro_session).read_text(encoding="utf-8"))
+        e = PolyExpr.from_json(inputs["e"], Bundle.from_json(inputs["signature"]))
+        assert e == session.operators["F"][0]
 
 
 class TestClaims:

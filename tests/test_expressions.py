@@ -125,11 +125,20 @@ def cdiff(entry) -> dict:
         (lambda: CDiffOperator.from_json(cdiff(5)), "'entries'"),
         (lambda: CDiffOperator.from_json(cdiff({"i": "1", "j": 1, "terms": []})), "'i'"),
         (lambda: CDiffOperator.from_json(cdiff({"i": 1, "j": 1, "terms": [{"sigma": 5}]})), "'sigma'"),
+        (lambda: PolyExpr.from_json({"monomials": [{"coeff": "1/0"}]}, BUNDLE), "'coeff'"),
+        (lambda: PolyExpr.from_json({"monomials": [{"coeff": "abc"}]}, BUNDLE), "'coeff'"),
+        (lambda: PolyExpr.from_json(monomial({"var": "x[0]", "pow": 1}), BUNDLE), "'x[0]' is 0, out of range 1..1"),
+        (lambda: PolyExpr.from_json(monomial({"var": "x[2]", "pow": 1}), BUNDLE), "'x[2]' is 2, out of range 1..1"),
+        (lambda: PolyExpr.from_json(monomial({"var": "p[0]^(1)", "pow": 1}), BUNDLE), "'p[0]^(1)' is 0"),
+        (lambda: CDiffOperator.from_json(cdiff({"i": 0, "j": 1, "terms": []})), "field 'i' is 0, out of range 1..1"),
+        (lambda: CDiffOperator.from_json(cdiff({"i": 1, "j": 2, "terms": []})), "field 'j' is 2, out of range 1..1"),
     ],
     ids=["bundle-not-object", "base-string", "base-int-name", "signature-not-object",
          "component-not-object", "shape-not-list", "monomials-not-list", "components-not-list",
          "monomial-not-object", "vars-not-list", "var-not-string", "pow-missing",
-         "coeff-missing", "entry-not-object", "i-string", "sigma-not-list"],
+         "coeff-missing", "entry-not-object", "i-string", "sigma-not-list",
+         "coeff-zero-denominator", "coeff-not-rational", "base-index-0", "base-index-past-end",
+         "fiber-index-0", "i-0", "j-past-end"],
 )
 def test_json_of_the_wrong_shape_names_the_field(load, field):
     with pytest.raises(ValueError, match=re.escape(field)):
@@ -335,3 +344,6 @@ class TestStructure:
     def test_canonical_equality_vs_int(self, scalar_bundle):
         assert scalar_bundle.const(Fraction(4, 2)) == 2
         assert scalar_bundle.zero() == 0
+        # A non-constant expression equals no number, not even its constant term.
+        assert (scalar_bundle.fiber_var(0) + 1) != 1
+        assert not (scalar_bundle.fiber_var(0) + 1) == 1

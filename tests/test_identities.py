@@ -4,6 +4,8 @@ import json
 import pytest
 
 from jetcalc import (
+    Bundle,
+    PolyExpr,
     VectorOperator,
     check_bracket_leibniz,
     check_bracket_oracle,
@@ -16,7 +18,7 @@ from jetcalc import (
     random_vector_operator,
     run_random_suite,
 )
-from jetcalc.identities import SUITE_IDENTITIES, Residual, trial_seed
+from jetcalc.identities import SUITE_IDENTITIES, Residual, trial, trial_seed
 from jetcalc.multiindex import MAX_ORDER
 
 
@@ -180,6 +182,19 @@ class TestSuites:
         assert report["holds"]
         with pytest.raises(ValueError, match=f"order {MAX_ORDER + 1} exceeds the limit"):
             run_random_suite("commutation-lemma", trials=1, **{bound: MAX_ORDER + 1})
+
+    @pytest.mark.parametrize("identity", ["jacobi", "antihom", "commutation-lemma"])
+    def test_failure_record_replays_through_trial(self, identity, monkeypatch):
+        # The inputs read back from a failure record rebuild the same record.
+        monkeypatch.setattr(VectorOperator, "is_zero", lambda self: False)
+        record = run_random_suite(identity, trials=2, seed=5)["failures"][1]
+        inputs = {
+            k: VectorOperator.from_json(v) if k in ("f", "g", "h") else v
+            for k, v in record["inputs"].items()
+        }
+        if identity == "commutation-lemma":
+            inputs["e"] = PolyExpr.from_json(inputs["e"], Bundle.from_json(inputs.pop("signature")))
+        assert trial(identity, inputs, record["trial"], record["seed"])[1] == record
 
     def test_failure_fixture_shape(self, intro_pair):
         # force a nonzero residual through a deliberately wrong check and make

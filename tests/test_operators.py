@@ -139,6 +139,12 @@ class TestLinearStructure:
 
 
 class TestCanonicalEquality:
+    def test_duplicate_multi_index_keys_add(self, plane_bundle):
+        # range(2) and (0, 1) are different keys but the same multi-index.
+        u = plane_bundle.fiber_var(0)
+        op = CDiffOperator(plane_bundle, 1, 1, {(0, 0): {range(2): u, (0, 1): 2 * u}})
+        assert op.entry(0, 0) == {MultiIndex((0, 1)): 3 * u}
+
     def test_distinct_forms_are_separated_by_probes(self, scalar_bundle):
         # Operators with different coefficient maps must differ on some
         # monomial probe; this is the self-test of canonicalization.
@@ -162,6 +168,8 @@ class TestCanonicalEquality:
             assert found
 
     def test_json_roundtrip(self, plane_bundle):
-        theta = random_cdiff(plane_bundle, 11, 2, 2)
+        theta = random_cdiff(plane_bundle, 12, 2, 2)
+        # A zero operator would round-trip whatever the reader does with entries.
+        assert theta.to_json()["entries"]
         assert CDiffOperator.from_json(theta.to_json()) == theta
         assert CDiffOperator.from_json(theta.to_json(), plane_bundle) == theta
