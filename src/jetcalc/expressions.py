@@ -32,7 +32,7 @@ import random
 import threading
 from fractions import Fraction
 from itertools import chain, product, repeat
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .multiindex import MAX_BASE_DIM, MultiIndex
 
@@ -306,6 +306,12 @@ def indices_up_to(n: int, max_order: int) -> list[MultiIndex]:
     ]
 
 
+def highest_jet_order(exprs: Iterable["PolyExpr"]) -> int:
+    """Highest |sigma| among the jet coordinates of all of exprs; 0 if none.
+    One pass, where max of each jet_order would cost a call per expression."""
+    return max((_ORDER[v] for e in exprs for mono in e._terms for v in mono), default=0)
+
+
 def _check_coord(bundle: Bundle, v: JetCoordinate) -> None:
     if v.kind == PARAM:
         ok = 0 <= v.index < len(bundle.params) and len(v.sigma) == 0
@@ -376,7 +382,7 @@ class PolyExpr:
     @property
     def jet_order(self) -> int:
         """Highest |sigma| among jet coordinates present; 0 if none."""
-        return max((_ORDER[v] for mono in self._terms for v in mono), default=0)
+        return highest_jet_order((self,))
 
     @property
     def degree(self) -> int:

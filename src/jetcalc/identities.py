@@ -29,7 +29,7 @@ from .calculus import (
     linearize,
     random_vector_operator,
 )
-from .expressions import Bundle, PolyExpr, _Record, indices_up_to, random_expr
+from .expressions import Bundle, PolyExpr, _Record, highest_jet_order, indices_up_to, random_expr
 from .multiindex import MultiIndex, binom_product, check_order, sub_indices
 from .operators import CDiffOperator
 from .vectorops import VectorOperator
@@ -145,7 +145,10 @@ def check_evolutionary_antihomomorphism(
     if not probes:
         raise ValueError("need at least one probe expression")
     bracket = jacobi_bracket(f, g)
-    fc, gc, bc = DerivativeCache(f), DerivativeCache(g), DerivativeCache(bracket)
+    # On coordinate probes each D_sigma{f,g} is read once, by p^j_sigma, so
+    # the bracket cache need not keep those of the top probe order.
+    fc, gc = DerivativeCache(f), DerivativeCache(g)
+    bc = DerivativeCache(bracket, highest_jet_order(probes))
     defects = []
     for e in probes:
         acc: dict = {}

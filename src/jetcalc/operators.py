@@ -45,18 +45,44 @@ def _chain_derivative(e: PolyExpr, sigma: MultiIndex, memo: dict) -> PolyExpr:
     return out
 
 
+def _bounded_derivative(e: PolyExpr, sigma: MultiIndex, memo: dict, top: int) -> PolyExpr:
+    """D_sigma(e) for a cache bounded at order top: below top as
+    _chain_derivative, at top built from its memoized parent and not stored."""
+    order = sigma.order
+    if order < top:
+        return _chain_derivative(e, sigma, memo)
+    if order > top:
+        raise ValueError(f"derivative order {order} exceeds the cache bound {top}")
+    if not order:
+        return e
+    i = next(k for k, v in enumerate(sigma) if v)
+    return _chain_derivative(e, _decrement(sigma, i), memo).total_derivative(i)
+
+
 class DerivativeCache:
-    """Memoized iterated total derivatives D_sigma of a sequence of expressions."""
+    """Memoized iterated total derivatives D_sigma of a sequence of expressions.
 
-    __slots__ = ("exprs", "_memos")
+    With max_order = k, each D_sigma with |sigma| < k is kept for the requests
+    that build on it, one with |sigma| = k is returned unkept, and |sigma| > k
+    raises ValueError.  Only a caller that reads each top-order derivative once
+    should bound its cache: the antihom check's bracket cache, read once per
+    probe p^j_sigma.  The memos stay plain dicts and get tests the bound: a
+    dict subclass that refused top-order entries measured slower, on every
+    cache, because _chain_derivative's memo lookups then met two types.
+    """
 
-    def __init__(self, exprs: Sequence[PolyExpr]):
+    __slots__ = ("exprs", "max_order", "_memos")
+
+    def __init__(self, exprs: Sequence[PolyExpr], max_order: Optional[int] = None):
         self.exprs = exprs
+        self.max_order = max_order
         self._memos = [dict() for _ in range(len(exprs))]
 
     def get(self, j: int, sigma: MultiIndex) -> PolyExpr:
         """D_sigma of the j-th expression."""
-        return _chain_derivative(self.exprs[j], sigma, self._memos[j])
+        if self.max_order is None:
+            return _chain_derivative(self.exprs[j], sigma, self._memos[j])
+        return _bounded_derivative(self.exprs[j], sigma, self._memos[j], self.max_order)
 
 
 class CDiffOperator:

@@ -47,13 +47,19 @@ def coord_token(bundle, v) -> str:
 def parse_coord_token(bundle, token: str):
     """Inverse of coord_token."""
 
+    def number(text: str) -> int:
+        # int() alone would also take signs, spaces and underscores.
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"coordinate token {token!r} has index {text!r}, not a string of digits")
+        return int(text)
+
     if token.startswith("x[") and token.endswith("]"):
-        return bundle.base_coord(_one_based(int(token[2:-1]), bundle.n, f"index of {token!r}"))
+        return bundle.base_coord(_one_based(number(token[2:-1]), bundle.n, f"index of {token!r}"))
     if token.startswith("p[") and "]^(" in token and token.endswith(")"):
         head, tail = token.split("]^(", 1)
-        j = _one_based(int(head[2:]), bundle.r, f"index of {token!r}")
+        j = _one_based(number(head[2:]), bundle.r, f"index of {token!r}")
         body = tail[:-1]
-        entries = tuple(int(s) for s in body.split(",")) if body else ()
+        entries = tuple(number(s) for s in body.split(",")) if body else ()
         return bundle.jet_coord(j, MultiIndex(entries))
     if token in bundle.params:
         return bundle.param_coord(token)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .expressions import _KIND, JET, Bundle, PolyExpr, Rational, SignatureMismatchError, _field
+from .expressions import _KIND, JET, Bundle, PolyExpr, Rational, SignatureMismatchError, _field, highest_jet_order
 
 
 class RankMismatchError(ValueError):
@@ -48,7 +48,7 @@ class VectorOperator:
     @property
     def order(self) -> int:
         """Max jet order over the components."""
-        return max(c.jet_order for c in self.components)
+        return highest_jet_order(self.components)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)

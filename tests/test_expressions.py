@@ -16,6 +16,7 @@ from jetcalc import (
     VectorOperator,
     random_expr,
 )
+from jetcalc.expressions import JET, JetCoordinate
 from jetcalc.multiindex import MultiIndex
 
 seeds = st.integers(min_value=0, max_value=2**20)
@@ -90,9 +91,18 @@ class TestBundleRecord:
         with pytest.raises(ValueError, match="bad variable name 1"):
             Bundle((1,), ("u",))
 
+    def test_jet_coordinate_needs_one_entry_per_base_variable(self):
+        # Fiber index 0 is in range, so only the length of sigma is wrong.
+        bundle, v = Bundle(("x", "y"), ("u",)), JetCoordinate(JET, 0, MultiIndex((0,)))
+        with pytest.raises(ValueError, match="does not belong"):
+            bundle.coord_var(v)
+        with pytest.raises(ValueError, match="does not belong"):
+            PolyExpr(bundle, {((v, 1),): 1})
+
 
 SIGNATURE = {"base": ["x"], "fiber": ["u"]}
 BUNDLE = Bundle.from_json(SIGNATURE)
+PLANE = Bundle(("x", "y"), ("u",))
 
 
 def monomial(var: dict) -> dict:
@@ -132,13 +142,20 @@ def cdiff(entry) -> dict:
         (lambda: PolyExpr.from_json(monomial({"var": "p[0]^(1)", "pow": 1}), BUNDLE), "'p[0]^(1)' is 0"),
         (lambda: CDiffOperator.from_json(cdiff({"i": 0, "j": 1, "terms": []})), "field 'i' is 0, out of range 1..1"),
         (lambda: CDiffOperator.from_json(cdiff({"i": 1, "j": 2, "terms": []})), "field 'j' is 2, out of range 1..1"),
+        (lambda: PolyExpr.from_json(monomial({"var": "x[a]", "pow": 1}), PLANE), "'x[a]'"),
+        (lambda: PolyExpr.from_json(monomial({"var": "p[1]^(a,0)", "pow": 1}), PLANE), "'p[1]^(a,0)'"),
+        (lambda: PolyExpr.from_json(monomial({"var": "x[ 1]", "pow": 1}), PLANE), "'x[ 1]'"),
+        (lambda: PolyExpr.from_json(monomial({"var": "x[+1]", "pow": 1}), PLANE), "'x[+1]'"),
+        (lambda: PolyExpr.from_json(monomial({"var": "p[1]^( 1,0)", "pow": 1}), PLANE), "'p[1]^( 1,0)'"),
+        (lambda: PolyExpr.from_json(monomial({"var": "p[1]^(1_0,0)", "pow": 1}), PLANE), "'p[1]^(1_0,0)'"),
     ],
     ids=["bundle-not-object", "base-string", "base-int-name", "signature-not-object",
          "component-not-object", "shape-not-list", "monomials-not-list", "components-not-list",
          "monomial-not-object", "vars-not-list", "var-not-string", "pow-missing",
          "coeff-missing", "entry-not-object", "i-string", "sigma-not-list",
          "coeff-zero-denominator", "coeff-not-rational", "base-index-0", "base-index-past-end",
-         "fiber-index-0", "i-0", "j-past-end"],
+         "fiber-index-0", "i-0", "j-past-end", "base-index-letter", "sigma-entry-letter",
+         "base-index-space", "base-index-sign", "sigma-entry-space", "sigma-entry-underscore"],
 )
 def test_json_of_the_wrong_shape_names_the_field(load, field):
     with pytest.raises(ValueError, match=re.escape(field)):

@@ -15,9 +15,11 @@ from jetcalc import (
     check_jacobi_identity,
     check_linearization_anomaly,
     check_multiplier_identity,
+    jacobi_bracket,
     random_vector_operator,
     run_random_suite,
 )
+from jetcalc import identities
 from jetcalc.identities import SUITE_IDENTITIES, Residual, trial, trial_seed
 from jetcalc.multiindex import MAX_ORDER
 
@@ -108,6 +110,39 @@ class TestAntihomomorphism:
         _, f, g = intro_pair
         with pytest.raises(ValueError):
             check_evolutionary_antihomomorphism(f, g, [])
+
+    def test_bracket_cache_keeps_no_top_order_derivative(self, plane_bundle, monkeypatch):
+        built = []
+
+        class Recording(identities.DerivativeCache):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(identities, "DerivativeCache", Recording)
+        f, g = random_vector_operator(plane_bundle, 7), random_vector_operator(plane_bundle, 8)
+        probes = [plane_bundle.coord_var(v) for v in plane_bundle.jet_coordinates_up_to(3)]
+        assert check_evolutionary_antihomomorphism(f, g, probes).holds
+        (bracket_cache,) = [c for c in built if c.exprs == jacobi_bracket(f, g)]
+        kept = {sigma.order for memo in bracket_cache._memos for sigma in memo}
+        assert kept == {0, 1, 2}
+
+
+class TestThreeBaseVariables:
+    # The suites draw n from {1, 2}; these trials run the checks with n = 3.
+    BUNDLE = Bundle(("x", "y", "z"), ("u", "v"))
+
+    def operators(self, *seeds):
+        return [random_vector_operator(self.BUNDLE, seed) for seed in seeds]
+
+    def test_antihomomorphism(self):
+        f, g = self.operators(36, 46)
+        assert trial("antihom", {"f": f, "g": g, "probe_order": 2})[0].holds
+
+    def test_jacobi_identity(self):
+        assert check_jacobi_identity(*self.operators(38, 45, 47)).holds
 
 
 class TestCommutation:

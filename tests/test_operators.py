@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from jetcalc import CDiffOperator, ShapeMismatchError, VectorOperator, random_expr
+from jetcalc import Bundle, CDiffOperator, DerivativeCache, ShapeMismatchError, VectorOperator, random_expr
+from jetcalc.expressions import indices_up_to
 from jetcalc.multiindex import MultiIndex
 from jetcalc.calculus import random_vector_operator
 
@@ -173,3 +174,24 @@ class TestCanonicalEquality:
         assert theta.to_json()["entries"]
         assert CDiffOperator.from_json(theta.to_json()) == theta
         assert CDiffOperator.from_json(theta.to_json(), plane_bundle) == theta
+
+
+class TestDerivativeCache:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_bound_keeps_only_what_later_requests_build_on(self, n, k):
+        bundle = Bundle(("x", "y", "z")[:n], ("u", "v"))
+        f = random_vector_operator(bundle, 40 + n)
+        full, bounded = DerivativeCache(f), DerivativeCache(f, max_order=k)
+        sigmas = indices_up_to(n, k)
+        for sigma in sigmas + sigmas[::-1] + sigmas:
+            for j in range(f.rank):
+                assert bounded.get(j, sigma) == full.get(j, sigma)
+                assert bounded.get(j, sigma) == f[j].total_derivative_multi(sigma)
+        kept = [sigma for memo in bounded._memos for sigma in memo]
+        assert all(sigma.order < k for sigma in kept)
+        # Unbounded, the same requests keep every order.
+        assert max(sigma.order for memo in full._memos for sigma in memo) == k
+        above = MultiIndex((k + 1,) + (0,) * (n - 1))
+        with pytest.raises(ValueError, match=f"order {k + 1} exceeds the cache bound {k}"):
+            bounded.get(0, above)
