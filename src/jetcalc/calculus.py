@@ -13,6 +13,16 @@ In coordinates, for a rank-r operator F over a rank-r bundle:
                               reproduces hessian_form(F,G,H)
 
 All results are canonical, so identity checking is exact zero testing.
+
+An identity's defect is a signed sum of brackets, applied operators and
+Hessians.  A check sums it into one list of id-form term dicts, one per
+component, through the kernels that add k times a term: _bracket_into,
+_bracket_coord_into, _hessian_into, _evolutionary_into and
+CDiffOperator._apply_into.  They do not validate, so the check first runs
+the checks of the public functions (_check_bracket, _check_hessian,
+CDiffOperator._check_operand); VectorOperator._make then wraps the sums.
+jacobi_bracket, jacobi_bracket_coord, hessian_form and CDiffOperator.apply
+are their kernels behind those checks, on fresh accumulators.
 """
 
 from __future__ import annotations
@@ -86,11 +96,53 @@ def _evolutionary_into(acc: dict, target: PolyExpr, cache: DerivativeCache, k: i
             _mul_into(acc, dg._terms, dv._terms, k)
 
 
-def jacobi_bracket(f: VectorOperator, g: VectorOperator) -> VectorOperator:
-    """Higher Jacobi bracket {f, g}, via linearization."""
+def _check_bracket(f: VectorOperator, g: VectorOperator) -> None:
     f._coerce(g)
     _require_section_rank(f, "left operand")
-    return linearize(f).apply(g) - linearize(g).apply(f)
+
+
+def _check_hessian(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> None:
+    f._coerce(g)
+    f._coerce(h)
+    _require_section_rank(f, "operator")
+
+
+def _bracket_into(accs: list, f: VectorOperator, g: VectorOperator, k: int = 1) -> None:
+    """Add k * {f, g}, via linearization, into accs (one id-form term dict per
+    component); the caller runs _check_bracket."""
+    linearize(f)._apply_into(accs, g, k)
+    linearize(g)._apply_into(accs, f, -k)
+
+
+def _bracket_coord_into(accs: list, f: VectorOperator, g: VectorOperator, k: int = 1) -> None:
+    """Add k * {f, g}, from the coordinate sums E_g(f_i) - E_f(g_i), into accs;
+    the caller runs _check_bracket."""
+    fcache, gcache = DerivativeCache(f), DerivativeCache(g)
+    for i, acc in enumerate(accs):
+        _evolutionary_into(acc, f[i], gcache, k)
+        _evolutionary_into(acc, g[i], fcache, -k)
+
+
+def _hessian_into(accs: list, f: VectorOperator, g: VectorOperator, h: VectorOperator, k: int = 1) -> None:
+    """Add k * hessian_form(f, g, h) into accs; the caller runs _check_hessian."""
+    gcache, hcache = DerivativeCache(g), DerivativeCache(h)
+    for acc, comp in zip(accs, f.components):
+        for v, first in comp._jet_partials().items():
+            dg = gcache.get(v.index, v.sigma)
+            if not dg:
+                continue
+            for w, second in first._jet_partials().items():
+                dh = hcache.get(w.index, w.sigma)
+                if dh:
+                    _mul_into(acc, (second * dg)._terms, dh._terms, k)
+
+
+def jacobi_bracket(f: VectorOperator, g: VectorOperator) -> VectorOperator:
+    """Higher Jacobi bracket {f, g}, via linearization."""
+    _check_bracket(f, g)
+    accs = [{} for _ in range(f.rank)]
+    _bracket_into(accs, f, g)
+    return VectorOperator._make(f.bundle, accs)
 
 
 def jacobi_bracket_coord(f: VectorOperator, g: VectorOperator) -> VectorOperator:
@@ -99,37 +151,18 @@ def jacobi_bracket_coord(f: VectorOperator, g: VectorOperator) -> VectorOperator
 
     Independent of the operator-algebra code path; serves as its oracle.
     """
-    f._coerce(g)
-    _require_section_rank(f, "left operand")
-    fcache, gcache = DerivativeCache(f), DerivativeCache(g)
-    comps = []
-    for i in range(f.rank):
-        acc: dict = {}
-        _evolutionary_into(acc, f[i], gcache)
-        _evolutionary_into(acc, g[i], fcache, -1)
-        comps.append(PolyExpr._make(f.bundle, acc))
-    return VectorOperator(comps)
+    _check_bracket(f, g)
+    accs = [{} for _ in range(f.rank)]
+    _bracket_coord_into(accs, f, g)
+    return VectorOperator._make(f.bundle, accs)
 
 
 def hessian_form(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> VectorOperator:
     """Trilinear Hessian: second partials of f contracted with derivatives of g and h."""
-    f._coerce(g)
-    f._coerce(h)
-    _require_section_rank(f, "operator")
-    gcache, hcache = DerivativeCache(g), DerivativeCache(h)
-    comps = []
-    for i in range(f.rank):
-        acc: dict = {}
-        for v, first in f[i]._jet_partials().items():
-            dg = gcache.get(v.index, v.sigma)
-            if not dg:
-                continue
-            for w, second in first._jet_partials().items():
-                dh = hcache.get(w.index, w.sigma)
-                if dh:
-                    _mul_into(acc, (second * dg)._terms, dh._terms)
-        comps.append(PolyExpr._make(f.bundle, acc))
-    return VectorOperator(comps)
+    _check_hessian(f, g, h)
+    accs = [{} for _ in range(f.rank)]
+    _hessian_into(accs, f, g, h)
+    return VectorOperator._make(f.bundle, accs)
 
 
 def hessian_operator(f: VectorOperator, g: VectorOperator) -> CDiffOperator:

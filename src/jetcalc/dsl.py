@@ -27,6 +27,9 @@ from .multiindex import MAX_BASE_DIM, MAX_ORDER, MultiIndex
 from .vectorops import VectorOperator
 
 KEYWORDS = ("base", "fiber", "param", "op")
+# Deepest nesting of parentheses; the descent recurses once per level, so an
+# unbounded depth would end in RecursionError.
+MAX_NESTING = 100
 _PUNCT = "+-*^()[],;=/"
 
 
@@ -87,6 +90,7 @@ class _Parser:
         self.pos = 0
         self.bundle = bundle
         self.symbol_ids: dict[str, int] = {}  # name -> coordinate id, see parse_factor
+        self.depth = 0  # open parentheses around the current factor
 
     def error(self, message: str, k: int) -> DslError:
         return DslError(message, *_position(self.source, k))
@@ -236,9 +240,13 @@ class _Parser:
                 q = q.numerator if q.denominator == 1 else q
             terms = {(): q} if q else {}
         elif tok == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than MAX_NESTING = {MAX_NESTING}", k)
+            self.depth += 1
             self.pos += 1
             terms = self.parse_sum()
             self.expect(")")
+            self.depth -= 1
         else:
             what = "end of input" if not tok else repr(tok)
             raise self.error(f"expected an expression, found {what}", k)

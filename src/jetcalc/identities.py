@@ -2,7 +2,9 @@
 
 Every check instantiates concrete polynomial operators, computes the exact
 defect of one identity and wraps it in a Residual; holds is true exactly
-when the canonical form of the defect is zero.  trial() runs one check on
+when the canonical form of the defect is zero.  Checks sum each defect into
+one accumulator per component (see calculus); only inner brackets that are
+operands of another term are built as values.  trial() runs one check on
 random or explicit inputs; a failing trial, of either kind, is recorded as
 {trial, seed, inputs, residual} with the inputs in JSON form, replayable
 through trial(), and seed None for explicit inputs.  The randomized suites
@@ -19,13 +21,15 @@ from typing import Optional, Sequence, Union
 
 from .calculus import (
     DerivativeCache,
+    _bracket_coord_into,
+    _bracket_into,
+    _check_bracket,
+    _check_hessian,
     _evolutionary_into,
-    ad_apply,
+    _hessian_into,
     evolutionary_apply,
-    hessian_form,
     hessian_operator,
     jacobi_bracket,
-    jacobi_bracket_coord,
     linearize,
     random_vector_operator,
 )
@@ -73,9 +77,13 @@ def _residual(name: str, value, **context) -> Residual:
 
 
 def check_hessian_symmetry(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Residual:
-    """The Hessian form is symmetric in its two derivative slots."""
-    value = hessian_form(f, g, h) - hessian_form(f, h, g)
-    return _residual("hess-sym", value, f=f, g=g, h=h)
+    """The Hessian form is symmetric in its two derivative slots:
+    hessian_form(f, g, h) - hessian_form(f, h, g) vanishes."""
+    _check_hessian(f, g, h)
+    accs = [{} for _ in range(f.rank)]
+    _hessian_into(accs, f, g, h)
+    _hessian_into(accs, f, h, g, -1)
+    return _residual("hess-sym", VectorOperator._make(f.bundle, accs), f=f, g=g, h=h)
 
 
 def anomaly_operators(
@@ -102,7 +110,12 @@ def check_linearization_anomaly(
     operator one.
     """
     lhs_op, rhs_op = anomaly_operators(f, g)
-    value = lhs_op.apply(h) - (hessian_form(g, f, h) - hessian_form(f, g, h))
+    lhs_op._check_operand(h)
+    accs = [{} for _ in range(f.rank)]
+    lhs_op._apply_into(accs, h)
+    _hessian_into(accs, g, f, h, -1)
+    _hessian_into(accs, f, g, h)
+    value = VectorOperator._make(f.bundle, accs)
     operator_form_equal = lhs_op == rhs_op
     res = _residual("prop2", value, f=f, g=g, h=h, operator_form_equal=operator_form_equal)
     res.holds = res.holds and operator_form_equal
@@ -111,25 +124,33 @@ def check_linearization_anomaly(
 
 def check_bracket_leibniz(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Residual:
     """Leibniz rule for the bracket against a composed operator, compensated
-    by the Hessian of the outer operator."""
+    by the Hessian of the outer operator:
+
+        {f, l_g h} - l_{f,g} h - l_g {f, h} + hessian_form(f, g, h)  =  0
+    """
     lg = linearize(g)
-    value = (
-        jacobi_bracket(f, lg.apply(h))
-        - linearize(jacobi_bracket(f, g)).apply(h)
-        - lg.apply(jacobi_bracket(f, h))
-        + hessian_form(f, g, h)
-    )
-    return _residual("prop3", value, f=f, g=g, h=h)
+    lgh = lg.apply(h)
+    fg = jacobi_bracket(f, g)  # checks f against g, as {f, l_g h} would
+    fh = jacobi_bracket(f, h)
+    accs = [{} for _ in range(f.rank)]
+    _bracket_into(accs, f, lgh)
+    linearize(fg)._apply_into(accs, h, -1)
+    lg._apply_into(accs, fh, -1)
+    _hessian_into(accs, f, g, h)
+    return _residual("prop3", VectorOperator._make(f.bundle, accs), f=f, g=g, h=h)
 
 
 def check_jacobi_identity(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Residual:
-    """Cyclic sum of nested brackets vanishes."""
-    value = (
-        jacobi_bracket(f, jacobi_bracket(g, h))
-        + jacobi_bracket(g, jacobi_bracket(h, f))
-        + jacobi_bracket(h, jacobi_bracket(f, g))
-    )
-    return _residual("jacobi", value, f=f, g=g, h=h)
+    """Cyclic sum of nested brackets vanishes:
+    {f, {g, h}} + {g, {h, f}} + {h, {f, g}} = 0."""
+    gh = jacobi_bracket(g, h)
+    fg = jacobi_bracket(f, g)  # checks f against g, as {f, {g, h}} would
+    hf = jacobi_bracket(h, f)
+    accs = [{} for _ in range(f.rank)]
+    _bracket_into(accs, f, gh)
+    _bracket_into(accs, g, hf)
+    _bracket_into(accs, h, fg)
+    return _residual("jacobi", VectorOperator._make(f.bundle, accs), f=f, g=g, h=h)
 
 
 def check_evolutionary_antihomomorphism(
@@ -197,19 +218,24 @@ def check_multiplier_identity(
         + hessian_form(h, mu, g) + linearize(mu) {g,h}  =  0
     """
     l_mu = linearize(mu)
-    value = (
-        linearize(jacobi_bracket(mu, h)).apply(g)
-        + ad_apply(h, l_mu.apply(g))
-        + hessian_form(h, mu, g)
-        + l_mu.apply(jacobi_bracket(g, h))
-    )
-    return _residual("mu-lemma", value, g=g, h=h, mu=mu)
+    muh = jacobi_bracket(mu, h)
+    lmug = l_mu.apply(g)  # checks g, as linearize({mu,h}) g would
+    gh = jacobi_bracket(g, h)
+    accs = [{} for _ in range(mu.rank)]
+    linearize(muh)._apply_into(accs, g)
+    _bracket_into(accs, h, lmug)
+    _hessian_into(accs, h, mu, g)
+    l_mu._apply_into(accs, gh)
+    return _residual("mu-lemma", VectorOperator._make(mu.bundle, accs), g=g, h=h, mu=mu)
 
 
 def check_bracket_oracle(f: VectorOperator, g: VectorOperator) -> Residual:
     """The operator-algebra bracket against the coordinate-formula bracket."""
-    value = jacobi_bracket(f, g) - jacobi_bracket_coord(f, g)
-    return _residual("bracket-oracle", value, f=f, g=g)
+    _check_bracket(f, g)
+    accs = [{} for _ in range(f.rank)]
+    _bracket_into(accs, f, g)
+    _bracket_coord_into(accs, f, g, -1)
+    return _residual("bracket-oracle", VectorOperator._make(f.bundle, accs), f=f, g=g)
 
 
 # -- randomized suites ---------------------------------------------------------

@@ -226,18 +226,27 @@ class CDiffOperator:
 
     # -- action and composition -----------------------------------------------------
 
-    def apply(self, g: VectorOperator) -> VectorOperator:
-        """Act on a vector operator: (Theta g)_i = sum a^{ij}_sigma D_sigma(g_j)."""
+    def _check_operand(self, g: VectorOperator) -> None:
+        """Raise unless apply can act on g: same signature, rank = cols."""
         if g.bundle != self.bundle:
             raise SignatureMismatchError("operand carries a different signature")
         if g.rank != self.cols:
             raise ShapeMismatchError(f"operator has {self.cols} columns, operand rank {g.rank}")
-        cache = DerivativeCache(g)
+
+    def apply(self, g: VectorOperator) -> VectorOperator:
+        """Act on a vector operator: (Theta g)_i = sum a^{ij}_sigma D_sigma(g_j)."""
+        self._check_operand(g)
         accs = [{} for _ in range(self.rows)]
+        self._apply_into(accs, g)
+        return VectorOperator._make(self.bundle, accs)
+
+    def _apply_into(self, accs: list, g: VectorOperator, k: int = 1) -> None:
+        """Add k * self(g) into accs, one id-form term dict per row; the
+        caller checks the operand (_check_operand)."""
+        cache = DerivativeCache(g)
         for (i, j), cell in self._entries.items():
             for sigma, coeff in cell.items():
-                _mul_into(accs[i], coeff._terms, cache.get(j, sigma)._terms)
-        return VectorOperator(PolyExpr._make(self.bundle, acc) for acc in accs)
+                _mul_into(accs[i], coeff._terms, cache.get(j, sigma)._terms, k)
 
     def compose(self, other: "CDiffOperator") -> "CDiffOperator":
         """Operator product self after other, expanded to canonical form."""

@@ -60,6 +60,8 @@ def parse_coord_token(bundle, token: str):
         j = _one_based(number(head[2:]), bundle.r, f"index of {token!r}")
         body = tail[:-1]
         entries = tuple(number(s) for s in body.split(",")) if body else ()
+        if len(entries) != bundle.n:
+            raise ValueError(f"coordinate token {token!r} has {len(entries)} multi-index entries, not {bundle.n}")
         return bundle.jet_coord(j, MultiIndex(entries))
     if token in bundle.params:
         return bundle.param_coord(token)

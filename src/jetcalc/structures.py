@@ -152,7 +152,11 @@ def evaluate_claim_file(path: Union[str, Path], kind: Optional[str] = None) -> d
     Returns a report with one entry per claim (residual shown in text form)
     and an all_match verdict; kind restricts to "symmetry" or "aux" claims.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        data = json.loads(text)
+    except RecursionError:  # json's decoder recurses once per nesting level
+        raise ValueError("JSON nested too deeply") from None
     records = data.get("claims") if isinstance(data, dict) else None
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ValueError("a claims file must be an object whose field 'claims' is a list of objects")

@@ -34,6 +34,13 @@ class VectorOperator:
         self.components = components
 
     @classmethod
+    def _make(cls, bundle: Bundle, accs) -> "VectorOperator":
+        # Trusted constructor: one id-form term dict per component, see PolyExpr._make.
+        self = object.__new__(cls)
+        self.components = tuple(PolyExpr._make(bundle, acc) for acc in accs)
+        return self
+
+    @classmethod
     def zero(cls, bundle: Bundle) -> "VectorOperator":
         return cls(tuple(bundle.zero() for _ in range(bundle.r)))
 

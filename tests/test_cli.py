@@ -1,12 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import jetcalc
 from jetcalc import Bundle, PolyExpr, VectorOperator, cli, identities
 from jetcalc.cli import main
-from jetcalc.dsl import parse, print_session
+from jetcalc.dsl import MAX_NESTING, parse, print_session
 from jetcalc.identities import IDENTITIES
 from jetcalc.multiindex import MAX_ORDER
 
@@ -344,6 +348,42 @@ class TestUsageErrors:
     def test_unreadable_input_file(self, argv, tmp_path, capsys):
         # A directory exists but cannot be read as a file.
         self._assert_error([*argv, str(tmp_path)], capsys)
+
+
+def run_console(*argv) -> subprocess.CompletedProcess:
+    """Run the console entry point, jetcalc.cli:main, in a fresh process."""
+    env = dict(os.environ)
+    src = str(Path(jetcalc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    entry = "import sys; from jetcalc.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", entry, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestDeepNesting:
+    """Nesting that would exhaust the interpreter's recursion exits 2 with an
+    error line, never a traceback."""
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1])
+    def test_session_parentheses(self, tmp_path, depth):
+        head = "base x; fiber u; op F = ["
+        session = tmp_path / "nested.jet"
+        session.write_text(head + "(" * depth + "u_x^2" + ")" * depth + "];")
+        done = run_console("linearize", "--session", str(session), "--op", "F")
+        if depth <= MAX_NESTING:
+            assert (done.returncode, done.stdout, done.stderr) == (0, "linearization: 2*u_x*D_x\n", "")
+        else:
+            col = len(head) + depth
+            message = f"error: line 1, col {col}: parentheses nested deeper than MAX_NESTING = {MAX_NESTING}\n"
+            assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
+
+    def test_fixtures_file(self, tmp_path):
+        claims = tmp_path / "deep.json"
+        claims.write_text("[" * 1000 + "]" * 1000)
+        done = run_console("check-aux", "--fixtures", str(claims))
+        message = f"error: bad fixtures file {claims}: JSON nested too deeply\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
 
 
 # Each boundary where an order enters from the command line; "K" stands for

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from jetcalc import Bundle, VectorOperator
 from jetcalc.calculus import random_vector_operator
-from jetcalc.dsl import DslError, SessionFile, parse, parse_expression, print_session
+from jetcalc.dsl import MAX_NESTING, DslError, SessionFile, parse, parse_expression, print_session
 from jetcalc.expressions import MAX_DEGREE
 from jetcalc.multiindex import MAX_ORDER
 
@@ -107,6 +107,17 @@ class TestErrors:
         assert err.value.line == 1
         assert err.value.col == 26
         assert "undeclared" in str(err.value)
+
+    def test_nesting_at_and_beyond_the_bound(self, scalar_bundle):
+        u = scalar_bundle.fiber_var(0)
+        assert parse_expression("(" * MAX_NESTING + "u" + ")" * MAX_NESTING, scalar_bundle) == u
+        # Depth counts open parentheses, not parentheses seen.
+        flat = " + ".join(["(" * MAX_NESTING + "u" + ")" * MAX_NESTING] * 3)
+        assert parse_expression(flat, scalar_bundle) == 3 * u
+        with pytest.raises(DslError) as err:
+            parse_expression("(" * (MAX_NESTING + 1) + "u" + ")" * (MAX_NESTING + 1), scalar_bundle)
+        assert (err.value.line, err.value.col) == (1, MAX_NESTING + 1)
+        assert f"nested deeper than MAX_NESTING = {MAX_NESTING}" in str(err.value)
 
     def test_duplicate_name(self):
         with pytest.raises(DslError) as err:

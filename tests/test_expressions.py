@@ -148,6 +148,8 @@ def cdiff(entry) -> dict:
         (lambda: PolyExpr.from_json(monomial({"var": "x[+1]", "pow": 1}), PLANE), "'x[+1]'"),
         (lambda: PolyExpr.from_json(monomial({"var": "p[1]^( 1,0)", "pow": 1}), PLANE), "'p[1]^( 1,0)'"),
         (lambda: PolyExpr.from_json(monomial({"var": "p[1]^(1_0,0)", "pow": 1}), PLANE), "'p[1]^(1_0,0)'"),
+        (lambda: PolyExpr.from_json(monomial({"var": "p[1]^(1)", "pow": 1}), PLANE), "'p[1]^(1)' has 1 multi-index"),
+        (lambda: PolyExpr.from_json(monomial({"var": "p[1]^()", "pow": 1}), PLANE), "'p[1]^()' has 0 multi-index"),
     ],
     ids=["bundle-not-object", "base-string", "base-int-name", "signature-not-object",
          "component-not-object", "shape-not-list", "monomials-not-list", "components-not-list",
@@ -155,7 +157,8 @@ def cdiff(entry) -> dict:
          "coeff-missing", "entry-not-object", "i-string", "sigma-not-list",
          "coeff-zero-denominator", "coeff-not-rational", "base-index-0", "base-index-past-end",
          "fiber-index-0", "i-0", "j-past-end", "base-index-letter", "sigma-entry-letter",
-         "base-index-space", "base-index-sign", "sigma-entry-space", "sigma-entry-underscore"],
+         "base-index-space", "base-index-sign", "sigma-entry-space", "sigma-entry-underscore",
+         "sigma-too-short", "sigma-empty"],
 )
 def test_json_of_the_wrong_shape_names_the_field(load, field):
     with pytest.raises(ValueError, match=re.escape(field)):
@@ -294,6 +297,11 @@ class TestRandomExpr:
         a = random_expr(plane_bundle, 42)
         b = random_expr(plane_bundle, 42)
         assert a == b
+
+    def test_default_coeff_pool(self, plane_bundle):
+        drawn = [random_expr(plane_bundle, seed) for seed in range(30)]
+        assert drawn == [random_expr(plane_bundle, seed, coeff_pool=(-2, -1, 1, 2)) for seed in range(30)]
+        assert {c for e in drawn for c in e.terms.values()} >= {-2, -1, 1, 2}
 
     def test_degenerate_degree_bound(self, scalar_bundle):
         e = random_expr(scalar_bundle, 3, max_jet_order=2, max_degree=0)

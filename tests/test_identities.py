@@ -183,7 +183,24 @@ class TestMultiplierIdentity:
         assert check_multiplier_identity(f, g, mu).holds
 
 
+def recording_trial(identity, inputs, k, seed):
+    """A trial that runs no check and records its seed and drawn inputs."""
+    return None, {"trial": k, "seed": seed, "inputs": {n: v.to_json() for n, v in inputs.items()}}
+
+
 class TestSuites:
+    def test_default_trials_and_seed(self, monkeypatch):
+        monkeypatch.setattr(identities, "trial", recording_trial)
+        report = run_random_suite("bracket-oracle")
+        assert report == run_random_suite("bracket-oracle", trials=100, seed=0)
+        assert [r["seed"] for r in report["failures"]] == [trial_seed(0, k) for k in range(100)]
+
+    def test_default_coeff_pool(self, monkeypatch):
+        monkeypatch.setattr(identities, "trial", recording_trial)
+        report = run_random_suite("prop2", trials=5, seed=2)
+        assert report == run_random_suite("prop2", trials=5, seed=2, coeff_pool=(-2, -1, 0, 1, 2))
+        assert report["regime"]["coeff_pool"] == ["-2", "-1", "0", "1", "2"]
+
     @pytest.mark.parametrize("identity", SUITE_IDENTITIES)
     def test_small_suite_holds(self, identity):
         report = run_random_suite(identity, trials=25, seed=11)

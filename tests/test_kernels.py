@@ -37,6 +37,7 @@ from jetcalc.expressions import (
     _mul_into,
 )
 from jetcalc.multiindex import MultiIndex
+from jetcalc.operators import CDiffOperator
 
 BUNDLE = Bundle(("x", "y"), ("u", "v"), ("c",))
 POOL = (-2, -1, Fraction(1, 2), 1, 3)
@@ -206,6 +207,133 @@ class TestKernels:
         assert [d.terms for d in res.value.components] == [d.terms for d in expected]
         assert not res.holds
         assert all(evolutionary_apply(g, evolutionary_apply(f, e)) for e in probes[-2:])
+
+
+# -- fused defect sums -------------------------------------------------------------
+
+# Seeds whose linearizations have three or four nonzero cells, so that one
+# dropped cell (drop_one_cell below) leaves each of them nonzero.
+OPS = {
+    name: random_vector_operator(BUNDLE, seed, max_jet_order=2, max_degree=2, coeff_pool=POOL, max_terms=5)
+    for name, seed in (("f", 24), ("g", 27), ("h", 23), ("start", 14))
+}
+
+
+def bracket(a, b):
+    """The bracket as a difference of two applied linearizations, through
+    calculus.linearize as bound at call time."""
+    return calculus.linearize(a).apply(b) - calculus.linearize(b).apply(a)
+
+
+# Each fused kernel, its public wrapper, and the same value through other
+# public calls.
+INTO_KERNELS = {
+    "apply": (
+        lambda accs, f, g, h, k: calculus.linearize(f)._apply_into(accs, g, k),
+        lambda f, g, h: calculus.linearize(f).apply(g),
+        lambda f, g, h: evolutionary_apply(g, f),  # l_f(g) = E_g(f)
+    ),
+    "bracket": (
+        lambda accs, f, g, h, k: calculus._bracket_into(accs, f, g, k),
+        lambda f, g, h: calculus.jacobi_bracket(f, g),
+        lambda f, g, h: bracket(f, g),
+    ),
+    "bracket-coord": (
+        lambda accs, f, g, h, k: calculus._bracket_coord_into(accs, f, g, k),
+        lambda f, g, h: calculus.jacobi_bracket_coord(f, g),
+        lambda f, g, h: bracket(f, g),
+    ),
+    "hessian": (
+        lambda accs, f, g, h, k: calculus._hessian_into(accs, f, g, h, k),
+        lambda f, g, h: calculus.hessian_form(f, g, h),
+        lambda f, g, h: calculus.hessian_operator(f, g).apply(h),
+    ),
+}
+
+
+def drop_one_cell(monkeypatch):
+    """Plant a defect: linearize loses its last nonzero cell, in every module
+    that calls it."""
+    real = calculus.linearize
+
+    def linearize(f):
+        op = real(f)
+        entries = dict(op._entries)
+        if entries:
+            del entries[max(entries)]
+        return CDiffOperator._make(op.bundle, op.rows, op.cols, entries)
+
+    monkeypatch.setattr(calculus, "linearize", linearize)
+    monkeypatch.setattr(identities, "linearize", linearize)
+
+
+def extra_product_term(monkeypatch):
+    """Plant a defect: a PolyExpr product a * b also keeps a, which makes the
+    Hessian kernel's second * D(g) asymmetric in g and h."""
+    real = PolyExpr.__mul__
+    monkeypatch.setattr(PolyExpr, "__mul__", lambda a, b: real(a, b) + a)
+
+
+# For each fused check: the planted defect and the defect as it was computed
+# before the sum was fused, written with public calls and VectorOperator + / -.
+COMPOSED = {
+    "hess-sym": (
+        identities.check_hessian_symmetry, ("f", "g", "h"), extra_product_term,
+        lambda f, g, h: calculus.hessian_form(f, g, h) - calculus.hessian_form(f, h, g),
+    ),
+    "prop2": (
+        identities.check_linearization_anomaly, ("f", "g", "h"), drop_one_cell,
+        lambda f, g, h: (
+            calculus.linearize(f).commutator(calculus.linearize(g)) - calculus.linearize(bracket(f, g))
+        ).apply(h) - (calculus.hessian_form(g, f, h) - calculus.hessian_form(f, g, h)),
+    ),
+    "prop3": (
+        identities.check_bracket_leibniz, ("f", "g", "h"), drop_one_cell,
+        lambda f, g, h: bracket(f, calculus.linearize(g).apply(h))
+        - calculus.linearize(bracket(f, g)).apply(h)
+        - calculus.linearize(g).apply(bracket(f, h))
+        + calculus.hessian_form(f, g, h),
+    ),
+    "jacobi": (
+        identities.check_jacobi_identity, ("f", "g", "h"), drop_one_cell,
+        lambda f, g, h: bracket(f, bracket(g, h)) + bracket(g, bracket(h, f)) + bracket(h, bracket(f, g)),
+    ),
+    "mu-lemma": (
+        identities.check_multiplier_identity, ("g", "h", "f"), drop_one_cell,
+        lambda g, h, mu: calculus.linearize(bracket(mu, h)).apply(g)
+        + bracket(h, calculus.linearize(mu).apply(g))
+        + calculus.hessian_form(h, mu, g)
+        + calculus.linearize(mu).apply(bracket(g, h)),
+    ),
+    "bracket-oracle": (
+        identities.check_bracket_oracle, ("f", "g"), drop_one_cell,
+        lambda f, g: bracket(f, g) - calculus.jacobi_bracket_coord(f, g),
+    ),
+}
+
+
+class TestFusedSums:
+    @pytest.mark.parametrize("name", sorted(INTO_KERNELS))
+    @pytest.mark.parametrize("k", [1, -1, 3])
+    def test_into_adds_k_times_the_wrapper(self, name, k):
+        into, wrapper, composed = INTO_KERNELS[name]
+        f, g, h, start = (OPS[n] for n in ("f", "g", "h", "start"))
+        value = wrapper(f, g, h)
+        assert not value.is_zero() and not start.is_zero()
+        assert value == composed(f, g, h)
+        accs = [dict(c._terms) for c in start.components]
+        into(accs, f, g, h, k)
+        assert VectorOperator._make(BUNDLE, accs).to_json() == (start + value.scale(k)).to_json()
+
+    @pytest.mark.parametrize("identity", sorted(COMPOSED))
+    def test_fused_defect_matches_the_composed_sum(self, identity, monkeypatch):
+        check, names, plant, composed = COMPOSED[identity]
+        args = [OPS[n] for n in names]
+        plant(monkeypatch)
+        res = check(*args)
+        expected = composed(*args)
+        assert not res.holds and not expected.is_zero()
+        assert res.value.to_json() == expected.to_json()
 
 
 class TestDegreeBound:
