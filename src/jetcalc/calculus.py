@@ -18,11 +18,12 @@ An identity's defect is a signed sum of brackets, applied operators and
 Hessians.  A check sums it into one list of id-form term dicts, one per
 component, through the kernels that add k times a term: _bracket_into,
 _bracket_coord_into, _hessian_into, _evolutionary_into and
-CDiffOperator._apply_into.  They do not validate, so the check first runs
-the checks of the public functions (_check_bracket, _check_hessian,
-CDiffOperator._check_operand); VectorOperator._make then wraps the sums.
+CDiffOperator._apply_into; VectorOperator._make then wraps the sums.  Each
+kernel that takes vector operands checks them first (_check_sections, or
+apply's signature and column test), so a check's call order decides which
+error bad input gets; _evolutionary_into takes a cache and stays unchecked.
 jacobi_bracket, jacobi_bracket_coord, hessian_form and CDiffOperator.apply
-are their kernels behind those checks, on fresh accumulators.
+are those kernels on fresh accumulators.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ from .operators import CDiffOperator, DerivativeCache
 from .vectorops import RankMismatchError, VectorOperator
 
 
-def _require_section_rank(f: VectorOperator, role: str) -> None:
+def _check_sections(role: str, f: VectorOperator, *others: VectorOperator) -> None:
+    """Raise unless each of others matches f in signature and rank, and f has
+    the bundle's rank; role names f in the message."""
+    for g in others:
+        f._coerce(g)
     if f.rank != f.bundle.r:
-        raise RankMismatchError(
-            f"{role} has rank {f.rank}, but the bundle has {f.bundle.r} fiber variables"
-        )
+        raise RankMismatchError(f"{role} has rank {f.rank}, but the bundle has {f.bundle.r} fiber variables")
 
 
 def linearize(f: VectorOperator) -> CDiffOperator:
@@ -74,7 +77,7 @@ def evolutionary_apply(
     handled componentwise.  Passing a DerivativeCache for g lets repeated
     applications share the derivative chains.
     """
-    _require_section_rank(g, "generating operator")
+    _check_sections("generating operator", g)
     if target.bundle != g.bundle:
         raise SignatureMismatchError("operands carry different signatures")
     if cache is None:
@@ -96,27 +99,17 @@ def _evolutionary_into(acc: dict, target: PolyExpr, cache: DerivativeCache, k: i
             _mul_into(acc, dg._terms, dv._terms, k)
 
 
-def _check_bracket(f: VectorOperator, g: VectorOperator) -> None:
-    f._coerce(g)
-    _require_section_rank(f, "left operand")
-
-
-def _check_hessian(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> None:
-    f._coerce(g)
-    f._coerce(h)
-    _require_section_rank(f, "operator")
-
-
 def _bracket_into(accs: list, f: VectorOperator, g: VectorOperator, k: int = 1) -> None:
     """Add k * {f, g}, via linearization, into accs (one id-form term dict per
-    component); the caller runs _check_bracket."""
+    component)."""
+    _check_sections("left operand", f, g)
     linearize(f)._apply_into(accs, g, k)
     linearize(g)._apply_into(accs, f, -k)
 
 
 def _bracket_coord_into(accs: list, f: VectorOperator, g: VectorOperator, k: int = 1) -> None:
-    """Add k * {f, g}, from the coordinate sums E_g(f_i) - E_f(g_i), into accs;
-    the caller runs _check_bracket."""
+    """Add k * {f, g}, from the coordinate sums E_g(f_i) - E_f(g_i), into accs."""
+    _check_sections("left operand", f, g)
     fcache, gcache = DerivativeCache(f), DerivativeCache(g)
     for i, acc in enumerate(accs):
         _evolutionary_into(acc, f[i], gcache, k)
@@ -124,7 +117,8 @@ def _bracket_coord_into(accs: list, f: VectorOperator, g: VectorOperator, k: int
 
 
 def _hessian_into(accs: list, f: VectorOperator, g: VectorOperator, h: VectorOperator, k: int = 1) -> None:
-    """Add k * hessian_form(f, g, h) into accs; the caller runs _check_hessian."""
+    """Add k * hessian_form(f, g, h) into accs."""
+    _check_sections("operator", f, g, h)
     gcache, hcache = DerivativeCache(g), DerivativeCache(h)
     for acc, comp in zip(accs, f.components):
         for v, first in comp._jet_partials().items():
@@ -139,7 +133,6 @@ def _hessian_into(accs: list, f: VectorOperator, g: VectorOperator, h: VectorOpe
 
 def jacobi_bracket(f: VectorOperator, g: VectorOperator) -> VectorOperator:
     """Higher Jacobi bracket {f, g}, via linearization."""
-    _check_bracket(f, g)
     accs = [{} for _ in range(f.rank)]
     _bracket_into(accs, f, g)
     return VectorOperator._make(f.bundle, accs)
@@ -151,7 +144,6 @@ def jacobi_bracket_coord(f: VectorOperator, g: VectorOperator) -> VectorOperator
 
     Independent of the operator-algebra code path; serves as its oracle.
     """
-    _check_bracket(f, g)
     accs = [{} for _ in range(f.rank)]
     _bracket_coord_into(accs, f, g)
     return VectorOperator._make(f.bundle, accs)
@@ -159,7 +151,6 @@ def jacobi_bracket_coord(f: VectorOperator, g: VectorOperator) -> VectorOperator
 
 def hessian_form(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> VectorOperator:
     """Trilinear Hessian: second partials of f contracted with derivatives of g and h."""
-    _check_hessian(f, g, h)
     accs = [{} for _ in range(f.rank)]
     _hessian_into(accs, f, g, h)
     return VectorOperator._make(f.bundle, accs)
@@ -171,8 +162,7 @@ def hessian_operator(f: VectorOperator, g: VectorOperator) -> CDiffOperator:
     Entry (i, j) at key sigma is the evolutionary derivative along g of
     dF_i/dp^j_sigma; it vanishes identically when f is linear.
     """
-    f._coerce(g)
-    _require_section_rank(f, "operator")
+    _check_sections("operator", f, g)
     cache = DerivativeCache(g)
     entries: dict = {}
     for i, comp in enumerate(f.components):

@@ -1,7 +1,10 @@
 """Command-line front end: parse a session file, run computations and checks.
 
 Exit codes: 0 when the computation succeeded and every checked residual was
-zero, 1 when a checked identity or claim failed, 2 on usage, parse or validation errors.
+zero, 1 when a checked identity or claim failed, 2 on usage, parse or validation
+errors and when stdout cannot be written.  Outside 0/1/2: 141 when the reader
+of stdout closes it early (as a shell reports a process killed by SIGPIPE),
+and 130 on Ctrl-C; neither prints a traceback.
 All numeric output is exact rational text; JSON reports are byte-identical
 across runs with the same inputs and seed.
 """
@@ -9,8 +12,10 @@ across runs with the same inputs and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -261,8 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jetcalc",
         description="Exact symbolic calculus on jet spaces: brackets, linearizations, Hessians and identity checks.",
+        # A fixed metavar and help column give the same --help on 3.10-3.13;
+        # 3.13's argparse wraps the usage line and sets the help column anew.
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, max_help_position=18),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
@@ -325,20 +333,35 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one jetcalc command and return its exit code (0, 1 or 2).
+    """Run one jetcalc command and return its exit code: 0, 1 or 2 as in the
+    module docstring, 141 when the reader of stdout has closed it, 130 on
+    Ctrl-C.
 
     Safe to call repeatedly in one process: the argument parser is built on
     the first call and reused afterwards.
     """
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
-        return args.func(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+        try:
+            args = _parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as e:
+            code = int(e.code or 0)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            code = 2
+        sys.stdout.flush()  # inside the guard, so a failed write is caught here
+        return code
+    except OSError as e:
+        # The interpreter flushes stdout again at exit; point it at devnull so
+        # that flush cannot fail too (see the note on SIGPIPE in the signal docs).
+        with contextlib.suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(e, BrokenPipeError):
+            return 141
+        print(f"error: cannot write output: {e}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ so every result is again in canonical form and zero-testable.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 from typing import Mapping, Optional, Sequence
 
 from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError, _field, _mul_into, _one_based
@@ -31,32 +32,22 @@ def _decrement(sigma: MultiIndex, i: int) -> MultiIndex:
     return MultiIndex._unchecked(tuple(e - 1 if k == i else e for k, e in enumerate(sigma)))
 
 
-def _chain_derivative(e: PolyExpr, sigma: MultiIndex, memo: dict) -> PolyExpr:
-    """D_sigma(e) computed through memoized single-step derivatives."""
+def _derivative(e: PolyExpr, sigma: MultiIndex, memo: dict, top: float) -> PolyExpr:
+    """D_sigma(e), each one built by one total derivative from its memoized
+    parent; kept in memo when |sigma| < top, and refused when |sigma| > top."""
     got = memo.get(sigma)
     if got is not None:
         return got
-    if sigma.order == 0:
-        memo[sigma] = e
-        return e
-    i = next(k for k, v in enumerate(sigma) if v)
-    out = _chain_derivative(e, _decrement(sigma, i), memo).total_derivative(i)
-    memo[sigma] = out
-    return out
-
-
-def _bounded_derivative(e: PolyExpr, sigma: MultiIndex, memo: dict, top: int) -> PolyExpr:
-    """D_sigma(e) for a cache bounded at order top: below top as
-    _chain_derivative, at top built from its memoized parent and not stored."""
     order = sigma.order
-    if order < top:
-        return _chain_derivative(e, sigma, memo)
     if order > top:
         raise ValueError(f"derivative order {order} exceeds the cache bound {top}")
-    if not order:
-        return e
-    i = next(k for k, v in enumerate(sigma) if v)
-    return _chain_derivative(e, _decrement(sigma, i), memo).total_derivative(i)
+    out = e
+    if order:
+        i = next(k for k, v in enumerate(sigma) if v)
+        out = _derivative(e, _decrement(sigma, i), memo, top).total_derivative(i)
+    if order < top:
+        memo[sigma] = out
+    return out
 
 
 class DerivativeCache:
@@ -64,25 +55,23 @@ class DerivativeCache:
 
     With max_order = k, each D_sigma with |sigma| < k is kept for the requests
     that build on it, one with |sigma| = k is returned unkept, and |sigma| > k
-    raises ValueError.  Only a caller that reads each top-order derivative once
-    should bound its cache: the antihom check's bracket cache, read once per
-    probe p^j_sigma.  The memos stay plain dicts and get tests the bound: a
-    dict subclass that refused top-order entries measured slower, on every
-    cache, because _chain_derivative's memo lookups then met two types.
+    raises ValueError; without a bound, max_order is inf and every D_sigma is
+    kept.  Only a caller that reads each top-order derivative once should
+    bound its cache: the antihom check's bracket cache, read once per probe
+    p^j_sigma.  The chain recurses through _derivative, not through get, so
+    that each request is one call of get.
     """
 
     __slots__ = ("exprs", "max_order", "_memos")
 
     def __init__(self, exprs: Sequence[PolyExpr], max_order: Optional[int] = None):
         self.exprs = exprs
-        self.max_order = max_order
+        self.max_order = inf if max_order is None else max_order
         self._memos = [dict() for _ in range(len(exprs))]
 
     def get(self, j: int, sigma: MultiIndex) -> PolyExpr:
         """D_sigma of the j-th expression."""
-        if self.max_order is None:
-            return _chain_derivative(self.exprs[j], sigma, self._memos[j])
-        return _bounded_derivative(self.exprs[j], sigma, self._memos[j], self.max_order)
+        return _derivative(self.exprs[j], sigma, self._memos[j], self.max_order)
 
 
 class CDiffOperator:
@@ -226,23 +215,19 @@ class CDiffOperator:
 
     # -- action and composition -----------------------------------------------------
 
-    def _check_operand(self, g: VectorOperator) -> None:
-        """Raise unless apply can act on g: same signature, rank = cols."""
-        if g.bundle != self.bundle:
-            raise SignatureMismatchError("operand carries a different signature")
-        if g.rank != self.cols:
-            raise ShapeMismatchError(f"operator has {self.cols} columns, operand rank {g.rank}")
-
     def apply(self, g: VectorOperator) -> VectorOperator:
         """Act on a vector operator: (Theta g)_i = sum a^{ij}_sigma D_sigma(g_j)."""
-        self._check_operand(g)
         accs = [{} for _ in range(self.rows)]
         self._apply_into(accs, g)
         return VectorOperator._make(self.bundle, accs)
 
     def _apply_into(self, accs: list, g: VectorOperator, k: int = 1) -> None:
-        """Add k * self(g) into accs, one id-form term dict per row; the
-        caller checks the operand (_check_operand)."""
+        """Add k * self(g) into accs, one id-form term dict per row, once g
+        has the same signature and rank = cols."""
+        if g.bundle != self.bundle:
+            raise SignatureMismatchError("operand carries a different signature")
+        if g.rank != self.cols:
+            raise ShapeMismatchError(f"operator has {self.cols} columns, operand rank {g.rank}")
         cache = DerivativeCache(g)
         for (i, j), cell in self._entries.items():
             for sigma, coeff in cell.items():

@@ -1,8 +1,10 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -186,6 +188,16 @@ class TestExplicitFailure:
 
 
 class TestClaims:
+    @pytest.mark.parametrize(
+        "command, needs",
+        [("check-symmetry", "--f, --h and --theta"), ("check-aux", "--f, --g, --lambda and --mu")],
+    )
+    def test_neither_operands_nor_fixtures(self, command, needs, intro_session, capsys):
+        code = main([command, "--session", intro_session])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {command} needs {needs} (or --fixtures)\n"
+
     def test_symmetry_fixtures(self, claims_file, capsys):
         code = main(["check-symmetry", "--fixtures", claims_file])
         out = capsys.readouterr().out
@@ -350,14 +362,19 @@ class TestUsageErrors:
         self._assert_error([*argv, str(tmp_path)], capsys)
 
 
-def run_console(*argv) -> subprocess.CompletedProcess:
-    """Run the console entry point, jetcalc.cli:main, in a fresh process."""
+def console_env() -> dict:
     env = dict(os.environ)
     src = str(Path(jetcalc.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_console(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run the console entry point, jetcalc.cli:main, in a fresh process."""
     entry = "import sys; from jetcalc.cli import main; sys.exit(main())"
     return subprocess.run(
-        [sys.executable, "-c", entry, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", entry, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env=console_env(), timeout=120,
     )
 
 
@@ -384,6 +401,44 @@ class TestDeepNesting:
         done = run_console("check-aux", "--fixtures", str(claims))
         message = f"error: bad fixtures file {claims}: JSON nested too deeply\n"
         assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
+
+
+class TestProcessBoundary:
+    """Output that cannot be written, and Ctrl-C, end the process with a
+    documented exit code and no traceback."""
+
+    def test_reader_closes_early(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jetcalc.cli", "section4", "--format", "latex"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=console_env(),
+        )
+        proc.stdout.close()  # long before the command writes
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            done = run_console("section4", stdout=full)
+        message = "error: cannot write output: [Errno 28] No space left on device\n"
+        assert (done.returncode, done.stderr) == (2, message)
+
+    def test_interrupt(self, fixtures_dir):
+        # The child says when it enters main; the computation then runs for
+        # seconds (about 3 s on a 2-core VM).
+        entry = "import sys; from jetcalc.cli import main; print(flush=True); sys.exit(main())"
+        argv = ["verify", "antihom", "--session", str(fixtures_dir / "deep.jet"), "--operands", "F", "G",
+                "--probe-order", "12"]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", entry, *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=console_env(),
+        )
+        assert proc.stdout.readline() == "\n"
+        time.sleep(0.2)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out, err) == (130, "", "")
 
 
 # Each boundary where an order enters from the command line; "K" stands for

@@ -171,6 +171,24 @@ class TestErrors:
         assert (err.value.line, err.value.col) == (3, 11)
         assert "end of input" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "source, position, message",
+        [
+            ("base ; fiber u; op F = [u];", (1, 6), "expected a name after 'base'"),
+            ("fiber u; op F = [u];", (1, 10), "no base variables declared"),
+            ("base a b c d e f g h i; fiber u; op F = [u];", (1, 34), "at most 8 base variables supported"),
+            ("base x; fiber u; F = [u];", (1, 18), "expected 'op', found 'F'"),
+            ("base x; fiber u;\nop F = [u,\n  *u];", (3, 3), "expected an expression, found '*'"),
+            ("base x; fiber u; op F = [w_x];", (1, 26), "undeclared fiber variable 'w'"),
+            ("base x; fiber u; op F = [u + w[1]];", (1, 30), "undeclared fiber variable 'w'"),
+        ],
+    )
+    def test_message_and_position(self, source, position, message):
+        with pytest.raises(DslError) as err:
+            parse(source)
+        assert (err.value.line, err.value.col) == position
+        assert str(err.value) == f"line {position[0]}, col {position[1]}: {message}"
+
     def test_names_with_underscores_rejected(self):
         with pytest.raises(DslError):
             parse("base x; fiber u; param c_0; op F = [u];")

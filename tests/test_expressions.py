@@ -42,6 +42,13 @@ class TestRing:
         assert (u + 1) * (u - 1) == u**2 - 1
         assert (u + Fraction(1, 2)) * 2 == 2 * u + 1
 
+    def test_number_minus_expression(self, scalar_bundle):
+        u = scalar_bundle.fiber_var(0)
+        assert 1 - u == -u + 1 == scalar_bundle.one() - u
+        assert Fraction(1, 2) - u == scalar_bundle.const(Fraction(1, 2)) - u
+        with pytest.raises(TypeError):
+            0.5 - u
+
     def test_constructor_rejects_float_coefficients(self, scalar_bundle):
         mono = ((scalar_bundle.fiber_coord(0), 1),)
         assert PolyExpr(scalar_bundle, {mono: Fraction(2, 4)}).terms == {mono: Fraction(1, 2)}

@@ -7,6 +7,8 @@ Interning order is process-local, so the last tests rerun the CLI and the
 suites in fresh processes whose intern tables were filled in shuffled orders.
 """
 
+import hashlib
+import itertools
 import json
 import os
 import pickle
@@ -334,6 +336,68 @@ class TestFusedSums:
         expected = composed(*args)
         assert not res.holds and not expected.is_zero()
         assert res.value.to_json() == expected.to_json()
+
+
+# -- which error bad operands get ------------------------------------------------
+
+# One rank-1 and one rank-2 operator on each of three bundles; only the rank-r
+# operator of an r-fiber bundle is a section-rank operand.
+OPERAND_BUNDLES = {"a": Bundle(("x",), ("u",)), "b": Bundle(("x", "y"), ("u", "v")), "c": Bundle(("x",), ("u", "v"))}
+OPERANDS = {
+    f"{key}{rank}": VectorOperator(
+        random_expr(bundle, 10 * seed + i, max_jet_order=2, max_degree=2) for i in range(rank)
+    )
+    for seed, (key, bundle, rank) in enumerate(
+        (key, bundle, rank) for key, bundle in OPERAND_BUNDLES.items() for rank in (1, 2)
+    )
+}
+OPERAND_CALLS = {
+    **{name: getattr(identities, identities.IDENTITIES[name][0]) for name in ("hess-sym", "prop2", "prop3", "jacobi", "mu-lemma")},
+    "hessian_form": calculus.hessian_form,
+    "bracket-oracle": identities.check_bracket_oracle,
+    "jacobi_bracket": calculus.jacobi_bracket,
+    "jacobi_bracket_coord": calculus.jacobi_bracket_coord,
+    "apply": lambda f, g: calculus.linearize(f).apply(g),
+}
+OPERAND_ERRORS = ROOT / "tests" / "golden" / "operand_errors.txt"
+OPERAND_ERRORS_DIGEST = "3540819b1cbd0223717279f464ce917915e48d5ae64f9f12142d0466f954ced3"
+
+
+def operand_error_lines() -> list:
+    """One line per call of OPERAND_CALLS on every ordered tuple of OPERANDS:
+    the call, then a short digest of its result or the error's type and message."""
+
+    def digest(value):
+        return hashlib.sha256(json.dumps(value.to_json()).encode()).hexdigest()[:12]
+
+    lines = []
+    for name, call in OPERAND_CALLS.items():
+        arity = 2 if name in ("bracket-oracle", "jacobi_bracket", "jacobi_bracket_coord", "apply") else 3
+        for names in itertools.product(OPERANDS, repeat=arity):
+            try:
+                out = call(*(OPERANDS[n] for n in names))
+                got = f"holds={out.holds} {digest(out.value)}" if isinstance(out, identities.Residual) else digest(out)
+            except Exception as e:
+                got = f"{type(e).__name__}: {e}"
+            lines.append(f"{name} {' '.join(names)} -> {got}")
+    return lines
+
+
+class TestOperandErrors:
+    # Call order decides which error bad input gets; moving an operand check
+    # from a caller into a kernel must not change it.  The lines are in
+    # tests/golden/operand_errors.txt, which the digest pins.
+    def test_every_call_gives_the_recorded_result_or_error(self):
+        assert all(not op.is_zero() for op in OPERANDS.values())
+        lines = operand_error_lines()
+        assert len(lines) == 1440
+        if hashlib.sha256("\n".join(lines).encode()).hexdigest() != OPERAND_ERRORS_DIGEST:
+            recorded = OPERAND_ERRORS.read_text(encoding="utf-8").splitlines() + [None]
+            got = lines + [None]
+            k = next((k for k, (a, b) in enumerate(zip(got, recorded)) if a != b), None)
+            if k is None:
+                pytest.fail(f"{OPERAND_ERRORS} no longer matches its digest")
+            pytest.fail(f"line {k + 1} differs: got {got[k]!r}, recorded {recorded[k]!r}")
 
 
 class TestDegreeBound:

@@ -1,8 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from jetcalc import Bundle, CDiffOperator, DerivativeCache, ShapeMismatchError, VectorOperator, random_expr
+from jetcalc import (
+    Bundle,
+    CDiffOperator,
+    DerivativeCache,
+    ShapeMismatchError,
+    SignatureMismatchError,
+    VectorOperator,
+    random_expr,
+)
 from jetcalc.expressions import indices_up_to
 from jetcalc.multiindex import MultiIndex
 from jetcalc.calculus import random_vector_operator
@@ -137,6 +146,67 @@ class TestLinearStructure:
         b = scalar_bundle
         assert CDiffOperator.zero(b).order == 0
         assert CDiffOperator.total_derivative(b, (3,)).order == 3
+
+    def test_mul_composes_or_scales(self, scalar_bundle):
+        b = scalar_bundle
+        p = b.jet(0, (1,))
+        assert d_x(b) * d_x(b, p) == d_x(b).compose(d_x(b, p))
+        assert d_x(b, p) * 3 == d_x(b, 3 * p)
+        assert d_x(b, p) * Fraction(1, 2) == d_x(b, Fraction(1, 2) * p)
+        for other in (0.5, "D_x", True):
+            with pytest.raises(TypeError):
+                d_x(b) * other
+
+    def test_vector_negation(self, plane_bundle):
+        g = random_vector_operator(plane_bundle, 9)
+        assert -g == VectorOperator(-c for c in g.components)
+        assert (g + -g).is_zero() and not g.is_zero()
+
+
+class TestConstructor:
+    def test_shape_at_least_one_by_one(self, scalar_bundle):
+        with pytest.raises(ValueError, match="^operator shape must be at least 1x1$"):
+            CDiffOperator(scalar_bundle, 0, 1)
+
+    def test_entry_outside_the_shape(self, scalar_bundle):
+        with pytest.raises(ValueError, match=r"^entry \(0,1\) outside shape 1x1$"):
+            CDiffOperator(scalar_bundle, 1, 1, {(0, 1): {(1,): 1}})
+
+    def test_multi_index_of_the_wrong_length(self, scalar_bundle):
+        with pytest.raises(ValueError, match="has wrong length$"):
+            CDiffOperator(scalar_bundle, 1, 1, {(0, 0): {(1, 0): 1}})
+
+    def test_coefficient_over_another_signature(self, scalar_bundle, plane_bundle):
+        with pytest.raises(SignatureMismatchError, match="^coefficient over a different signature$"):
+            CDiffOperator(scalar_bundle, 1, 1, {(0, 0): {(1,): plane_bundle.one()}})
+
+    def test_number_is_a_constant_coefficient(self, scalar_bundle):
+        b = scalar_bundle
+        assert CDiffOperator(b, 1, 1, {(0, 0): {(1,): 3}}) == d_x(b, b.const(3))
+        assert CDiffOperator(b, 1, 1, {(0, 0): {(1,): Fraction(2, 3)}}) == d_x(b, b.const(Fraction(2, 3)))
+        assert CDiffOperator(b, 1, 1, {(0, 0): {(1,): 0}}).is_zero()
+
+
+class TestAlgebraOperandErrors:
+    @pytest.mark.parametrize("op", ["add", "commutator"])
+    def test_same_shape_operations(self, op, scalar_bundle, plane_bundle):
+        call = {"add": lambda a, c: a + c, "commutator": lambda a, c: a.commutator(c)}[op]
+        a = d_x(scalar_bundle)
+        with pytest.raises(TypeError, match="^expected CDiffOperator, got int$"):
+            call(a, 1)
+        with pytest.raises(SignatureMismatchError, match="^operators carry different signatures$"):
+            call(a, CDiffOperator.total_derivative(plane_bundle, (1, 0)))
+        with pytest.raises(ShapeMismatchError, match="^shape mismatch: 1x1 vs 2x2$"):
+            call(CDiffOperator.zero(scalar_bundle, 1, 1), CDiffOperator.zero(scalar_bundle, 2, 2))
+
+    def test_compose(self, scalar_bundle, plane_bundle):
+        a = d_x(scalar_bundle)
+        with pytest.raises(TypeError, match="^expected CDiffOperator, got VectorOperator$"):
+            a.compose(VectorOperator([scalar_bundle.one()]))
+        with pytest.raises(SignatureMismatchError, match="^operators carry different signatures$"):
+            a.compose(CDiffOperator.total_derivative(plane_bundle, (1, 0)))
+        with pytest.raises(ShapeMismatchError, match="^cannot compose 1x2 with 1x1$"):
+            CDiffOperator.zero(scalar_bundle, 1, 2).compose(a)
 
 
 class TestCanonicalEquality:
