@@ -5,14 +5,16 @@ defect of one identity and wraps it in a Residual; holds is true exactly
 when the canonical form of the defect is zero.  Checks sum each defect into
 one accumulator per component (see calculus), whose kernels check their own
 operands; only inner brackets that are operands of another term are built as
-values, first where that gives bad input the error of the unfused sum.  trial() runs one check on
-random or explicit inputs; a failing trial, of either kind, is recorded as
-{trial, seed, inputs, residual} with the inputs in JSON form, replayable
-through trial(), and seed None for explicit inputs.  The randomized suites
-draw inputs from a seeded regime (default: 100 trials, jet order and degree
-at most 2, coefficients in -2..2; always one or two base and fiber variables
-and commutation indices of order at most 3).  Trial k of a suite with
-master seed s uses seed s * 1_000_003 + k.
+values, first where that gives bad input the error of the unfused sum.  The
+antihom check plans its bracket cache from the jet coordinates of its probes,
+so each D_sigma{f,g} is dropped after its last reader.  trial() runs one
+check on random or explicit inputs; a failing trial, of either kind, is
+recorded as {trial, seed, inputs, residual} with the inputs in JSON form,
+replayable through trial(), and seed None for explicit inputs.  The
+randomized suites draw inputs from a seeded regime (default: 100 trials, jet
+order and degree at most 2, coefficients in -2..2; always one or two base
+and fiber variables and commutation indices of order at most 3).  Trial k of
+a suite with master seed s uses seed s * 1_000_003 + k.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .calculus import (
     linearize,
     random_vector_operator,
 )
-from .expressions import Bundle, PolyExpr, _Record, highest_jet_order, indices_up_to, random_expr
+from .expressions import Bundle, PolyExpr, SignatureMismatchError, _Record, indices_up_to, random_expr
 from .multiindex import MultiIndex, binom_product, check_order, sub_indices
 from .operators import CDiffOperator
 from .vectorops import VectorOperator
@@ -157,22 +159,28 @@ def check_evolutionary_antihomomorphism(
 
     Evaluated on a family of probe expressions; the stacked defects form the
     residual, one component per probe.  Each defect
-    E_f(E_g e) - E_g(E_f e) + E_{f,g}(e) is summed into one accumulator.
+    E_{f,g}(e) + E_f(E_g e) - E_g(E_f e) is summed into one accumulator, in
+    that order.
     """
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe expression")
     bracket = jacobi_bracket(f, g)
-    # On coordinate probes each D_sigma{f,g} is read once, by p^j_sigma, so
-    # the bracket cache need not keep those of the top probe order.
+    if any(e.bundle != f.bundle for e in probes):
+        raise SignatureMismatchError("operands carry different signatures")
+    # Each probe reads D_sigma{f,g} once per jet coordinate p^j_sigma it holds,
+    # so the bracket cache plans those reads and drops each derivative after
+    # its last; the caches of f and g are read again by every probe.
     fc, gc = DerivativeCache(f), DerivativeCache(g)
-    bc = DerivativeCache(bracket, highest_jet_order(probes))
+    bc = DerivativeCache(bracket, [(v.index, v.sigma) for e in probes for v in e.jet_coordinates()])
     defects = []
     for e in probes:
         acc: dict = {}
+        # The bracket term first: its unkept derivatives go before the
+        # products grow acc.
+        _evolutionary_into(acc, e, bc)
         _evolutionary_into(acc, evolutionary_apply(g, e, gc), fc)
         _evolutionary_into(acc, evolutionary_apply(f, e, fc), gc, -1)
-        _evolutionary_into(acc, e, bc)
         defects.append(PolyExpr._make(f.bundle, acc))
     value = VectorOperator(defects)
     return _residual("antihom", value, f=f, g=g, probes=probes)

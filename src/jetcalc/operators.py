@@ -10,14 +10,15 @@ Composition expands eagerly through the generalized Leibniz rule
     D_sigma (f . ) = sum over kappa <= sigma of
                      binom_product(sigma, kappa) * D_kappa(f) * D_{sigma-kappa}
 
-so every result is again in canonical form and zero-testable.
+so every result is again in canonical form and zero-testable.  The D_sigma
+of an operand come from a DerivativeCache, which keeps them all, or, given a
+plan of the requests to come, drops each after its last reader.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError, _field, _mul_into, _one_based
 from .multiindex import MultiIndex, binom_product, sub_indices
@@ -28,50 +29,68 @@ class ShapeMismatchError(ValueError):
     """Operator shapes are incompatible for the requested operation."""
 
 
-def _decrement(sigma: MultiIndex, i: int) -> MultiIndex:
-    return MultiIndex._unchecked(tuple(e - 1 if k == i else e for k, e in enumerate(sigma)))
+def _parent(sigma: MultiIndex) -> tuple:
+    """(sigma minus one at its first nonzero entry i, i): D_sigma is built
+    as D_i of the parent's derivative."""
+    i = next(k for k, v in enumerate(sigma) if v)
+    return MultiIndex._unchecked(tuple(e - 1 if k == i else e for k, e in enumerate(sigma))), i
 
 
-def _derivative(e: PolyExpr, sigma: MultiIndex, memo: dict, top: float) -> PolyExpr:
+def _derivative(e: PolyExpr, sigma: MultiIndex, memo: dict, uses: Optional[dict]) -> PolyExpr:
     """D_sigma(e), each one built by one total derivative from its memoized
-    parent; kept in memo when |sigma| < top, and refused when |sigma| > top."""
+    parent.  Without uses every D_sigma is kept; with them, each call spends
+    one use of sigma, and D_sigma is dropped when its last use is spent."""
     got = memo.get(sigma)
-    if got is not None:
-        return got
-    order = sigma.order
-    if order > top:
-        raise ValueError(f"derivative order {order} exceeds the cache bound {top}")
-    out = e
-    if order:
-        i = next(k for k, v in enumerate(sigma) if v)
-        out = _derivative(e, _decrement(sigma, i), memo, top).total_derivative(i)
-    if order < top:
-        memo[sigma] = out
-    return out
+    if got is None:
+        if uses is not None and sigma not in uses:
+            raise ValueError(f"D_sigma for sigma = {list(sigma)} was not planned, or its planned uses are spent")
+        got = e
+        if sigma.order:
+            parent, i = _parent(sigma)
+            got = _derivative(e, parent, memo, uses).total_derivative(i)
+        memo[sigma] = got
+    if uses is not None:
+        left = uses[sigma] - 1
+        if left:
+            uses[sigma] = left
+        else:
+            del uses[sigma], memo[sigma]
+    return got
 
 
 class DerivativeCache:
     """Memoized iterated total derivatives D_sigma of a sequence of expressions.
 
-    With max_order = k, each D_sigma with |sigma| < k is kept for the requests
-    that build on it, one with |sigma| = k is returned unkept, and |sigma| > k
-    raises ValueError; without a bound, max_order is inf and every D_sigma is
-    kept.  Only a caller that reads each top-order derivative once should
-    bound its cache: the antihom check's bracket cache, read once per probe
-    p^j_sigma.  The chain recurses through _derivative, not through get, so
-    that each request is one call of get.
+    Without requests every D_sigma is kept.  requests, a plan, lists the
+    (j, sigma) pairs the caller will ask for, each as often as it will ask;
+    then each D_sigma counts one use per planned request plus one per
+    distinct child on the chains of those requests, is dropped when the last
+    is spent, and a request beyond the plan raises ValueError.  The antihom
+    check plans its bracket cache, which it reads once per probe coordinate.
+    The chain recurses through _derivative, not through get, so that each
+    request is one call of get.
     """
 
-    __slots__ = ("exprs", "max_order", "_memos")
+    __slots__ = ("exprs", "_memos", "_uses")
 
-    def __init__(self, exprs: Sequence[PolyExpr], max_order: Optional[int] = None):
+    def __init__(self, exprs: Sequence[PolyExpr], requests: Optional[Iterable[tuple]] = None):
         self.exprs = exprs
-        self.max_order = inf if max_order is None else max_order
-        self._memos = [dict() for _ in range(len(exprs))]
+        n = len(exprs)
+        self._memos = [{} for _ in range(n)]
+        self._uses = [None] * n if requests is None else [{} for _ in range(n)]
+        for j, sigma in requests or ():
+            uses = self._uses[j]
+            new = sigma not in uses
+            uses[sigma] = uses.get(sigma, 0) + 1
+            # A sigma new to the plan is one more child of its parent.
+            while new and sigma.order:
+                sigma = _parent(sigma)[0]
+                new = sigma not in uses
+                uses[sigma] = uses.get(sigma, 0) + 1
 
     def get(self, j: int, sigma: MultiIndex) -> PolyExpr:
         """D_sigma of the j-th expression."""
-        return _derivative(self.exprs[j], sigma, self._memos[j], self.max_order)
+        return _derivative(self.exprs[j], sigma, self._memos[j], self._uses[j])
 
 
 class CDiffOperator:

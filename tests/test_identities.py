@@ -6,6 +6,7 @@ import pytest
 from jetcalc import (
     Bundle,
     PolyExpr,
+    SignatureMismatchError,
     VectorOperator,
     check_bracket_leibniz,
     check_bracket_oracle,
@@ -15,11 +16,11 @@ from jetcalc import (
     check_jacobi_identity,
     check_linearization_anomaly,
     check_multiplier_identity,
-    jacobi_bracket,
     random_vector_operator,
     run_random_suite,
 )
 from jetcalc import identities
+from jetcalc.dsl import parse
 from jetcalc.identities import SUITE_IDENTITIES, Residual, trial, trial_seed
 from jetcalc.multiindex import MAX_ORDER
 
@@ -111,23 +112,34 @@ class TestAntihomomorphism:
         with pytest.raises(ValueError):
             check_evolutionary_antihomomorphism(f, g, [])
 
-    def test_bracket_cache_keeps_no_top_order_derivative(self, plane_bundle, monkeypatch):
-        built = []
+    def test_bracket_cache_holds_at_most_one_derivative_per_order(self, fixtures_dir, monkeypatch):
+        held = []
 
         class Recording(identities.DerivativeCache):
             __slots__ = ()
 
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(self)
+            def get(self, j, sigma):
+                out = super().get(j, sigma)
+                if self._uses[0] is not None:
+                    held.append(sum(map(len, self._memos)))
+                return out
 
         monkeypatch.setattr(identities, "DerivativeCache", Recording)
+        session = parse((fixtures_dir / "deep.jet").read_text())
+        f, g = session.operators["F"], session.operators["G"]
+        assert trial("antihom", {"f": f, "g": g, "probe_order": 8})[0].holds
+        # One request per probe p^j_sigma: 2 fibers x 45 indices of order <= 8.
+        assert len(held) == 90
+        assert max(held) == 8
+        assert held[-1] == 0
+
+    def test_probe_over_another_signature(self, plane_bundle):
         f, g = random_vector_operator(plane_bundle, 7), random_vector_operator(plane_bundle, 8)
-        probes = [plane_bundle.coord_var(v) for v in plane_bundle.jet_coordinates_up_to(3)]
-        assert check_evolutionary_antihomomorphism(f, g, probes).holds
-        (bracket_cache,) = [c for c in built if c.exprs == jacobi_bracket(f, g)]
-        kept = {sigma.order for memo in bracket_cache._memos for sigma in memo}
-        assert kept == {0, 1, 2}
+        other = Bundle(("x", "y"), ("u", "v", "w"))
+        probes = [plane_bundle.jet(0, (1, 0)), other.jet(2, (1, 1))]
+        with pytest.raises(SignatureMismatchError) as err:
+            check_evolutionary_antihomomorphism(f, g, probes)
+        assert str(err.value) == "operands carry different signatures"
 
 
 class TestThreeBaseVariables:

@@ -247,21 +247,46 @@ class TestCanonicalEquality:
 
 
 class TestDerivativeCache:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("k", [0, 3])
-    def test_bound_keeps_only_what_later_requests_build_on(self, n, k):
+    ORDER = 3
+
+    def plan(self, n, order):
         bundle = Bundle(("x", "y", "z")[:n], ("u", "v"))
         f = random_vector_operator(bundle, 40 + n)
-        full, bounded = DerivativeCache(f), DerivativeCache(f, max_order=k)
-        sigmas = indices_up_to(n, k)
-        for sigma in sigmas + sigmas[::-1] + sigmas:
-            for j in range(f.rank):
-                assert bounded.get(j, sigma) == full.get(j, sigma)
-                assert bounded.get(j, sigma) == f[j].total_derivative_multi(sigma)
-        kept = [sigma for memo in bounded._memos for sigma in memo]
-        assert all(sigma.order < k for sigma in kept)
-        # Unbounded, the same requests keep every order.
-        assert max(sigma.order for memo in full._memos for sigma in memo) == k
-        above = MultiIndex((k + 1,) + (0,) * (n - 1))
-        with pytest.raises(ValueError, match=f"order {k + 1} exceeds the cache bound {k}"):
-            bounded.get(0, above)
+        requests = [(j, sigma) for j in range(f.rank) for sigma in indices_up_to(n, self.ORDER)]
+        if order == "reversed":
+            requests.reverse()
+        elif order == "shuffled":
+            # Each pair asked for twice, so a plan counts repeated requests.
+            requests *= 2
+            random.Random(n).shuffle(requests)
+        return f, requests
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("order", ["lex", "reversed", "shuffled"])
+    def test_planned_values_and_nothing_kept_after_the_last_request(self, n, order):
+        f, requests = self.plan(n, order)
+        cache = DerivativeCache(f, requests)
+        for j, sigma in requests:
+            assert cache.get(j, sigma) == f[j].total_derivative_multi(sigma)
+        assert cache._memos == [{}, {}]
+        assert cache._uses == [{}, {}]
+        with pytest.raises(ValueError, match=r"sigma = \[0(, 0)*\] was not planned"):
+            cache.get(0, MultiIndex.zero(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unplanned_request_raises(self, n):
+        f, requests = self.plan(n, "lex")
+        cache = DerivativeCache(f, requests[: len(requests) // 2])
+        above = MultiIndex((self.ORDER + 1,) + (0,) * (n - 1))
+        with pytest.raises(ValueError, match=rf"sigma = \[{self.ORDER + 1}(, 0)*\] was not planned"):
+            cache.get(0, above)
+        # The second fiber was left out of the plan.
+        with pytest.raises(ValueError, match="was not planned"):
+            cache.get(1, MultiIndex.zero(n))
+
+    def test_without_a_plan_every_derivative_is_kept(self):
+        f, requests = self.plan(2, "shuffled")
+        cache = DerivativeCache(f)
+        for j, sigma in requests:
+            assert cache.get(j, sigma) == f[j].total_derivative_multi(sigma)
+        assert [len(memo) for memo in cache._memos] == [len(indices_up_to(2, self.ORDER))] * 2
