@@ -22,8 +22,14 @@ CDiffOperator._apply_into; VectorOperator._make then wraps the sums.  Each
 kernel that takes vector operands checks them first (_check_sections, or
 apply's signature and column test), so a check's call order decides which
 error bad input gets; _evolutionary_into takes a cache and stays unchecked.
-jacobi_bracket, jacobi_bracket_coord, hessian_form and CDiffOperator.apply
-are those kernels on fresh accumulators.
+The other kernels take the derivatives of their operands from an optional
+InputChains (see operators): an identity check passes one over its inputs,
+so each input's D_sigma chain is built once per check, while an intermediate
+operand, or a call without chains, gets a fresh cache that dies with the
+kernel.  jacobi_bracket, jacobi_bracket_coord, hessian_form and
+CDiffOperator.apply are those kernels on fresh accumulators; jacobi_bracket
+and apply also take the optional chains, and without it, like the other two,
+derive on fresh caches.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .expressions import (
     _mul_into,
     random_expr,
 )
-from .operators import CDiffOperator, DerivativeCache
+from .operators import FRESH, CDiffOperator, DerivativeCache, InputChains
 from .vectorops import RankMismatchError, VectorOperator
 
 
@@ -99,27 +105,31 @@ def _evolutionary_into(acc: dict, target: PolyExpr, cache: DerivativeCache, k: i
             _mul_into(acc, dg._terms, dv._terms, k)
 
 
-def _bracket_into(accs: list, f: VectorOperator, g: VectorOperator, k: int = 1) -> None:
+def _bracket_into(accs: list, f: VectorOperator, g: VectorOperator, k: int = 1, chains: InputChains = FRESH) -> None:
     """Add k * {f, g}, via linearization, into accs (one id-form term dict per
     component)."""
     _check_sections("left operand", f, g)
-    linearize(f)._apply_into(accs, g, k)
-    linearize(g)._apply_into(accs, f, -k)
+    linearize(f)._apply_into(accs, g, k, chains)
+    linearize(g)._apply_into(accs, f, -k, chains)
 
 
-def _bracket_coord_into(accs: list, f: VectorOperator, g: VectorOperator, k: int = 1) -> None:
+def _bracket_coord_into(
+    accs: list, f: VectorOperator, g: VectorOperator, k: int = 1, chains: InputChains = FRESH
+) -> None:
     """Add k * {f, g}, from the coordinate sums E_g(f_i) - E_f(g_i), into accs."""
     _check_sections("left operand", f, g)
-    fcache, gcache = DerivativeCache(f), DerivativeCache(g)
+    fcache, gcache = chains.of(f), chains.of(g)
     for i, acc in enumerate(accs):
         _evolutionary_into(acc, f[i], gcache, k)
         _evolutionary_into(acc, g[i], fcache, -k)
 
 
-def _hessian_into(accs: list, f: VectorOperator, g: VectorOperator, h: VectorOperator, k: int = 1) -> None:
+def _hessian_into(
+    accs: list, f: VectorOperator, g: VectorOperator, h: VectorOperator, k: int = 1, chains: InputChains = FRESH
+) -> None:
     """Add k * hessian_form(f, g, h) into accs."""
     _check_sections("operator", f, g, h)
-    gcache, hcache = DerivativeCache(g), DerivativeCache(h)
+    gcache, hcache = chains.of(g), chains.of(h)
     for acc, comp in zip(accs, f.components):
         for v, first in comp._jet_partials().items():
             dg = gcache.get(v.index, v.sigma)
@@ -131,10 +141,11 @@ def _hessian_into(accs: list, f: VectorOperator, g: VectorOperator, h: VectorOpe
                     _mul_into(acc, (second * dg)._terms, dh._terms, k)
 
 
-def jacobi_bracket(f: VectorOperator, g: VectorOperator) -> VectorOperator:
-    """Higher Jacobi bracket {f, g}, via linearization."""
+def jacobi_bracket(f: VectorOperator, g: VectorOperator, chains: InputChains = FRESH) -> VectorOperator:
+    """Higher Jacobi bracket {f, g}, via linearization; the derivatives of f
+    and g come from chains."""
     accs = [{} for _ in range(f.rank)]
-    _bracket_into(accs, f, g)
+    _bracket_into(accs, f, g, 1, chains)
     return VectorOperator._make(f.bundle, accs)
 
 
@@ -156,14 +167,15 @@ def hessian_form(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Vec
     return VectorOperator._make(f.bundle, accs)
 
 
-def hessian_operator(f: VectorOperator, g: VectorOperator) -> CDiffOperator:
+def hessian_operator(f: VectorOperator, g: VectorOperator, chains: InputChains = FRESH) -> CDiffOperator:
     """The Hessian as a matrix operator; applying it to h gives hessian_form(f, g, h).
 
     Entry (i, j) at key sigma is the evolutionary derivative along g of
-    dF_i/dp^j_sigma; it vanishes identically when f is linear.
+    dF_i/dp^j_sigma; it vanishes identically when f is linear.  The
+    derivatives of g come from chains.
     """
     _check_sections("operator", f, g)
-    cache = DerivativeCache(g)
+    cache = chains.of(g)
     entries: dict = {}
     for i, comp in enumerate(f.components):
         for v, first in comp._jet_partials().items():

@@ -28,6 +28,7 @@ MAX_DEGREE wherever a power is set: the PolyExpr constructor, from_json and
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 from fractions import Fraction
@@ -657,6 +658,17 @@ class PolyExpr:
         return f"PolyExpr({self})"
 
 
+@functools.lru_cache(maxsize=256)
+def _sample_pool(params: int, n: int, r: int, max_jet_order: int) -> tuple:
+    """Ids of the coordinates random_expr draws from: the parameters, the base
+    variables, then every p^j_sigma with |sigma| <= max_jet_order in
+    jet_coordinates_up_to order.  Ids never change once interned, so the
+    tuple is memoized for the life of the process."""
+    pool = [JetCoordinate(PARAM, k) for k in range(params)] + [JetCoordinate(BASE, i) for i in range(n)]
+    pool += [JetCoordinate(JET, j, sigma) for j in range(r) for sigma in indices_up_to(n, max_jet_order)]
+    return tuple(_intern(v) for v in pool)
+
+
 def random_expr(
     bundle: Bundle,
     seed: int,
@@ -674,13 +686,7 @@ def random_expr(
         raise ValueError("bounds must be positive, max_degree at most MAX_DEGREE and the coefficient pool non-empty")
     coeffs = [_as_coeff(q) for q in coeff_pool]
     rng = random.Random(seed)
-    pool: list[JetCoordinate] = []
-    for k in range(len(bundle.params)):
-        pool.append(JetCoordinate(PARAM, k))
-    for i in range(bundle.n):
-        pool.append(JetCoordinate(BASE, i))
-    pool.extend(bundle.jet_coordinates_up_to(max_jet_order))
-    ids = [_intern(v) for v in pool]
+    ids = _sample_pool(len(bundle.params), bundle.n, bundle.r, max_jet_order)
     acc: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         coeff = rng.choice(coeffs)

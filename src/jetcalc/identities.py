@@ -5,14 +5,23 @@ defect of one identity and wraps it in a Residual; holds is true exactly
 when the canonical form of the defect is zero.  Checks sum each defect into
 one accumulator per component (see calculus), whose kernels check their own
 operands; only inner brackets that are operands of another term are built as
-values, first where that gives bad input the error of the unfused sum.  The
-antihom check plans its bracket cache from the jet coordinates of its probes,
-so each D_sigma{f,g} is dropped after its last reader.  trial() runs one
-check on random or explicit inputs; a failing trial, of either kind, is
-recorded as {trial, seed, inputs, residual} with the inputs in JSON form,
-replayable through trial(), and seed None for explicit inputs.  The
-randomized suites draw inputs from a seeded regime (default: 100 trials, jet
-order and degree at most 2, coefficients in -2..2; always one or two base
+values, first where that gives bad input the error of the unfused sum.
+
+Each check builds one InputChains over its input operands and hands it to
+every kernel it calls, so the D_sigma chain of each input is built once per
+check and dies with it.  Intermediates (an inner bracket, l_g h, the antihom
+bracket) get fresh caches that die with their kernel.  Two sides a check
+compares as independent oracles never read one cache: bracket-oracle's two
+brackets both run on fresh caches, and prop2's operator form
+(anomaly_operators) builds its own InputChains apart from that of its applied
+form.  The antihom check plans its bracket cache from the jet coordinates of
+its probes, so each D_sigma{f,g} is dropped after its last reader.
+
+trial() runs one check on random or explicit inputs; a failing trial, of
+either kind, is recorded as {trial, seed, inputs, residual} with the inputs
+in JSON form, replayable through trial(), and seed None for explicit inputs.
+The randomized suites draw inputs from a seeded regime (default: 100 trials,
+jet order and degree at most 2, coefficients in -2..2; always one or two base
 and fiber variables and commutation indices of order at most 3).  Trial k of
 a suite with master seed s uses seed s * 1_000_003 + k.
 """
@@ -36,7 +45,7 @@ from .calculus import (
 )
 from .expressions import Bundle, PolyExpr, SignatureMismatchError, _Record, indices_up_to, random_expr
 from .multiindex import MultiIndex, binom_product, check_order, sub_indices
-from .operators import CDiffOperator
+from .operators import CDiffOperator, InputChains
 from .vectorops import VectorOperator
 
 # Identity name -> (name of its check function in this module, operand names
@@ -80,9 +89,10 @@ def _residual(name: str, value, **context) -> Residual:
 def check_hessian_symmetry(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Residual:
     """The Hessian form is symmetric in its two derivative slots:
     hessian_form(f, g, h) - hessian_form(f, h, g) vanishes."""
+    chains = InputChains(g, h)
     accs = [{} for _ in range(f.rank)]
-    _hessian_into(accs, f, g, h)
-    _hessian_into(accs, f, h, g, -1)
+    _hessian_into(accs, f, g, h, 1, chains)
+    _hessian_into(accs, f, h, g, -1, chains)
     return _residual("hess-sym", VectorOperator._make(f.bundle, accs), f=f, g=g, h=h)
 
 
@@ -91,10 +101,12 @@ def anomaly_operators(
 ) -> tuple[CDiffOperator, CDiffOperator]:
     """Both sides of the linearization anomaly as matrix operators: the
     commutator of linearizations minus the linearized bracket, and the
-    difference of Hessian operators Hess(g, f) - Hess(f, g)."""
+    difference of Hessian operators Hess(g, f) - Hess(f, g).  Both sides
+    read one InputChains over f and g."""
     f._coerce(g)
-    lhs = linearize(f).commutator(linearize(g)) - linearize(jacobi_bracket(f, g))
-    return lhs, hessian_operator(g, f) - hessian_operator(f, g)
+    chains = InputChains(f, g)
+    lhs = linearize(f).commutator(linearize(g)) - linearize(jacobi_bracket(f, g, chains))
+    return lhs, hessian_operator(g, f, chains) - hessian_operator(f, g, chains)
 
 
 def check_linearization_anomaly(
@@ -110,10 +122,11 @@ def check_linearization_anomaly(
     operator one.
     """
     lhs_op, rhs_op = anomaly_operators(f, g)
+    chains = InputChains(f, g, h)
     accs = [{} for _ in range(f.rank)]
-    lhs_op._apply_into(accs, h)
-    _hessian_into(accs, g, f, h, -1)
-    _hessian_into(accs, f, g, h)
+    lhs_op._apply_into(accs, h, 1, chains)
+    _hessian_into(accs, g, f, h, -1, chains)
+    _hessian_into(accs, f, g, h, 1, chains)
     value = VectorOperator._make(f.bundle, accs)
     operator_form_equal = lhs_op == rhs_op
     res = _residual("prop2", value, f=f, g=g, h=h, operator_form_equal=operator_form_equal)
@@ -127,28 +140,30 @@ def check_bracket_leibniz(f: VectorOperator, g: VectorOperator, h: VectorOperato
 
         {f, l_g h} - l_{f,g} h - l_g {f, h} + hessian_form(f, g, h)  =  0
     """
+    chains = InputChains(f, g, h)
     lg = linearize(g)
-    lgh = lg.apply(h)
-    fg = jacobi_bracket(f, g)  # checks f against g, as {f, l_g h} would
-    fh = jacobi_bracket(f, h)
+    lgh = lg.apply(h, chains)
+    fg = jacobi_bracket(f, g, chains)  # checks f against g, as {f, l_g h} would
+    fh = jacobi_bracket(f, h, chains)
     accs = [{} for _ in range(f.rank)]
-    _bracket_into(accs, f, lgh)
-    linearize(fg)._apply_into(accs, h, -1)
-    lg._apply_into(accs, fh, -1)
-    _hessian_into(accs, f, g, h)
+    _bracket_into(accs, f, lgh, 1, chains)
+    linearize(fg)._apply_into(accs, h, -1, chains)
+    lg._apply_into(accs, fh, -1, chains)
+    _hessian_into(accs, f, g, h, 1, chains)
     return _residual("prop3", VectorOperator._make(f.bundle, accs), f=f, g=g, h=h)
 
 
 def check_jacobi_identity(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Residual:
     """Cyclic sum of nested brackets vanishes:
     {f, {g, h}} + {g, {h, f}} + {h, {f, g}} = 0."""
-    gh = jacobi_bracket(g, h)
-    fg = jacobi_bracket(f, g)  # checks f against g, as {f, {g, h}} would
-    hf = jacobi_bracket(h, f)
+    chains = InputChains(f, g, h)
+    gh = jacobi_bracket(g, h, chains)
+    fg = jacobi_bracket(f, g, chains)  # checks f against g, as {f, {g, h}} would
+    hf = jacobi_bracket(h, f, chains)
     accs = [{} for _ in range(f.rank)]
-    _bracket_into(accs, f, gh)
-    _bracket_into(accs, g, hf)
-    _bracket_into(accs, h, fg)
+    _bracket_into(accs, f, gh, 1, chains)
+    _bracket_into(accs, g, hf, 1, chains)
+    _bracket_into(accs, h, fg, 1, chains)
     return _residual("jacobi", VectorOperator._make(f.bundle, accs), f=f, g=g, h=h)
 
 
@@ -165,13 +180,15 @@ def check_evolutionary_antihomomorphism(
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe expression")
-    bracket = jacobi_bracket(f, g)
+    chains = InputChains(f, g)
+    bracket = jacobi_bracket(f, g, chains)
     if any(e.bundle != f.bundle for e in probes):
         raise SignatureMismatchError("operands carry different signatures")
     # Each probe reads D_sigma{f,g} once per jet coordinate p^j_sigma it holds,
     # so the bracket cache plans those reads and drops each derivative after
-    # its last; the caches of f and g are read again by every probe.
-    fc, gc = DerivativeCache(f), DerivativeCache(g)
+    # its last; the caches of f and g, which built the bracket, are read
+    # again by every probe.
+    fc, gc = chains.of(f), chains.of(g)
     bc = DerivativeCache(bracket, [(v.index, v.sigma) for e in probes for v in e.jet_coordinates()])
     defects = []
     for e in probes:
@@ -222,20 +239,23 @@ def check_multiplier_identity(
         linearize({mu,h}) g + ad_h(linearize(mu) g)
         + hessian_form(h, mu, g) + linearize(mu) {g,h}  =  0
     """
+    chains = InputChains(g, h, mu)
     l_mu = linearize(mu)
-    muh = jacobi_bracket(mu, h)
-    lmug = l_mu.apply(g)  # checks g, as linearize({mu,h}) g would
-    gh = jacobi_bracket(g, h)
+    muh = jacobi_bracket(mu, h, chains)
+    lmug = l_mu.apply(g, chains)  # checks g, as linearize({mu,h}) g would
+    gh = jacobi_bracket(g, h, chains)
     accs = [{} for _ in range(mu.rank)]
-    linearize(muh)._apply_into(accs, g)
-    _bracket_into(accs, h, lmug)
-    _hessian_into(accs, h, mu, g)
-    l_mu._apply_into(accs, gh)
+    linearize(muh)._apply_into(accs, g, 1, chains)
+    _bracket_into(accs, h, lmug, 1, chains)
+    _hessian_into(accs, h, mu, g, 1, chains)
+    l_mu._apply_into(accs, gh, 1, chains)
     return _residual("mu-lemma", VectorOperator._make(mu.bundle, accs), g=g, h=h, mu=mu)
 
 
 def check_bracket_oracle(f: VectorOperator, g: VectorOperator) -> Residual:
-    """The operator-algebra bracket against the coordinate-formula bracket."""
+    """The operator-algebra bracket against the coordinate-formula bracket.
+
+    The two sides are independent oracles, so each reads fresh caches."""
     accs = [{} for _ in range(f.rank)]
     _bracket_into(accs, f, g)
     _bracket_coord_into(accs, f, g, -1)

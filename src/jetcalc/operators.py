@@ -13,10 +13,19 @@ Composition expands eagerly through the generalized Leibniz rule
 so every result is again in canonical form and zero-testable.  The D_sigma
 of an operand come from a DerivativeCache, which keeps them all, or, given a
 plan of the requests to come, drops each after its last reader.
+
+Which caches live how long: a kernel called without InputChains builds a
+fresh cache for each operand it derives, which dies when the kernel returns.
+An identity check builds one InputChains over its input operands and hands it
+to every kernel it calls, so each input's D_sigma chain is built once per
+check and dies with it; an intermediate (an inner bracket, an applied
+operator) is not an input and still gets a fresh cache.  _parent is memoized
+for the life of the process, behind a bounded LRU cache.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -29,6 +38,7 @@ class ShapeMismatchError(ValueError):
     """Operator shapes are incompatible for the requested operation."""
 
 
+@functools.lru_cache(maxsize=4096)
 def _parent(sigma: MultiIndex) -> tuple:
     """(sigma minus one at its first nonzero entry i, i): D_sigma is built
     as D_i of the parent's derivative."""
@@ -91,6 +101,33 @@ class DerivativeCache:
     def get(self, j: int, sigma: MultiIndex) -> PolyExpr:
         """D_sigma of the j-th expression."""
         return _derivative(self.exprs[j], sigma, self._memos[j], self._uses[j])
+
+
+class InputChains:
+    """The unplanned DerivativeCache of each of a check's input operands,
+    built on first use and handed out again to every kernel the check passes
+    it to; any other operand gets a fresh cache.  Operands are told apart by
+    identity, and the chains hold them, so no other object can take an id
+    while they live.  InputChains() hands out fresh caches only."""
+
+    __slots__ = ("_operands", "_caches")
+
+    def __init__(self, *operands):
+        self._operands = {id(g): g for g in operands}
+        self._caches: dict = {}
+
+    def of(self, g) -> DerivativeCache:
+        """The cache of g: shared if g is one of the inputs, else fresh."""
+        key = id(g)
+        if self._operands.get(key) is not g:
+            return DerivativeCache(g)
+        cache = self._caches.get(key)
+        if cache is None:
+            cache = self._caches[key] = DerivativeCache(g)
+        return cache
+
+
+FRESH = InputChains()
 
 
 class CDiffOperator:
@@ -234,20 +271,22 @@ class CDiffOperator:
 
     # -- action and composition -----------------------------------------------------
 
-    def apply(self, g: VectorOperator) -> VectorOperator:
-        """Act on a vector operator: (Theta g)_i = sum a^{ij}_sigma D_sigma(g_j)."""
+    def apply(self, g: VectorOperator, chains: InputChains = FRESH) -> VectorOperator:
+        """Act on a vector operator: (Theta g)_i = sum a^{ij}_sigma D_sigma(g_j),
+        with the D_sigma(g_j) from chains."""
         accs = [{} for _ in range(self.rows)]
-        self._apply_into(accs, g)
+        self._apply_into(accs, g, 1, chains)
         return VectorOperator._make(self.bundle, accs)
 
-    def _apply_into(self, accs: list, g: VectorOperator, k: int = 1) -> None:
+    def _apply_into(self, accs: list, g: VectorOperator, k: int = 1, chains: InputChains = FRESH) -> None:
         """Add k * self(g) into accs, one id-form term dict per row, once g
-        has the same signature and rank = cols."""
+        has the same signature and rank = cols; g's derivatives come from
+        chains."""
         if g.bundle != self.bundle:
             raise SignatureMismatchError("operand carries a different signature")
         if g.rank != self.cols:
             raise ShapeMismatchError(f"operator has {self.cols} columns, operand rank {g.rank}")
-        cache = DerivativeCache(g)
+        cache = chains.of(g)
         for (i, j), cell in self._entries.items():
             for sigma, coeff in cell.items():
                 _mul_into(accs[i], coeff._terms, cache.get(j, sigma)._terms, k)

@@ -11,6 +11,7 @@ fixture file whose expressions are written in the session DSL.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -123,6 +124,27 @@ def nonhomogeneous_diagonal_pair() -> DiagonalPairExample:
 
 # -- claim fixture files -----------------------------------------------------
 
+# Deepest nesting of arrays and objects in a claims file.  json's decoder
+# recurses once per level, and the depth at which that ends in RecursionError
+# differs between Python versions, so the reader checks its own bound first.
+MAX_JSON_NESTING = 100
+# A string (an unterminated one runs to the end of the text), or one bracket.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[][{}]')
+
+
+def _json_depth(text: str) -> int:
+    """Deepest nesting of [ and { in a JSON text; brackets inside strings do
+    not count."""
+    depth = deepest = 0
+    for m in _JSON_TOKEN.finditer(text):
+        c = m.group()
+        if c in ("[", "{"):
+            depth += 1
+            deepest = max(deepest, depth)
+        elif c in ("]", "}"):
+            depth -= 1
+    return deepest
+
 
 def parse_claim(record: dict) -> tuple[str, Union[SymmetryClaim, AuxClaim], str]:
     """Build one claim from its JSON record; returns (name, claim, expect)."""
@@ -153,10 +175,9 @@ def evaluate_claim_file(path: Union[str, Path], kind: Optional[str] = None) -> d
     and an all_match verdict; kind restricts to "symmetry" or "aux" claims.
     """
     text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except RecursionError:  # json's decoder recurses once per nesting level
-        raise ValueError("JSON nested too deeply") from None
+    if _json_depth(text) > MAX_JSON_NESTING:
+        raise ValueError("JSON nested too deeply")
+    data = json.loads(text)
     records = data.get("claims") if isinstance(data, dict) else None
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ValueError("a claims file must be an object whose field 'claims' is a list of objects")

@@ -15,6 +15,7 @@ from jetcalc.cli import main
 from jetcalc.dsl import MAX_NESTING, parse, print_session
 from jetcalc.identities import IDENTITIES
 from jetcalc.multiindex import MAX_ORDER
+from jetcalc.structures import MAX_JSON_NESTING
 
 INTRO = "fixtures/intro.jet"
 
@@ -401,6 +402,15 @@ class TestDeepNesting:
         done = run_console("check-aux", "--fixtures", str(claims))
         message = f"error: bad fixtures file {claims}: JSON nested too deeply\n"
         assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
+
+    @pytest.mark.parametrize("depth", [MAX_JSON_NESTING, MAX_JSON_NESTING + 1, 10_000])
+    def test_fixtures_nesting_bound(self, tmp_path, capsys, depth):
+        # The bound is jetcalc's own, so every Python version gives one answer.
+        claims = tmp_path / "deep.json"
+        claims.write_text("[" * depth + "]" * depth)
+        assert main(["check-aux", "--fixtures", str(claims)]) == 2
+        why = "JSON nested too deeply" if depth > MAX_JSON_NESTING else "a claims file must be an object"
+        assert capsys.readouterr().err.startswith(f"error: bad fixtures file {claims}: {why}")
 
 
 class TestProcessBoundary:

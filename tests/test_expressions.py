@@ -16,7 +16,8 @@ from jetcalc import (
     VectorOperator,
     random_expr,
 )
-from jetcalc.expressions import JET, JetCoordinate
+from jetcalc.expressions import BASE, JET, PARAM, JetCoordinate, _intern, _sample_pool
+from jetcalc.identities import DEFAULT_COEFF_POOL
 from jetcalc.multiindex import MultiIndex
 
 seeds = st.integers(min_value=0, max_value=2**20)
@@ -309,6 +310,38 @@ class TestRandomExpr:
         drawn = [random_expr(plane_bundle, seed) for seed in range(30)]
         assert drawn == [random_expr(plane_bundle, seed, coeff_pool=(-2, -1, 1, 2)) for seed in range(30)]
         assert {c for e in drawn for c in e.terms.values()} >= {-2, -1, 1, 2}
+
+    def test_default_max_degree(self, plane_bundle):
+        drawn = [random_expr(plane_bundle, seed) for seed in range(30)]
+        assert drawn == [random_expr(plane_bundle, seed, max_degree=2) for seed in range(30)]
+        assert max(e.degree for e in drawn) == 2
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("params", [(), ("c",)])
+    def test_memoized_pool_matches_a_fresh_build(self, n, r, params):
+        # random_expr as it was before its coordinate pool was memoized.
+        def fresh(bundle, seed, max_jet_order):
+            rng = random.Random(seed)
+            pool = [JetCoordinate(PARAM, k) for k in range(len(bundle.params))]
+            pool += [JetCoordinate(BASE, i) for i in range(bundle.n)] + bundle.jet_coordinates_up_to(max_jet_order)
+            ids = [_intern(v) for v in pool]
+            acc = {}
+            for _ in range(rng.randint(1, 4)):
+                coeff = rng.choice(DEFAULT_COEFF_POOL)
+                if coeff == 0:
+                    continue
+                key = tuple(sorted(rng.choice(ids) for _ in range(rng.randint(0, 3))))
+                acc[key] = acc.get(key, 0) + coeff
+            return PolyExpr._make(bundle, acc)
+
+        bundle = Bundle(("x", "y")[:n], ("u", "v")[:r], params)
+        for order in range(4):
+            for seed in range(10):
+                got = random_expr(bundle, seed, max_jet_order=order, max_degree=3, coeff_pool=DEFAULT_COEFF_POOL)
+                assert list(got._terms.items()) == list(fresh(bundle, seed, order)._terms.items())
+            assert _sample_pool(len(params), n, r, order) is _sample_pool(len(params), n, r, order)
+        assert _sample_pool.cache_info().maxsize is not None
 
     def test_degenerate_degree_bound(self, scalar_bundle):
         e = random_expr(scalar_bundle, 3, max_jet_order=2, max_degree=0)

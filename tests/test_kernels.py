@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetcalc
-from jetcalc import Bundle, PolyExpr, VectorOperator, calculus, identities, random_expr
+from jetcalc import Bundle, PolyExpr, VectorOperator, calculus, identities, operators, random_expr
 from jetcalc.calculus import evolutionary_apply, random_vector_operator
 from jetcalc.cli import main
 from jetcalc.expressions import (
@@ -195,7 +195,7 @@ class TestKernels:
         # accumulator must still equal the public expression.
         f = random_vector_operator(BUNDLE, 3, max_jet_order=2, max_degree=3, coeff_pool=POOL)
         g = random_vector_operator(BUNDLE, 4, max_jet_order=2, max_degree=3, coeff_pool=POOL)
-        monkeypatch.setattr(identities, "jacobi_bracket", lambda f, g: calculus.jacobi_bracket(f, g).scale(2))
+        monkeypatch.setattr(identities, "jacobi_bracket", lambda f, g, chains: calculus.jacobi_bracket(f, g).scale(2))
         probes = [BUNDLE.coord_var(v) for v in BUNDLE.jet_coordinates_up_to(2)] + [draw(5), U * UX**2]
         res = identities.check_evolutionary_antihomomorphism(f, g, probes)
         twice = calculus.jacobi_bracket(f, g).scale(2)
@@ -336,6 +336,115 @@ class TestFusedSums:
         expected = composed(*args)
         assert not res.holds and not expected.is_zero()
         assert res.value.to_json() == expected.to_json()
+
+
+# -- input chains shared within a check -------------------------------------------
+
+# Every check that hands InputChains to its kernels, with its operand names.
+CHAINED = {name: (getattr(identities, identities.IDENTITIES[name][0]), identities.IDENTITIES[name][1])
+           for name in ("hess-sym", "prop2", "prop3", "jacobi", "antihom", "mu-lemma", "bracket-oracle")}
+PLANTS = {name: plant for name, (_, _, plant, _) in COMPOSED.items()}
+CHAIN_CASES = [(name, False) for name in sorted(CHAINED)] + [(name, True) for name in sorted(PLANTS)]
+
+
+def order3_inputs(name, seed):
+    """A suite-regime trial's operands at jet order 3 and degree 3."""
+    rng = random.Random(seed)
+    bundle = Bundle(("x", "y")[: rng.choice((1, 2))], ("u", "v")[: rng.choice((1, 2))])
+    args = [random_vector_operator(bundle, rng.randrange(2**32), max_jet_order=3, max_degree=3)
+            for _ in CHAINED[name][1]]
+    if name == "antihom":
+        probes = [bundle.coord_var(v) for v in bundle.jet_coordinates_up_to(2)]
+        args.append(probes + [random_expr(bundle, seed, max_jet_order=2, max_degree=3)])
+    return args
+
+
+def residual_json(res):
+    return json.dumps([res.value.to_json(), res.holds, res.context.get("operator_form_equal")])
+
+
+def inputs_json(args):
+    return json.dumps([a.to_json() if hasattr(a, "to_json") else [e.to_json() for e in a] for a in args])
+
+
+def fresh_chains(monkeypatch):
+    """Make every InputChains hand out fresh caches, as before they were shared."""
+    monkeypatch.setattr(operators.InputChains, "of", lambda self, g: operators.DerivativeCache(g))
+
+
+def counting_total_derivatives(monkeypatch):
+    calls = []
+    real = PolyExpr.total_derivative
+    monkeypatch.setattr(PolyExpr, "total_derivative", lambda e, i: calls.append(i) or real(e, i))
+    return calls
+
+
+class TestInputChains:
+    def test_shared_inside_chains_fresh_outside(self):
+        f, g = OPS["f"], OPS["g"]
+        chains = operators.InputChains(f)
+        assert chains.of(f) is chains.of(f)
+        assert chains.of(g) is not chains.of(g)
+        assert operators.FRESH.of(f) is not operators.FRESH.of(f)
+        equal_copy = VectorOperator(f.components)
+        assert equal_copy == f and chains.of(equal_copy) is not chains.of(f)
+
+    @pytest.mark.parametrize("name, planted", CHAIN_CASES)
+    def test_same_residual_as_fresh_caches(self, name, planted, monkeypatch):
+        # Seeded order-3 trials, 20 as drawn and 4 with a planted defect (the
+        # larger residuals cost more): the shared chains give the residual of
+        # fresh caches, byte for byte, and leave every input as it was, so no
+        # kernel writes into a cached D_sigma.
+        check = CHAINED[name][0]
+        if planted:
+            PLANTS[name](monkeypatch)
+        calls = counting_total_derivatives(monkeypatch)
+        trials = [order3_inputs(name, seed) for seed in range(4 if planted else 20)]
+        before = [inputs_json(args) for args in trials]
+        shared = [check(*args) for args in trials]
+        shared_calls = len(calls)
+        assert [inputs_json(args) for args in trials] == before
+        with monkeypatch.context() as m:
+            fresh_chains(m)
+            fresh = [check(*args) for args in trials]
+        assert list(map(residual_json, shared)) == list(map(residual_json, fresh))
+        assert all(res.holds for res in shared) != planted
+        if name == "bracket-oracle":
+            assert shared_calls * 2 == len(calls)
+        else:
+            assert shared_calls * 2 < len(calls)
+
+    def test_planted_defect_in_one_oracle_side_fails_bracket_oracle(self, monkeypatch):
+        # The first cache built for g, the bracket side's, reads D_0(g_1) off
+        # by one.  With a cache of its own the coordinate side disagrees; if
+        # the two sides read one cache the defect would cancel.
+        b = Bundle(("x",), ("u",))
+        u, ux, uxx = b.fiber_var(0), b.jet(0, (1,)), b.jet(0, (2,))
+        f, g = VectorOperator([u * uxx + ux]), VectorOperator([u * ux])
+        planted = []
+
+        class Planted(operators.DerivativeCache):
+            __slots__ = ()
+
+            def __init__(self, exprs, requests=None):
+                super().__init__(exprs, requests)
+                if exprs is g and not planted:
+                    planted.append(self)
+
+            def get(self, j, sigma):
+                out = super().get(j, sigma)
+                return out + 1 if self in planted and j == 0 and not any(sigma) else out
+
+        monkeypatch.setattr(operators, "DerivativeCache", Planted)
+        res = identities.check_bracket_oracle(f, g)
+        assert planted and not res.holds
+        assert res.value == VectorOperator([uxx])  # d(f_1)/du times the planted 1
+        planted.clear()
+        accs = [{}]
+        chains = operators.InputChains(f, g)
+        calculus._bracket_into(accs, f, g, 1, chains)
+        calculus._bracket_coord_into(accs, f, g, -1, chains)
+        assert planted and VectorOperator._make(b, accs).is_zero()
 
 
 # -- which error bad operands get ------------------------------------------------

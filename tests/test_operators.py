@@ -14,6 +14,7 @@ from jetcalc import (
 )
 from jetcalc.expressions import indices_up_to
 from jetcalc.multiindex import MultiIndex
+from jetcalc.operators import _parent
 from jetcalc.calculus import random_vector_operator
 
 
@@ -156,6 +157,10 @@ class TestLinearStructure:
         for other in (0.5, "D_x", True):
             with pytest.raises(TypeError):
                 d_x(b) * other
+            # The zero operator has no coefficient to scale, so only the type
+            # test in __mul__ can refuse it.
+            with pytest.raises(TypeError):
+                CDiffOperator.zero(b) * other
 
     def test_vector_negation(self, plane_bundle):
         g = random_vector_operator(plane_bundle, 9)
@@ -290,3 +295,16 @@ class TestDerivativeCache:
         for j, sigma in requests:
             assert cache.get(j, sigma) == f[j].total_derivative_multi(sigma)
         assert [len(memo) for memo in cache._memos] == [len(indices_up_to(2, self.ORDER))] * 2
+
+    def test_parent_is_memoized_and_bounded(self):
+        def parent(sigma):
+            i = next(k for k, v in enumerate(sigma) if v)
+            return sigma[:i] + (sigma[i] - 1,) + sigma[i + 1 :], i
+
+        for n in (1, 2, 3):
+            for sigma in indices_up_to(n, 6):
+                if sigma.order:
+                    got = _parent(sigma)
+                    assert got == parent(sigma) and type(got[0]) is MultiIndex
+                    assert _parent(sigma) is got
+        assert _parent.cache_info().maxsize is not None

@@ -16,6 +16,7 @@ from jetcalc import (
     random_vector_operator,
     symmetry_residual,
 )
+from jetcalc.structures import MAX_JSON_NESTING
 
 
 class TestSymmetryResidual:
@@ -204,4 +205,17 @@ class TestClaimFiles:
             )
         )
         with pytest.raises(ValueError):
+            evaluate_claim_file(path)
+
+    def test_brackets_inside_strings_do_not_nest(self, fixtures_dir, tmp_path):
+        doc = json.loads((fixtures_dir / "claims.json").read_text())
+        doc["claims"][0]["name"] = '\\"[{' * (2 * MAX_JSON_NESTING)
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps(doc))
+        assert evaluate_claim_file(path)["claims"][0]["name"] == doc["claims"][0]["name"]
+
+    def test_unterminated_string_is_a_json_error(self, tmp_path):
+        path = tmp_path / "open.json"
+        path.write_text('{"claims": "' + "[" * (2 * MAX_JSON_NESTING))
+        with pytest.raises(json.JSONDecodeError):
             evaluate_claim_file(path)
