@@ -20,24 +20,11 @@ import sys
 from pathlib import Path
 
 from . import printing
-from .calculus import (
-    hessian_form,
-    hessian_operator,
-    jacobi_bracket,
-    jacobi_bracket_coord,
-    linearize,
-)
+from .calculus import hessian_form, hessian_operator, jacobi_bracket, jacobi_bracket_coord, linearize
 from .dsl import parse
-from .identities import IDENTITIES, anomaly_operators, run_random_suite, trial, verification_report
+from .identities import IDENTITIES, OPERANDS, anomaly_operators, run_random_suite, trial, verification_report
 from .multiindex import MultiIndex, check_order
-from .structures import (
-    AuxClaim,
-    SymmetryClaim,
-    aux_residual,
-    evaluate_claim_file,
-    nonhomogeneous_diagonal_pair,
-    symmetry_residual,
-)
+from .structures import CLAIMS, claim_residual, evaluate_claim_file, nonhomogeneous_diagonal_pair
 from .vectorops import VectorOperator
 
 
@@ -142,32 +129,39 @@ def _cmd_anomaly(args) -> int:
     return _emit(args, {"command": "anomaly", "f": args.f, "g": args.g}, rows, equal)
 
 
-def _comma_index(text: str, what: str) -> MultiIndex:
+def _option_input(args, name: str, r: int):
+    """A verify input read from its option: --probe-order as given, the 1-based
+    --fiber as a 0-based index of r fibers, --zeta or --tau as a multi-index."""
+    if name == "probe_order":
+        return args.probe_order
+    if name == "fiber":
+        if not 1 <= args.fiber <= r:
+            raise UsageError(f"--fiber {args.fiber} is out of range 1..{r}")
+        return args.fiber - 1
+    text = getattr(args, name)
     try:
         index = MultiIndex(tuple(int(s) for s in text.split(",")))
         check_order(index.order, "order")
     except ValueError as e:
-        raise UsageError(f"bad {what} {text!r}: {e}") from None
+        raise UsageError(f"bad --{name} {text!r}: {e}") from None
     return index
 
 
 def _verify_explicit(args) -> dict:
     session = _load_session(args)
     identity, names = args.identity, args.operands
-    operands = IDENTITIES[identity][1]
+    inputs = IDENTITIES[identity][1]
+    operands = [key for key in inputs if key in OPERANDS]
     if len(names) != len(operands):
         raise UsageError(f"verify {identity} needs {len(operands)} operand names, got {len(names)}")
-    inputs = {key: _named_op(session, n) for key, n in zip(operands, names)}
-    if identity == "antihom":
-        inputs["probe_order"] = args.probe_order
-    elif identity == "commutation-lemma":
-        if args.zeta is None or args.tau is None:
-            raise UsageError("verify commutation-lemma needs --zeta and --tau")
-        zeta, tau = _comma_index(args.zeta, "--zeta"), _comma_index(args.tau, "--tau")
-        if not 1 <= args.fiber <= session.bundle.r:
-            raise UsageError(f"--fiber {args.fiber} is out of range 1..{session.bundle.r}")
-        inputs = {"zeta": zeta, "tau": tau, "fiber": args.fiber - 1, "e": inputs["e"][0]}
-    record = trial(identity, inputs)[1]
+    ops = {key: _named_op(session, n) for key, n in zip(operands, names)}
+    indices = [key for key in inputs if key in ("zeta", "tau")]
+    if any(getattr(args, key) is None for key in indices):
+        raise UsageError(f"verify {identity} needs {' and '.join('--' + key for key in indices)}")
+    values = {key: ops[key] if key in ops else _option_input(args, key, session.bundle.r) for key in inputs}
+    if "e" in values:  # an expression: the named operator's first component
+        values["e"] = values["e"][0]
+    record = trial(identity, values)[1]
     return verification_report(identity, 1, None, [record] if record else [])
 
 
@@ -201,21 +195,19 @@ def _cmd_check(args) -> int:
     kind = args.command.removeprefix("check-")
     if args.fixtures:
         return _run_fixtures(args, kind)
-    symmetry = kind == "symmetry"
-    names = (args.f, args.h, args.theta) if symmetry else (args.f, args.g, args.lam, args.mu)
+    claim_type, _, fields = CLAIMS[kind]
+    names = [getattr(args, field) for field in fields]
     if not all(names):
-        needs = "--f, --h and --theta" if symmetry else "--f, --g, --lambda and --mu"
-        raise UsageError(f"{args.command} needs {needs} (or --fixtures)")
+        flags = [f"--{field}" for field in fields]
+        raise UsageError(f"{args.command} needs {', '.join(flags[:-1])} and {flags[-1]} (or --fixtures)")
     session = _load_session(args)
-    ops = [_named_op(session, n) for n in names]
-    if symmetry:
-        res = symmetry_residual(SymmetryClaim(*ops))
+    res = claim_residual(kind, claim_type(*(_named_op(session, n) for n in names)))
+    if kind == "symmetry":
         rows = [
             ("bracket_form", "bracket form", res.value),
             ("module_form", "module form", res.context["module_form"]),
         ]
     else:
-        res = aux_residual(AuxClaim(*ops))
         ctx = res.context
         rows = [
             ("residual", "residual", res.value),
@@ -307,18 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", help="multi-index for commutation-lemma, e.g. 2,0")
     p.add_argument("--fiber", type=int, default=1, help="1-based fiber index for commutation-lemma")
 
-    p = command("check-symmetry", _cmd_check, "symmetry claim residual")
-    p.add_argument("--f")
-    p.add_argument("--h")
-    p.add_argument("--theta")
-    p.add_argument("--fixtures", help="claims file; checks every symmetry claim in it")
-
-    p = command("check-aux", _cmd_check, "auxiliary-integral claim residual")
-    p.add_argument("--f")
-    p.add_argument("--g")
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--mu")
-    p.add_argument("--fixtures", help="claims file; checks every aux claim in it")
+    for kind, help in (("symmetry", "symmetry claim residual"), ("aux", "auxiliary-integral claim residual")):
+        p = command(f"check-{kind}", _cmd_check, help)
+        claim_type, _, fields = CLAIMS[kind]
+        for field, attr in zip(fields, claim_type._fields):  # --lambda's metavar is LAM
+            p.add_argument(f"--{field}", metavar=attr.upper())
+        p.add_argument("--fixtures", help=f"claims file; checks every {kind} claim in it")
 
     command("section4", _cmd_section4, "the non-homogeneous diagonal pair example")
 

@@ -17,6 +17,10 @@ brackets both run on fresh caches, and prop2's operator form
 form.  The antihom check plans its bracket cache from the jet coordinates of
 its probes, so each D_sigma{f,g} is dropped after its last reader.
 
+IDENTITIES is the one description of each check's inputs: trial(), the
+suites and `verify --operands` loop over them, never naming an identity.
+Checks and samplers are looked up by name at call time, so rebinding a module
+attribute (a tracer, a monkeypatch) reaches every caller.
 trial() runs one check on random or explicit inputs; a failing trial, of
 either kind, is recorded as {trial, seed, inputs, residual} with the inputs
 in JSON form, replayable through trial(), and seed None for explicit inputs.
@@ -48,19 +52,21 @@ from .multiindex import MultiIndex, binom_product, check_order, sub_indices
 from .operators import CDiffOperator, InputChains
 from .vectorops import VectorOperator
 
-# Identity name -> (name of its check function in this module, operand names
-# in the order a suite trial draws them).  The check is looked up by name at
-# call time, so rebinding a module attribute reaches every caller.
+# Identity name -> (name of its check function in this module, its inputs in
+# parameter order).  An input's name is its kind: f, g, h and mu are vector
+# operators, e an expression, zeta and tau multi-indices, fiber a 0-based
+# fiber index, probe_order the order of the jet coordinates used as probes.
 IDENTITIES = {
     "hess-sym": ("check_hessian_symmetry", ("f", "g", "h")),
     "prop2": ("check_linearization_anomaly", ("f", "g", "h")),
     "prop3": ("check_bracket_leibniz", ("f", "g", "h")),
     "jacobi": ("check_jacobi_identity", ("f", "g", "h")),
-    "antihom": ("check_evolutionary_antihomomorphism", ("f", "g")),
-    "commutation-lemma": ("check_commutation", ("e",)),
+    "antihom": ("check_evolutionary_antihomomorphism", ("f", "g", "probe_order")),
+    "commutation-lemma": ("check_commutation", ("zeta", "tau", "fiber", "e")),
     "mu-lemma": ("check_multiplier_identity", ("g", "h", "mu")),
     "bracket-oracle": ("check_bracket_oracle", ("f", "g")),
 }
+OPERANDS = ("f", "g", "h", "mu", "e")  # the inputs a caller names
 
 SUITE_IDENTITIES = tuple(IDENTITIES)
 
@@ -272,16 +278,13 @@ def trial_seed(master_seed: int, k: int) -> int:
 def trial(identity: str, inputs: dict, k: int = 0, seed: Optional[int] = None) -> tuple:
     """Run one trial on live inputs; returns (residual, failure record or None).
 
-    inputs are the check's arguments by name, in the order of its parameters:
-    the operators named in IDENTITIES, then probe_order for antihom (probes are
-    the jet coordinates up to it); zeta, tau, fiber (0-based) and e for
-    commutation-lemma, whose record adds the signature to the JSON inputs."""
-    args = list(inputs.values())
-    if identity == "antihom":
-        check_order(args[-1], "probe order")
-        bundle = args[0].bundle
-        args[-1] = [bundle.coord_var(v) for v in bundle.jet_coordinates_up_to(args[-1])]
-    res = globals()[IDENTITIES[identity][0]](*args)
+    inputs are the check's arguments, named and ordered as in IDENTITIES."""
+    args = dict(inputs)
+    if "probe_order" in args:
+        check_order(args["probe_order"], "probe order")
+        bundle = args["f"].bundle
+        args["probe_order"] = [bundle.coord_var(v) for v in bundle.jet_coordinates_up_to(args["probe_order"])]
+    res = globals()[IDENTITIES[identity][0]](*args.values())
     if res.holds:
         return res, None
     # Serializing the inputs is not free, so only failing trials do it.
@@ -289,7 +292,7 @@ def trial(identity: str, inputs: dict, k: int = 0, seed: Optional[int] = None) -
         key: v.to_json() if hasattr(v, "to_json") else list(v) if isinstance(v, tuple) else v
         for key, v in inputs.items()
     }
-    if identity == "commutation-lemma":
+    if "e" in inputs:
         fixture["signature"] = inputs["e"].bundle.to_json()
     return res, {"trial": k, "seed": seed, "inputs": fixture, "residual": res.value.to_json()}
 
@@ -325,21 +328,17 @@ def run_random_suite(
         rng = random.Random(tseed)
         n, r = rng.choice((1, 2)), rng.choice((1, 2))
         bundle = Bundle(("x", "y")[:n], ("u", "v")[:r])
-        if identity == "commutation-lemma":
-            choices = indices_up_to(n, 3)
-            inputs = {
-                "zeta": rng.choice(choices),
-                "tau": rng.choice(choices),
-                "fiber": rng.randrange(r),
-                "e": random_expr(bundle, rng.randrange(2**32), **regime),
-            }
-        else:
-            inputs = {
-                name: random_vector_operator(bundle, rng.randrange(2**32), **regime)
-                for name in IDENTITIES[identity][1]
-            }
-            if identity == "antihom":
-                inputs["probe_order"] = probe_order
+        inputs = {}
+        for name in IDENTITIES[identity][1]:  # drawn in order, each from the trial's rng
+            if name in ("zeta", "tau"):
+                inputs[name] = rng.choice(indices_up_to(n, 3))
+            elif name == "fiber":
+                inputs[name] = rng.randrange(r)
+            elif name == "probe_order":
+                inputs[name] = probe_order
+            else:
+                draw = random_expr if name == "e" else random_vector_operator
+                inputs[name] = draw(bundle, rng.randrange(2**32), **regime)
         record = trial(identity, inputs, k, tseed)[1]
         if record:
             failures.append(record)

@@ -6,6 +6,10 @@ bracket {f, g} splits as linearize(lambda) f + linearize(mu) g.  Both are
 verified equationally for user-supplied witnesses and reported as exact
 residuals; no search is attempted.  Claims can be batch-loaded from a JSON
 fixture file whose expressions are written in the session DSL.
+
+CLAIMS is the one description of each claim kind's inputs, which the claims
+reader and the CLI read.  Residuals are looked up by name at call time, so
+rebinding a module attribute (a tracer, a monkeypatch) reaches every caller.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import NamedTuple, Optional, Union
 from .calculus import jacobi_bracket, jacobi_bracket_coord, linearize
 from .expressions import Bundle, _field
 from .identities import Residual, _residual
+from .operators import InputChains
 from .vectorops import VectorOperator
 
 
@@ -34,15 +39,30 @@ class AuxClaim(NamedTuple):
     mu: VectorOperator
 
 
+# Claim kind -> (claim type, name of its residual function in this module,
+# its operator fields as claims files and options name them, in field order).
+CLAIMS = {
+    "symmetry": (SymmetryClaim, "symmetry_residual", ("f", "h", "theta")),
+    "aux": (AuxClaim, "aux_residual", ("f", "g", "lambda", "mu")),
+}
+
+
+def claim_residual(kind: str, claim: Union[SymmetryClaim, AuxClaim]) -> Residual:
+    """The residual of a claim of the given kind."""
+    return globals()[CLAIMS[kind][1]](claim)
+
+
 def symmetry_residual(claim: SymmetryClaim) -> Residual:
     """Defect of the symmetry condition, in both of its equivalent forms.
 
     The bracket form is {f,h} - linearize(theta) f; the module form is
     linearize(f) h - linearize(theta + h) f.  They agree identically because
-    linearization is additive in its operator argument; both are reported.
+    linearization is additive in its operator argument; both are reported,
+    the module form on derivative chains of its own.
     """
     f, h, theta = claim.f, claim.h, claim.theta
-    bracket_form = jacobi_bracket(f, h) - linearize(theta).apply(f)
+    chains = InputChains(f, h)
+    bracket_form = jacobi_bracket(f, h, chains) - linearize(theta).apply(f, chains)
     module_form = linearize(f).apply(h) - linearize(theta + h).apply(f)
     res = _residual("symmetry", bracket_form, f=f, h=h, theta=theta)
     res.context["module_form"] = module_form
@@ -57,7 +77,8 @@ def aux_residual(claim: AuxClaim) -> Residual:
     the normalization available in rank one; nothing is enforced.
     """
     f, g, lam, mu = claim.f, claim.g, claim.lam, claim.mu
-    value = jacobi_bracket(f, g) - linearize(lam).apply(f) - linearize(mu).apply(g)
+    chains = InputChains(f, g)
+    value = jacobi_bracket(f, g, chains) - linearize(lam).apply(f, chains) - linearize(mu).apply(g, chains)
     res = _residual("aux", value, f=f, g=g, lam=lam, mu=mu)
     res.context["order_mu"] = mu.order
     res.context["order_f"] = f.order
@@ -146,26 +167,25 @@ def _json_depth(text: str) -> int:
     return deepest
 
 
+def _claim_kind(record: dict) -> str:
+    kind = _field(record, "kind")
+    if not isinstance(kind, str) or kind not in CLAIMS:
+        raise ValueError(f"unknown claim kind {kind!r}")
+    return kind
+
+
 def parse_claim(record: dict) -> tuple[str, Union[SymmetryClaim, AuxClaim], str]:
     """Build one claim from its JSON record; returns (name, claim, expect)."""
     from .dsl import parse_expression
 
     bundle = Bundle.from_json(_field(record, "signature"))
-
-    def op(key: str) -> VectorOperator:
-        return VectorOperator(parse_expression(s, bundle) for s in _field(record, key, list, str))
-
-    kind = record["kind"]
-    expect = record["expect"]
+    kind = _claim_kind(record)
+    expect = _field(record, "expect")
     if expect not in ("zero", "nonzero"):
         raise ValueError(f"expect must be 'zero' or 'nonzero', got {expect!r}")
-    if kind == "symmetry":
-        claim: Union[SymmetryClaim, AuxClaim] = SymmetryClaim(op("f"), op("h"), op("theta"))
-    elif kind == "aux":
-        claim = AuxClaim(op("f"), op("g"), op("lambda"), op("mu"))
-    else:
-        raise ValueError(f"unknown claim kind {kind!r}")
-    return record.get("name", kind), claim, expect
+    claim_type, _, fields = CLAIMS[kind]
+    ops = (VectorOperator(parse_expression(s, bundle) for s in _field(record, key, list, str)) for key in fields)
+    return record.get("name", kind), claim_type(*ops), expect
 
 
 def evaluate_claim_file(path: Union[str, Path], kind: Optional[str] = None) -> dict:
@@ -173,6 +193,7 @@ def evaluate_claim_file(path: Union[str, Path], kind: Optional[str] = None) -> d
 
     Returns a report with one entry per claim (residual shown in text form)
     and an all_match verdict; kind restricts to "symmetry" or "aux" claims.
+    Unknown kinds and files with no claim to evaluate raise a ValueError.
     """
     text = Path(path).read_text(encoding="utf-8")
     if _json_depth(text) > MAX_JSON_NESTING:
@@ -181,21 +202,15 @@ def evaluate_claim_file(path: Union[str, Path], kind: Optional[str] = None) -> d
     records = data.get("claims") if isinstance(data, dict) else None
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ValueError("a claims file must be an object whose field 'claims' is a list of objects")
+    kinds = [_claim_kind(record) for record in records]
     results = []
-    for record in records:
-        if kind is not None and record["kind"] != kind:
+    for record, record_kind in zip(records, kinds):
+        if kind is not None and record_kind != kind:
             continue
         name, claim, expect = parse_claim(record)
-        res = symmetry_residual(claim) if isinstance(claim, SymmetryClaim) else aux_residual(claim)
-        matches = res.holds == (expect == "zero")
-        results.append(
-            {
-                "name": name,
-                "kind": record["kind"],
-                "expect": expect,
-                "holds": res.holds,
-                "matches": matches,
-                "residual": str(res.value),
-            }
-        )
+        res = claim_residual(record_kind, claim)
+        results.append({"name": name, "kind": record_kind, "expect": expect, "holds": res.holds,
+                        "matches": res.holds == (expect == "zero"), "residual": str(res.value)})
+    if not results:
+        raise ValueError(f"no {kind} claims in the file" if kind else "no claims in the file")
     return {"file": str(path), "claims": results, "all_match": all(r["matches"] for r in results)}

@@ -13,7 +13,7 @@ import jetcalc
 from jetcalc import Bundle, PolyExpr, VectorOperator, cli, identities
 from jetcalc.cli import main
 from jetcalc.dsl import MAX_NESTING, parse, print_session
-from jetcalc.identities import IDENTITIES
+from jetcalc.identities import IDENTITIES, OPERANDS
 from jetcalc.multiindex import MAX_ORDER
 from jetcalc.structures import MAX_JSON_NESTING
 
@@ -245,6 +245,35 @@ class TestClaims:
         assert code == 1
         assert "MISMATCH" in out
 
+    SYMMETRY_CLAIM = {
+        "kind": "symmetry",
+        "signature": {"base": ["x"], "fiber": ["u"]},
+        "f": ["u_xx"], "h": ["u_x"], "theta": ["0"],
+        "expect": "zero",
+    }
+
+    @pytest.mark.parametrize(
+        "claims, message",
+        [
+            ([], "no symmetry claims in the file"),
+            ([{**SYMMETRY_CLAIM, "kind": "symetry"}], "unknown claim kind 'symetry'"),
+            ([{**SYMMETRY_CLAIM, "kind": 5}], "unknown claim kind 5"),
+            ([SYMMETRY_CLAIM, {**SYMMETRY_CLAIM, "kind": ["aux"]}], "unknown claim kind ['aux']"),
+            ([{**SYMMETRY_CLAIM, "kind": "aux"}], "no symmetry claims in the file"),
+            ([{k: v for k, v in SYMMETRY_CLAIM.items() if k != "kind"}], "missing field 'kind'"),
+            ([{k: v for k, v in SYMMETRY_CLAIM.items() if k != "expect"}], "missing field 'expect'"),
+        ],
+    )
+    def test_no_vacuous_claims_file(self, claims, message, tmp_path, capsys):
+        # Every record's kind is checked before the kind filter, and a file
+        # with no claim of the requested kind is an error, not "all match".
+        path = tmp_path / "claims.json"
+        path.write_text(json.dumps({"claims": claims}))
+        code = main(["check-symmetry", "--fixtures", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: bad fixtures file {path}: {message}\n"
+
 
 class TestUsageErrors:
     def test_parse_error_exits_two(self, tmp_path, capsys):
@@ -314,6 +343,25 @@ class TestUsageErrors:
                     "F", "--zeta", "1", "--tau", "1", "--fiber", fiber]
             err = self._assert_error(argv, capsys)
             assert err == f"error: --fiber {fiber} is out of range 1..1\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["commutation-lemma", "--operands", "X"], "operator 'X' is not defined in the session"),
+            (["commutation-lemma", "--operands", "F", "--zeta", "1,x"],
+             "verify commutation-lemma needs --zeta and --tau"),
+            (["commutation-lemma", "--operands", "F", "--zeta", "1,x", "--tau", "2", "--fiber", "5"],
+             "bad --zeta '1,x': invalid literal for int() with base 10: 'x'"),
+            (["antihom", "--operands", "F", "X", "--probe-order", "99"],
+             "operator 'X' is not defined in the session"),
+        ],
+    )
+    def test_operand_error_precedence(self, argv, message, intro_session, capsys):
+        # Of two faults, the earlier in this order is reported: operand count,
+        # operand names, presence of --zeta and --tau, --zeta, --tau, --fiber,
+        # then the probe-order bound.
+        err = self._assert_error(["verify", *argv, "--session", intro_session], capsys)
+        assert err == f"error: {message}\n"
 
     def test_index_length_mismatch(self, intro_session, capsys):
         self._assert_error(
@@ -515,10 +563,11 @@ class TestRepeatedMain:
             for command, opts in computations.items()
             for fmt in ("text", "latex", "json")
         ]
-        for identity, (_, operands) in IDENTITIES.items():
+        for identity, (_, inputs) in IDENTITIES.items():
+            operands = [key for key in inputs if key in OPERANDS]
             argv = ["verify", identity, "--session", session,
                     "--operands", *["F", "G", "H"][: len(operands)]]
-            if identity == "commutation-lemma":
+            if "zeta" in inputs:
                 argv += ["--zeta", "1", "--tau", "2"]
             units.append([argv])
         # --random after --operands: the second parse must not keep the operands.

@@ -15,7 +15,7 @@ import os
 from pathlib import Path
 
 from jetcalc.cli import main
-from jetcalc.identities import IDENTITIES
+from jetcalc.identities import IDENTITIES, OPERANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli.txt"
@@ -36,9 +36,10 @@ def commands() -> list:
         ["check-symmetry", "--f", "F", "--h", "G", "--theta", "U"],
         ["check-aux", "--f", "F", "--g", "G", "--lambda", "U", "--mu", "MU"],
     ]
-    for identity, (_, operands) in IDENTITIES.items():
+    for identity, (_, inputs) in IDENTITIES.items():
+        operands = [key for key in inputs if key in OPERANDS]
         argv = ["verify", identity, "--operands", *["F", "G", "H"][: len(operands)]]
-        if identity == "commutation-lemma":
+        if "zeta" in inputs:
             argv += ["--zeta", "1", "--tau", "2"]
         intro.append(argv)
     plane = [

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -21,7 +22,7 @@ from jetcalc import (
 )
 from jetcalc import identities
 from jetcalc.dsl import parse
-from jetcalc.identities import SUITE_IDENTITIES, Residual, trial, trial_seed
+from jetcalc.identities import IDENTITIES, SUITE_IDENTITIES, Residual, trial, trial_seed
 from jetcalc.multiindex import MAX_ORDER
 
 
@@ -272,6 +273,25 @@ class TestSuites:
         restored = VectorOperator.from_json(fixture["residual"])
         assert restored == VectorOperator([b.one()])
         assert VectorOperator.from_json(fixture["inputs"]["f"]) == f
+
+
+class TestInputRegistry:
+    """IDENTITIES names every input of a check, in the order of its parameters."""
+
+    @pytest.mark.parametrize("identity", SUITE_IDENTITIES)
+    def test_record_inputs_follow_the_registry(self, identity, monkeypatch):
+        monkeypatch.setattr(VectorOperator, "is_zero", lambda self: False)
+        names = list(IDENTITIES[identity][1])
+        record = run_random_suite(identity, trials=1, seed=2)["failures"][0]
+        # The signature of an expression input comes last.
+        assert list(record["inputs"]) == names + (["signature"] if "e" in names else [])
+
+    @pytest.mark.parametrize("identity", SUITE_IDENTITIES)
+    def test_names_are_the_check_parameters(self, identity):
+        check, names = IDENTITIES[identity]
+        params = list(inspect.signature(getattr(identities, check)).parameters)
+        # trial turns the probe order into the probes.
+        assert [{"probe_order": "probes"}.get(n, n) for n in names] == params
 
 
 # sha256 of json.dumps(run_random_suite(name, trials=3, seed=5)) with every

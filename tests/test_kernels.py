@@ -341,7 +341,8 @@ class TestFusedSums:
 # -- input chains shared within a check -------------------------------------------
 
 # Every check that hands InputChains to its kernels, with its operand names.
-CHAINED = {name: (getattr(identities, identities.IDENTITIES[name][0]), identities.IDENTITIES[name][1])
+CHAINED = {name: (getattr(identities, identities.IDENTITIES[name][0]),
+                  [key for key in identities.IDENTITIES[name][1] if key in identities.OPERANDS])
            for name in ("hess-sym", "prop2", "prop3", "jacobi", "antihom", "mu-lemma", "bracket-oracle")}
 PLANTS = {name: plant for name, (_, _, plant, _) in COMPOSED.items()}
 CHAIN_CASES = [(name, False) for name in sorted(CHAINED)] + [(name, True) for name in sorted(PLANTS)]

@@ -16,7 +16,8 @@ from jetcalc import (
     random_vector_operator,
     symmetry_residual,
 )
-from jetcalc.structures import MAX_JSON_NESTING
+from jetcalc import calculus, operators
+from jetcalc.structures import MAX_JSON_NESTING, claim_residual, parse_claim
 
 
 class TestSymmetryResidual:
@@ -219,3 +220,27 @@ class TestClaimFiles:
         path.write_text('{"claims": "' + "[" * (2 * MAX_JSON_NESTING))
         with pytest.raises(json.JSONDecodeError):
             evaluate_claim_file(path)
+
+
+class TestSharedChains:
+    # Per claim on the shipped file: the bracket form and the residual share
+    # one derivative chain per input; the symmetry module form, compared
+    # against the bracket form, builds its own.
+    @pytest.mark.parametrize("kind, builds", [("symmetry", {"f": 2, "h": 2}), ("aux", {"f": 1, "g": 1})])
+    def test_cache_builds_per_claim(self, kind, builds, fixtures_dir, monkeypatch):
+        built = []
+
+        class Recording(operators.DerivativeCache):
+            def __init__(self, exprs, requests=None):
+                built.append(exprs)
+                super().__init__(exprs, requests)
+
+        monkeypatch.setattr(operators, "DerivativeCache", Recording)
+        monkeypatch.setattr(calculus, "DerivativeCache", Recording)
+        records = json.loads((fixtures_dir / "claims.json").read_text())["claims"]
+        claims = [parse_claim(r)[1] for r in records if r["kind"] == kind]
+        assert len(claims) == 4
+        for claim in claims:
+            built.clear()
+            claim_residual(kind, claim)
+            assert {key: sum(c is getattr(claim, key) for c in built) for key in builds} == builds
