@@ -360,10 +360,13 @@ class PolyExpr:
     @classmethod
     def _make(cls, bundle: Bundle, terms: dict) -> "PolyExpr":
         # Trusted constructor: keys are id-form monomials, values may be 0.
+        # A dict with no zero is adopted as it is.  One with zeros is replaced
+        # by a new dict of its nonzero terms, never pruned in place: a dict
+        # does not shrink when keys are deleted, so a sum that cancelled would
+        # keep its full-sized table.  Callers must not reuse terms either way.
         self = object.__new__(cls)
         if 0 in terms.values():
-            for mono in [m for m, c in terms.items() if not c]:
-                del terms[mono]
+            terms = {m: c for m, c in terms.items() if c}
         self.bundle = bundle
         self._terms = terms
         return self

@@ -15,7 +15,13 @@ compares as independent oracles never read one cache: bracket-oracle's two
 brackets both run on fresh caches, and prop2's operator form
 (anomaly_operators) builds its own InputChains apart from that of its applied
 form.  The antihom check plans its bracket cache from the jet coordinates of
-its probes, so each D_sigma{f,g} is dropped after its last reader.
+its probes, so each D_sigma{f,g} is dropped after its last reader, and runs
+the probes in derivative-tree order: their coordinates sorted by (fiber,
+sigma reversed, sigma), each probe at its first.  The parent of sigma is
+sigma minus one at its first nonzero entry, so in that order each
+D_sigma{f,g} of a coordinate probe comes right after its parent and one
+chain of them is alive at a time, where lex order keeps a whole row.  Each
+defect is still stored at its probe's index.
 
 IDENTITIES is the one description of each check's inputs: trial(), the
 suites and `verify --operands` loop over them, never naming an identity.
@@ -193,18 +199,21 @@ def check_evolutionary_antihomomorphism(
     # Each probe reads D_sigma{f,g} once per jet coordinate p^j_sigma it holds,
     # so the bracket cache plans those reads and drops each derivative after
     # its last; the caches of f and g, which built the bracket, are read
-    # again by every probe.
+    # again by every probe.  One sorted list of all the probes' coordinates
+    # feeds both the plan and the probe order: each probe runs at its first
+    # coordinate, the jet-free ones last.
+    coords = sorted([(j, s[::-1], s, i) for i, e in enumerate(probes) for _, j, s in e.jet_coordinates()])
     fc, gc = chains.of(f), chains.of(g)
-    bc = DerivativeCache(bracket, [(v.index, v.sigma) for e in probes for v in e.jet_coordinates()])
-    defects = []
-    for e in probes:
-        acc: dict = {}
+    bc = DerivativeCache(bracket, [(j, s) for j, _, s, _ in coords])
+    defects = [None] * len(probes)
+    for i in dict.fromkeys([c[3] for c in coords] + list(range(len(probes)))):
+        e, acc = probes[i], {}
         # The bracket term first: its unkept derivatives go before the
         # products grow acc.
         _evolutionary_into(acc, e, bc)
         _evolutionary_into(acc, evolutionary_apply(g, e, gc), fc)
         _evolutionary_into(acc, evolutionary_apply(f, e, fc), gc, -1)
-        defects.append(PolyExpr._make(f.bundle, acc))
+        defects[i] = PolyExpr._make(f.bundle, acc)
     value = VectorOperator(defects)
     return _residual("antihom", value, f=f, g=g, probes=probes)
 

@@ -184,8 +184,9 @@ def parse_claim(record: dict) -> tuple[str, Union[SymmetryClaim, AuxClaim], str]
     if expect not in ("zero", "nonzero"):
         raise ValueError(f"expect must be 'zero' or 'nonzero', got {expect!r}")
     claim_type, _, fields = CLAIMS[kind]
+    name = _field(record, "name", str) if "name" in record else kind
     ops = (VectorOperator(parse_expression(s, bundle) for s in _field(record, key, list, str)) for key in fields)
-    return record.get("name", kind), claim_type(*ops), expect
+    return name, claim_type(*ops), expect
 
 
 def evaluate_claim_file(path: Union[str, Path], kind: Optional[str] = None) -> dict:

@@ -395,6 +395,7 @@ class TestUsageErrors:
             ({"claims": [{**AUX_CLAIM, "signature": 5}]}, "'signature'"),
             ({"claims": [{**AUX_CLAIM, "f": 7}]}, "'f'"),
             ({"claims": [{**AUX_CLAIM, "g": [3]}]}, "'g'"),
+            ({"claims": [{**AUX_CLAIM, "name": {"a": [1]}}]}, "field 'name' must be a string"),
         ],
     )
     def test_malformed_claims_file(self, doc, field, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from jetcalc import (
     random_expr,
 )
 from jetcalc.expressions import BASE, JET, PARAM, JetCoordinate, _intern, _sample_pool
-from jetcalc.identities import DEFAULT_COEFF_POOL
+from jetcalc.dsl import parse
+from jetcalc.identities import DEFAULT_COEFF_POOL, trial
 from jetcalc.multiindex import MultiIndex
 
 seeds = st.integers(min_value=0, max_value=2**20)
@@ -412,3 +414,28 @@ class TestStructure:
         # A non-constant expression equals no number, not even its constant term.
         assert (scalar_bundle.fiber_var(0) + 1) != 1
         assert not (scalar_bundle.fiber_var(0) + 1) == 1
+
+
+class TestTrustedConstructor:
+    # _make's keys are not checked; only the term table is measured here.
+    def test_all_zero_terms_leave_an_empty_table(self, scalar_bundle):
+        e = PolyExpr._make(scalar_bundle, {(i,): 0 for i in range(10_000)})
+        assert e.is_zero()
+        assert sys.getsizeof(e._terms) == sys.getsizeof({})
+
+    def test_zeros_are_pruned(self, scalar_bundle):
+        terms = {(i,): i % 3 for i in range(300)}
+        e = PolyExpr._make(scalar_bundle, terms)
+        assert 0 not in e._terms.values()
+        assert e._terms == {m: c for m, c in terms.items() if c}
+
+    def test_terms_without_zeros_are_adopted(self, scalar_bundle):
+        terms = {(i,): i + 1 for i in range(300)}
+        assert PolyExpr._make(scalar_bundle, terms)._terms is terms
+
+    def test_cancelled_antihom_defects_hold_empty_tables(self, fixtures_dir):
+        session = parse((fixtures_dir / "deep.jet").read_text())
+        f, g = session.operators["F"], session.operators["G"]
+        res = trial("antihom", {"f": f, "g": g, "probe_order": 8})[0]
+        assert res.holds and len(res.value.components) == 90
+        assert {sys.getsizeof(c._terms) for c in res.value.components} == {sys.getsizeof({})}

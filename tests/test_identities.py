@@ -130,9 +130,26 @@ class TestAntihomomorphism:
         f, g = session.operators["F"], session.operators["G"]
         assert trial("antihom", {"f": f, "g": g, "probe_order": 8})[0].holds
         # One request per probe p^j_sigma: 2 fibers x 45 indices of order <= 8.
+        # In derivative-tree order only the head of the current row and the
+        # last derivative on it stay held.
         assert len(held) == 90
-        assert max(held) == 8
+        assert max(held) == 2
         assert held[-1] == 0
+
+    def test_shuffled_probes_keep_their_places(self, plane_bundle, monkeypatch):
+        # A wrong bracket gives each probe a nonzero defect of its own, so a
+        # defect stored at another probe's index would show.
+        b = plane_bundle
+        f, g = random_vector_operator(b, 11), random_vector_operator(b, 12)
+        monkeypatch.setattr(identities, "jacobi_bracket", lambda f, g, chains: f)
+        u, v = (lambda s: b.jet(0, s)), (lambda s: b.jet(1, s))
+        # Neither lex nor derivative-tree order; x holds no jet coordinate.
+        probes = [v((0, 1)), u((2, 0)), u((1, 0)) * v((0, 0)), b.base_var(0), u((0, 1)),
+                  v((1, 1)), u((0, 0)), u((1, 0)), v((0, 0))]
+        res = check_evolutionary_antihomomorphism(f, g, probes)
+        alone = [check_evolutionary_antihomomorphism(f, g, [e]).value[0] for e in probes]
+        assert list(res.value.components) == alone
+        assert len({str(c) for c in alone if c}) == len(probes) - 1
 
     def test_probe_over_another_signature(self, plane_bundle):
         f, g = random_vector_operator(plane_bundle, 7), random_vector_operator(plane_bundle, 8)

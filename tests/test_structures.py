@@ -208,6 +208,22 @@ class TestClaimFiles:
         with pytest.raises(ValueError):
             evaluate_claim_file(path)
 
+    AUX_CLAIM = {
+        "kind": "aux",
+        "signature": {"base": ["x"], "fiber": ["u"]},
+        "f": ["u_xx"], "g": ["u_x"], "lambda": ["0"], "mu": ["0"],
+        "expect": "zero",
+    }
+
+    def test_name_defaults_to_the_kind(self):
+        assert parse_claim(self.AUX_CLAIM)[0] == "aux"
+        assert parse_claim({**self.AUX_CLAIM, "name": "pair"})[0] == "pair"
+
+    @pytest.mark.parametrize("name", [{"a": [1]}, 5, None, ["a"]])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ValueError, match="field 'name' must be a string"):
+            parse_claim({**self.AUX_CLAIM, "name": name})
+
     def test_brackets_inside_strings_do_not_nest(self, fixtures_dir, tmp_path):
         doc = json.loads((fixtures_dir / "claims.json").read_text())
         doc["claims"][0]["name"] = '\\"[{' * (2 * MAX_JSON_NESTING)
