@@ -13,6 +13,9 @@ In coordinates, for a rank-r operator F over a rank-r bundle:
                               reproduces hessian_form(F,G,H)
 
 All results are canonical, so identity checking is exact zero testing.
+On one jet coordinate p^j_sigma, evolutionary_apply returns D_sigma(G_j) as
+the cache holds it, not a copy, so no caller may write into the _terms of
+what it returns.
 
 An identity's defect is a signed sum of brackets, applied operators and
 Hessians.  A check sums it into one list of id-form term dicts, one per
@@ -38,6 +41,9 @@ import random
 from typing import Optional, Sequence, Union
 
 from .expressions import (
+    _COORDS,
+    _KIND,
+    JET,
     Bundle,
     PolyExpr,
     SignatureMismatchError,
@@ -81,15 +87,25 @@ def evolutionary_apply(
     Acts as sum over j, sigma of D_sigma(g_j) * d(target)/dp^j_sigma; the sum
     is finite because the target has finite jet order.  Vector operators are
     handled componentwise.  Passing a DerivativeCache for g lets repeated
-    applications share the derivative chains.
+    applications share the derivative chains; a cache of another operator
+    raises ValueError.  On one jet coordinate p^j_sigma the value is D_sigma(g_j)
+    itself, the cache's own object.
     """
     _check_sections("generating operator", g)
     if target.bundle != g.bundle:
         raise SignatureMismatchError("operands carry different signatures")
     if cache is None:
         cache = DerivativeCache(g)
+    elif cache.exprs is not g:
+        raise ValueError("the derivative cache belongs to another operator")
     if isinstance(target, VectorOperator):
         return VectorOperator(evolutionary_apply(g, c, cache) for c in target.components)
+    terms = target._terms
+    if len(terms) == 1:
+        ((mono, c),) = terms.items()
+        if c == 1 and len(mono) == 1 and _KIND[mono[0]] == JET:
+            v = _COORDS[mono[0]]
+            return cache.get(v.index, v.sigma)
     acc: dict = {}
     _evolutionary_into(acc, target, cache)
     return PolyExpr._make(g.bundle, acc)

@@ -21,7 +21,10 @@ sigma reversed, sigma), each probe at its first.  The parent of sigma is
 sigma minus one at its first nonzero entry, so in that order each
 D_sigma{f,g} of a coordinate probe comes right after its parent and one
 chain of them is alive at a time, where lex order keeps a whole row.  Each
-defect is still stored at its probe's index.
+defect is still stored at its probe's index.  Its accumulator starts as one
+copy of the probe's bracket term, which on a coordinate probe is the cached
+D_sigma{f,g}_j itself, and is released once the defect is stored, before the
+next probe derives its bracket term.
 
 IDENTITIES is the one description of each check's inputs: trial(), the
 suites and `verify --operands` loop over them, never naming an identity.
@@ -207,13 +210,17 @@ def check_evolutionary_antihomomorphism(
     bc = DerivativeCache(bracket, [(j, s) for j, _, s, _ in coords])
     defects = [None] * len(probes)
     for i in dict.fromkeys([c[3] for c in coords] + list(range(len(probes)))):
-        e, acc = probes[i], {}
+        e = probes[i]
         # The bracket term first: its unkept derivatives go before the
-        # products grow acc.
-        _evolutionary_into(acc, e, bc)
+        # products grow acc.  On a coordinate probe it is the cached
+        # D_sigma{f,g}_j itself, so acc starts as a copy, never as that dict.
+        acc = dict(evolutionary_apply(bracket, e, bc)._terms)
         _evolutionary_into(acc, evolutionary_apply(g, e, gc), fc)
         _evolutionary_into(acc, evolutionary_apply(f, e, fc), gc, -1)
         defects[i] = PolyExpr._make(f.bundle, acc)
+        # A sum with zeros was replaced by a new dict; drop its table before
+        # the next probe derives its bracket term.
+        del acc
     value = VectorOperator(defects)
     return _residual("antihom", value, f=f, g=g, probes=probes)
 

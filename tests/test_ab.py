@@ -1,0 +1,61 @@
+"""The summary and the run checks of tools/ab.py, on canned runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPEC = importlib.util.spec_from_file_location("ab", Path(__file__).resolve().parent.parent / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(ab)
+
+METRICS = [("ops_per_s", "higher"), ("peak_rss_mb", "lower")]
+
+
+def run(ops, rss, failed=0, digest="d0", reference="match"):
+    return {"metrics": {"ops_per_s": ops, "peak_rss_mb": rss}, "attempted": 100, "failed": failed,
+            "digest": digest, "reference": reference}
+
+
+BEFORE = [run(10, 20), run(12, 21), run(11, 22), run(13, 20), run(9, 23)]
+AFTER = [run(12, 20), run(12, 20.5), run(13, 22.5), run(12, 19), run(14, 22)]
+
+
+def test_summary():
+    (name, med_b, med_a, change, iqr, won_a, won_b), rss = ab.summary(METRICS, BEFORE, AFTER)
+    assert (name, med_b, med_a, change) == ("ops_per_s", 11, 12, pytest.approx(1 / 11))
+    # statistics.quantiles of 9..13 (exclusive method): 9.5 and 12.5.
+    assert iqr == 3
+    # Pair 2 ties and counts for neither side; pair 4 goes to before.
+    assert (won_a, won_b) == (3, 1)
+    assert rss[1:3] == (21, 20.5)
+    # Lower is better: after won pairs 2, 4 and 5, before pair 3; pair 1 ties.
+    assert rss[5:] == (3, 1)
+
+
+def test_summary_of_one_pair_has_no_spread():
+    rows = ab.summary(METRICS, BEFORE[:1], AFTER[:1])
+    assert [r[4] for r in rows] == [0, 0]
+
+
+def test_problems():
+    assert ab.problems("c", BEFORE + AFTER) == []
+    # A seed with no recorded digest ("none") is no problem by itself.
+    assert ab.problems("c", [run(1, 1, reference="none")] * 2) == []
+    bad = [run(1, 1), run(1, 1, failed=2), run(1, 1, digest="d1", reference="mismatch")]
+    assert ab.problems("c", bad) == [
+        "c: run 1 failed 2 of 100 ops",
+        "c: run 2 digest differs from the recorded one",
+        "c: the runs gave 2 different digests",
+    ]
+
+
+def test_parse_case():
+    assert ab.parse_case("suite-chains:1") == ("suite-chains seed 1", ["--workload", "suite-chains", "--seed", "1"])
+    assert ab.parse_case("suite-chains:1009:1") == (
+        "suite-chains seed 1009 corpus 1",
+        ["--workload", "suite-chains", "--seed", "1009", "--corpus", "1"],
+    )
+    for bad in ("suite-chains", "suite-chains:x", "a:1:2:3"):
+        with pytest.raises(ValueError):
+            ab.parse_case(bad)

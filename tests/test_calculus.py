@@ -17,6 +17,8 @@ from jetcalc import (
     random_vector_operator,
     substitute_section,
 )
+from jetcalc.multiindex import MultiIndex
+from jetcalc.operators import DerivativeCache
 from jetcalc.vectorops import RankMismatchError
 
 
@@ -94,6 +96,47 @@ class TestEvolutionary:
                 assert evolutionary_apply(g, e.total_derivative(i)) == evolutionary_apply(
                     g, e
                 ).total_derivative(i)
+
+    @pytest.mark.parametrize("base", [("x",), ("x", "y")])
+    def test_coordinate_is_the_cached_derivative(self, base):
+        b = Bundle(base, ("u", "v"))
+        g = random_vector_operator(b, 23)
+        cache = DerivativeCache(g)
+        n = len(base)
+        for sigma in [(0,) * n, (2,) + (0,) * (n - 1), (1,) * n]:
+            for j in range(2):
+                got = evolutionary_apply(g, b.jet(j, sigma), cache)
+                assert got is cache.get(j, MultiIndex(sigma))
+                assert got == g[j].total_derivative_multi(sigma)
+
+    def test_other_targets_take_the_general_path(self):
+        b = Bundle(("x", "y"), ("u", "v"), ("c",))
+        g = random_vector_operator(b, 24)
+        cache = DerivativeCache(g)
+        p, q = b.jet(0, (1, 0)), b.jet(1, (0, 1))
+        dp, dq = g[0].total_derivative(0), g[1].total_derivative(1)
+        cases = {
+            # p + 1 has the same single jet partial as p.
+            "p + 1": (p + 1, dp),
+            "2*p": (2 * p, dp.scale(2)),
+            "p*q": (p * q, dp * q + p * dq),
+            "p**2": (p**2, 2 * p * dp),
+            "x": (b.base_var(0), b.zero()),
+            "c": (b.param("c"), b.zero()),
+            "1": (b.one(), b.zero()),
+        }
+        for name, (target, want) in cases.items():
+            got = evolutionary_apply(g, target, cache)
+            assert got == want, name
+            assert got is not cache.get(0, MultiIndex((1, 0))), name
+
+    def test_foreign_cache_rejected(self, plane_bundle):
+        f, g = random_vector_operator(plane_bundle, 25), random_vector_operator(plane_bundle, 26)
+        # An equal operator is still another one: the cache is told apart by identity.
+        for other in (f, VectorOperator(g.components)):
+            with pytest.raises(ValueError) as err:
+                evolutionary_apply(g, plane_bundle.fiber_var(0), DerivativeCache(other))
+            assert str(err.value) == "the derivative cache belongs to another operator"
 
 
 class TestJacobiBracket:

@@ -151,6 +151,21 @@ class TestAntihomomorphism:
         assert list(res.value.components) == alone
         assert len({str(c) for c in alone if c}) == len(probes) - 1
 
+    def test_coordinate_probe_seeds_a_copy(self, plane_bundle, monkeypatch):
+        # Both probes read D_(1,0){f,g}_0 from the planned bracket cache, the
+        # bare coordinate first.  A defect that adopted the cached dict as its
+        # accumulator would add its products into the derivative the second
+        # probe reads.
+        b = plane_bundle
+        f, g = random_vector_operator(b, 11), random_vector_operator(b, 12)
+        monkeypatch.setattr(identities, "jacobi_bracket", lambda f, g, chains: f)
+        ux = b.jet(0, (1, 0))
+        probes = [ux, ux * b.fiber_var(1)]
+        res = check_evolutionary_antihomomorphism(f, g, probes)
+        alone = [check_evolutionary_antihomomorphism(f, g, [e]).value[0] for e in probes]
+        assert list(res.value.components) == alone
+        assert all(alone)
+
     def test_probe_over_another_signature(self, plane_bundle):
         f, g = random_vector_operator(plane_bundle, 7), random_vector_operator(plane_bundle, 8)
         other = Bundle(("x", "y"), ("u", "v", "w"))
