@@ -13,9 +13,6 @@ In coordinates, for a rank-r operator F over a rank-r bundle:
                               reproduces hessian_form(F,G,H)
 
 All results are canonical, so identity checking is exact zero testing.
-On one jet coordinate p^j_sigma, evolutionary_apply returns D_sigma(G_j) as
-the cache holds it, not a copy, so no caller may write into the _terms of
-what it returns.
 
 An identity's defect is a signed sum of brackets, applied operators and
 Hessians.  A check sums it into one list of id-form term dicts, one per
@@ -89,7 +86,8 @@ def evolutionary_apply(
     handled componentwise.  Passing a DerivativeCache for g lets repeated
     applications share the derivative chains; a cache of another operator
     raises ValueError.  On one jet coordinate p^j_sigma the value is D_sigma(g_j)
-    itself, the cache's own object.
+    itself, the cache's own object, so no caller may write into the _terms of
+    what this returns.
     """
     _check_sections("generating operator", g)
     if target.bundle != g.bundle:

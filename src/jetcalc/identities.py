@@ -22,9 +22,8 @@ sigma minus one at its first nonzero entry, so in that order each
 D_sigma{f,g} of a coordinate probe comes right after its parent and one
 chain of them is alive at a time, where lex order keeps a whole row.  Each
 defect is still stored at its probe's index.  Its accumulator starts as one
-copy of the probe's bracket term, which on a coordinate probe is the cached
-D_sigma{f,g}_j itself, and is released once the defect is stored, before the
-next probe derives its bracket term.
+copy of the probe's bracket term and is released once the defect is stored,
+before the next probe derives its bracket term.
 
 IDENTITIES is the one description of each check's inputs: trial(), the
 suites and `verify --operands` loop over them, never naming an identity.
@@ -212,8 +211,7 @@ def check_evolutionary_antihomomorphism(
     for i in dict.fromkeys([c[3] for c in coords] + list(range(len(probes)))):
         e = probes[i]
         # The bracket term first: its unkept derivatives go before the
-        # products grow acc.  On a coordinate probe it is the cached
-        # D_sigma{f,g}_j itself, so acc starts as a copy, never as that dict.
+        # products grow acc.  It may be the cache's own value: copy it.
         acc = dict(evolutionary_apply(bracket, e, bc)._terms)
         _evolutionary_into(acc, evolutionary_apply(g, e, gc), fc)
         _evolutionary_into(acc, evolutionary_apply(f, e, fc), gc, -1)

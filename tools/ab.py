@@ -1,14 +1,15 @@
 """Benchmark a git ref against the working tree in alternating pairs.
 
-    python3 tools/ab.py REF CASE [CASE ...] [--pairs 10] [--seconds 30]
+    python3 tools/ab.py REF CASE [CASE ...]
 
 A CASE is WORKLOAD:SEED or WORKLOAD:SEED:CORPUS, for example suite-chains:1
 or suite-chains:1009:1 (the held-out seed and corpus).  REF is checked out
 with ``git worktree add`` into a temporary directory, which is removed
-afterwards.  For each case, pair k runs ``perfbench/run.py --trace 0`` once
-on each side, one run after the other: the ref first in odd pairs, the
-working tree first in even ones, so a drift in the machine's speed falls on
-both sides alike.
+afterwards.  For each case, each of PAIRS (10) pairs runs ``perfbench/run.py
+--trace 0`` once on each side, at run.py's own run length, one run after the
+other: the ref first in odd pairs, the working tree first in even ones, so a
+drift in the machine's speed falls on both sides alike.  Both sides keep
+their bytecode under one fresh PYTHONPYCACHEPREFIX in the same directory.
 
 Writes BENCH_before.json (the ref) and BENCH_after.json (the working tree) at
 the root of the working tree, then prints, per case and end-to-end metric of
@@ -34,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 DIGEST = re.compile(r"^\s*digest (\w+) \(reference: (\w+)\)$", re.M)
 COMMAND = (
     "python3 perfbench/run.py <args>, one run per line, in pairs with the other side;"
@@ -54,10 +56,11 @@ def parse_case(text: str) -> tuple:
     return name, args
 
 
-def run_once(checkout: Path, args: list) -> dict:
+def run_once(checkout: Path, args: list, env: dict) -> dict:
     """One perfbench run in checkout, as a BENCH_*.json run record."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", *args, "--trace", "0"], cwd=checkout, capture_output=True, text=True
+        [sys.executable, "perfbench/run.py", *args, "--trace", "0"], cwd=checkout, capture_output=True, text=True,
+        env=env,
     )
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench/run.py {' '.join(args)} in {checkout} exited {proc.returncode}:\n"
@@ -120,8 +123,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git ref of the before side")
     parser.add_argument("cases", nargs="+", metavar="CASE", help="WORKLOAD:SEED or WORKLOAD:SEED:CORPUS")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args(argv)
     try:
         cases = [parse_case(c) for c in args.cases]
@@ -132,17 +133,21 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="jetcalc-ab-"))
     ref_dir = tmp / "ref"
     git("worktree", "add", "--detach", str(ref_dir), commit)
+    # Both sides write and read bytecode under one fresh prefix, so neither
+    # starts with compiled files the other lacks: compiling moves setup_s
+    # and peak_rss_mb.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(tmp / "pycache")
     sides = {"before": {}, "after": {}}
     try:
         for name, case_args in cases:
-            case_args = [*case_args, "--seconds", f"{args.seconds:g}"]
             for side in sides.values():
                 side[name] = {"args": " ".join(case_args), "runs": []}
-            for k in range(1, args.pairs + 1):
+            for k in range(1, PAIRS + 1):
                 order = (("before", ref_dir), ("after", ROOT))
                 for side, checkout in order if k % 2 else order[::-1]:
-                    sides[side][name]["runs"].append(run_once(checkout, case_args))
-                print(f"{name}: pair {k} of {args.pairs} done", file=sys.stderr)
+                    sides[side][name]["runs"].append(run_once(checkout, case_args, env))
+                print(f"{name}: pair {k} of {PAIRS} done", file=sys.stderr)
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
