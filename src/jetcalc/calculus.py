@@ -14,6 +14,12 @@ In coordinates, for a rank-r operator F over a rank-r bundle:
 
 All results are canonical, so identity checking is exact zero testing.
 
+linearize and the Hessians take their partials from PolyExpr._jet_partials;
+the evolutionary kernel builds none and reads its target's terms itself.  So
+jacobi_bracket_coord, which sums evolutionary derivatives, shares no
+partials code with linearize, and a fault in either shows in their
+comparison.
+
 An identity's defect is a signed sum of brackets, applied operators and
 Hessians.  A check sums it into one list of id-form term dicts, one per
 component, through the kernels that add k times a term: _bracket_into,
@@ -112,11 +118,42 @@ def evolutionary_apply(
 def _evolutionary_into(acc: dict, target: PolyExpr, cache: DerivativeCache, k: int = 1) -> None:
     """Add k times the evolutionary derivative of target, generated by the
     operator behind cache, into the id-form term dict acc.  The caller
-    checks signatures and ranks."""
-    for v, dv in target._jet_partials().items():
-        dg = cache.get(v.index, v.sigma)
-        if dg:
-            _mul_into(acc, dg._terms, dv._terms, k)
+    checks signatures and ranks.
+
+    One pass over target's terms builds no partials: each factor v^m of a
+    term c * mono adds k * m * c * (mono without one v) * D(v) straight into
+    acc.  D(v) = D_sigma(g_j) for v = p^j_sigma is fetched once per distinct
+    coordinate, so a planned cache sees one request per coordinate."""
+    get = acc.get
+    derivs: dict = {}  # id -> term dict of D(v)
+    for mono, c in target._terms.items():
+        # Each run of equal ids is one factor v^m, handled at its last position.
+        last = len(mono) - 1
+        start = 0
+        for pos, v in enumerate(mono):
+            if pos < last and mono[pos + 1] == v:
+                continue
+            end = pos + 1
+            m = end - start
+            start = end
+            if _KIND[v] != JET:
+                continue
+            dg = derivs.get(v)
+            if dg is None:
+                w = _COORDS[v]
+                dg = derivs[v] = cache.get(w.index, w.sigma)._terms
+            if not dg:
+                continue
+            km = k * m
+            c1 = c if km == 1 else km * c
+            rest = mono[:pos] + mono[end:]
+            if not rest:
+                for m2, c2 in dg.items():
+                    acc[m2] = get(m2, 0) + c1 * c2
+                continue
+            for m2, c2 in dg.items():
+                key = tuple(sorted(rest + m2))
+                acc[key] = get(key, 0) + c1 * c2
 
 
 def _bracket_into(accs: list, f: VectorOperator, g: VectorOperator, k: int = 1, chains: InputChains = FRESH) -> None:

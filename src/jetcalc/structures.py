@@ -58,7 +58,8 @@ def symmetry_residual(claim: SymmetryClaim) -> Residual:
     The bracket form is {f,h} - linearize(theta) f; the module form is
     linearize(f) h - linearize(theta + h) f.  They agree identically because
     linearization is additive in its operator argument; both are reported,
-    the module form on derivative chains of its own.
+    the module form on derivative chains of its own, and holds needs both to
+    vanish and agree.
     """
     f, h, theta = claim.f, claim.h, claim.theta
     chains = InputChains(f, h)
@@ -66,7 +67,8 @@ def symmetry_residual(claim: SymmetryClaim) -> Residual:
     module_form = linearize(f).apply(h) - linearize(theta + h).apply(f)
     res = _residual("symmetry", bracket_form, f=f, h=h, theta=theta)
     res.context["module_form"] = module_form
-    res.context["forms_agree"] = bracket_form == module_form
+    res.context["forms_agree"] = forms_agree = bracket_form == module_form
+    res.holds = res.holds and forms_agree
     return res
 
 

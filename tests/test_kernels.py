@@ -211,6 +211,64 @@ class TestKernels:
         assert all(evolutionary_apply(g, evolutionary_apply(f, e)) for e in probes[-2:])
 
 
+def ref_derivative(t, sigma):
+    """D_sigma of a decoded term dict, by repeated reference total derivatives."""
+    for i, reps in enumerate(sigma):
+        for _ in range(reps):
+            t = ref_total_derivative(t, i)
+    return t
+
+
+def ref_evolutionary(g, t):
+    """Sum over the jet coordinates v = p^j_sigma of t of D_sigma(g_j) * dt/dv,
+    all on decoded term dicts."""
+    acc = {}
+    for v in {v for mono in t for v, _ in mono if v.kind == JET}:
+        acc = ref_add(acc, ref_mul(ref_derivative(g[v.index].terms, v.sigma), ref_partial(t, v)))
+    return acc
+
+
+class CountingCache(operators.DerivativeCache):
+    """A DerivativeCache that records each request."""
+
+    def __init__(self, exprs):
+        super().__init__(exprs)
+        self.requests = []
+
+    def get(self, j, sigma):
+        self.requests.append((j, sigma))
+        return super().get(j, sigma)
+
+
+RANDOM_G = random_vector_operator(BUNDLE, 27, coeff_pool=POOL)
+# A generator with D_y(g_0) = 0 and D_x(g_1) = 0.
+JET_FREE_G = VectorOperator([X, C])
+EDGE_TARGETS = [BUNDLE.const(Fraction(5, 2)), X * C, U**3 * UX**2, UY * V - X * BUNDLE.jet(1, (1, 0)) + U]
+
+
+class TestEvolutionaryKernel:
+    def check(self, g, e, k, start):
+        cache = CountingCache(g)
+        acc = dict(start._terms)
+        calculus._evolutionary_into(acc, e, cache, k)
+        expected = ref_add(start.terms, {m: k * c for m, c in ref_evolutionary(g, e.terms).items()})
+        assert PolyExpr._make(BUNDLE, acc).terms == expected
+        # One request per distinct jet coordinate of the target.
+        assert sorted(cache.requests) == sorted((v.index, v.sigma) for v in e.jet_coordinates())
+
+    @given(seed_g=seeds, seed_e=seeds, seed_s=seeds, k=st.sampled_from((1, -1, 3, Fraction(-2, 3))))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_reference(self, seed_g, seed_e, seed_s, k):
+        g = random_vector_operator(BUNDLE, seed_g, max_jet_order=2, max_degree=2, coeff_pool=POOL)
+        self.check(g, draw(seed_e) * draw(seed_e + 1), k, draw(seed_s) * C + 7)
+
+    @pytest.mark.parametrize("e", EDGE_TARGETS, ids=["constant", "jet-free", "runs", "vanishing-derivatives"])
+    @pytest.mark.parametrize("g", [RANDOM_G, JET_FREE_G], ids=["random", "jet-free"])
+    @pytest.mark.parametrize("k", [1, -1, 3, Fraction(-2, 3)])
+    def test_edge_targets(self, e, g, k):
+        self.check(g, e, k, LARGE_CONST)
+
+
 # -- fused defect sums -------------------------------------------------------------
 
 # Seeds whose linearizations have three or four nonzero cells, so that one
@@ -336,6 +394,39 @@ class TestFusedSums:
         expected = composed(*args)
         assert not res.holds and not expected.is_zero()
         assert res.value.to_json() == expected.to_json()
+
+
+# -- the coordinate bracket reads no jet partials -----------------------------------
+
+
+def doubled_partials(monkeypatch):
+    """Plant a defect: every jet partial comes out twice its value."""
+    real = PolyExpr._jet_partials
+    monkeypatch.setattr(PolyExpr, "_jet_partials", lambda e: {v: p.scale(2) for v, p in real(e).items()})
+
+
+class TestPartialsIndependence:
+    @pytest.mark.parametrize("name", ["bracket-oracle", "antihom", "prop2"])
+    def test_doubled_partials_fail_the_oracle_checks(self, name, monkeypatch):
+        f, g, h = (OPS[n] for n in ("f", "g", "h"))
+        probes = [BUNDLE.coord_var(v) for v in BUNDLE.jet_coordinates_up_to(1)] + [U * UX**2 - V * C]
+        args = {"bracket-oracle": (f, g), "antihom": (f, g, probes), "prop2": (f, g, h)}[name]
+        check = getattr(identities, identities.IDENTITIES[name][0])
+        assert check(*args).holds
+        doubled_partials(monkeypatch)
+        assert not check(*args).holds
+
+    def test_coordinate_bracket_and_evolutionary_apply_need_no_partials(self, monkeypatch):
+        f, g = OPS["f"], OPS["g"]
+        e = U * UX**2 - V * C + X
+        bracket, applied = calculus.jacobi_bracket_coord(f, g), evolutionary_apply(g, e)
+
+        def no_partials(e):
+            raise AssertionError("_jet_partials called")
+
+        monkeypatch.setattr(PolyExpr, "_jet_partials", no_partials)
+        assert calculus.jacobi_bracket_coord(f, g) == bracket
+        assert evolutionary_apply(g, e) == applied
 
 
 # -- input chains shared within a check -------------------------------------------

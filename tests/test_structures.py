@@ -17,6 +17,7 @@ from jetcalc import (
     symmetry_residual,
 )
 from jetcalc import calculus, operators
+from jetcalc.dsl import parse
 from jetcalc.structures import MAX_JSON_NESTING, claim_residual, parse_claim
 
 
@@ -50,6 +51,19 @@ class TestSymmetryResidual:
             res = symmetry_residual(SymmetryClaim(f, h, theta))
             assert res.context["forms_agree"]
             assert res.value == res.context["module_form"]
+
+    def test_forms_that_disagree_fail_the_claim(self, monkeypatch):
+        # Plant a defect that only the module form sees: theta + h counts h
+        # twice.  The bracket form still vanishes, so holds must read the
+        # comparison.
+        f = parse("base x; fiber u; op F = [u_x^2 + u*u_xx];").operators["F"]
+        real = VectorOperator.__add__
+        monkeypatch.setattr(VectorOperator, "__add__", lambda a, b: real(real(a, b), b))
+        res = symmetry_residual(SymmetryClaim(f, f, VectorOperator.zero(f.bundle)))
+        assert res.value.is_zero()
+        assert not res.context["module_form"].is_zero()
+        assert not res.context["forms_agree"]
+        assert not res.holds
 
 
 class TestAuxResidual:
