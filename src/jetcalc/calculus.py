@@ -91,9 +91,7 @@ def evolutionary_apply(
     is finite because the target has finite jet order.  Vector operators are
     handled componentwise.  Passing a DerivativeCache for g lets repeated
     applications share the derivative chains; a cache of another operator
-    raises ValueError.  On one jet coordinate p^j_sigma the value is D_sigma(g_j)
-    itself, the cache's own object, so no caller may write into the _terms of
-    what this returns.
+    raises ValueError.
     """
     _check_sections("generating operator", g)
     if target.bundle != g.bundle:
@@ -104,12 +102,6 @@ def evolutionary_apply(
         raise ValueError("the derivative cache belongs to another operator")
     if isinstance(target, VectorOperator):
         return VectorOperator(evolutionary_apply(g, c, cache) for c in target.components)
-    terms = target._terms
-    if len(terms) == 1:
-        ((mono, c),) = terms.items()
-        if c == 1 and len(mono) == 1 and _KIND[mono[0]] == JET:
-            v = _COORDS[mono[0]]
-            return cache.get(v.index, v.sigma)
     acc: dict = {}
     _evolutionary_into(acc, target, cache)
     return PolyExpr._make(g.bundle, acc)
@@ -122,8 +114,8 @@ def _evolutionary_into(acc: dict, target: PolyExpr, cache: DerivativeCache, k: i
 
     One pass over target's terms builds no partials: each factor v^m of a
     term c * mono adds k * m * c * (mono without one v) * D(v) straight into
-    acc.  D(v) = D_sigma(g_j) for v = p^j_sigma is fetched once per distinct
-    coordinate, so a planned cache sees one request per coordinate."""
+    acc.  D(v) = D_sigma(g_j) for v = p^j_sigma is fetched from the cache
+    once per distinct coordinate of the target."""
     get = acc.get
     derivs: dict = {}  # id -> term dict of D(v)
     for mono, c in target._terms.items():

@@ -9,21 +9,16 @@ values, first where that gives bad input the error of the unfused sum.
 
 Each check builds one InputChains over its input operands and hands it to
 every kernel it calls, so the D_sigma chain of each input is built once per
-check and dies with it.  Intermediates (an inner bracket, l_g h, the antihom
-bracket) get fresh caches that die with their kernel.  Two sides a check
-compares as independent oracles never read one cache: bracket-oracle's two
-brackets both run on fresh caches, and prop2's operator form
-(anomaly_operators) builds its own InputChains apart from that of its applied
-form.  The antihom check plans its bracket cache from the jet coordinates of
-its probes, so each D_sigma{f,g} is dropped after its last reader, and runs
-the probes in derivative-tree order: their coordinates sorted by (fiber,
-sigma reversed, sigma), each probe at its first.  The parent of sigma is
-sigma minus one at its first nonzero entry, so in that order each
-D_sigma{f,g} of a coordinate probe comes right after its parent and one
-chain of them is alive at a time, where lex order keeps a whole row.  Each
-defect is still stored at its probe's index.  Its accumulator starts as one
-copy of the probe's bracket term and is released once the defect is stored,
-before the next probe derives its bracket term.
+check and dies with it.  Intermediates (an inner bracket, l_g h) get fresh
+caches that die with their kernel.  Two sides a check compares as
+independent oracles never read one cache: bracket-oracle's two brackets both
+run on fresh caches, and prop2's operator form (anomaly_operators) builds its
+own InputChains apart from that of its applied form.  The antihom check
+probes the jet coordinates alone, which suffices because its defect is a
+derivation.  It derives the bracket by a depth-first walk of the derivative
+tree instead of a cache, so one chain of bracket derivatives is alive at a
+time, and each defect's accumulator is released before the next coordinate
+derives its bracket term.
 
 IDENTITIES is the one description of each check's inputs: trial(), the
 suites and `verify --operands` loop over them, never naming an identity.
@@ -44,18 +39,16 @@ import random
 from typing import Optional, Sequence, Union
 
 from .calculus import (
-    DerivativeCache,
     _bracket_coord_into,
     _bracket_into,
     _evolutionary_into,
     _hessian_into,
-    evolutionary_apply,
     hessian_operator,
     jacobi_bracket,
     linearize,
     random_vector_operator,
 )
-from .expressions import Bundle, PolyExpr, SignatureMismatchError, _Record, indices_up_to, random_expr
+from .expressions import Bundle, PolyExpr, _Record, indices_up_to, random_expr
 from .multiindex import MultiIndex, binom_product, check_order, sub_indices
 from .operators import CDiffOperator, InputChains
 from .vectorops import VectorOperator
@@ -84,8 +77,8 @@ DEFAULT_COEFF_POOL = (-2, -1, 0, 1, 2)
 class Residual(_Record):
     """Exact defect of one identity instance.
 
-    value is a VectorOperator (for probe-family checks, one component per
-    probe) or a CDiffOperator; holds is true iff the canonical form of
+    value is a VectorOperator (for antihom, one component per probed jet
+    coordinate) or a CDiffOperator; holds is true iff the canonical form of
     value is zero (for prop2, also of its operator form); context records
     the identity name and its inputs.
     """
@@ -181,46 +174,49 @@ def check_jacobi_identity(f: VectorOperator, g: VectorOperator, h: VectorOperato
     return _residual("jacobi", VectorOperator._make(f.bundle, accs), f=f, g=g, h=h)
 
 
-def check_evolutionary_antihomomorphism(
-    f: VectorOperator, g: VectorOperator, probes: Sequence[PolyExpr]
-) -> Residual:
+def check_evolutionary_antihomomorphism(f: VectorOperator, g: VectorOperator, probe_order: int) -> Residual:
     """Commutator of evolutionary derivations is minus the derivation of the bracket.
 
-    Evaluated on a family of probe expressions; the stacked defects form the
-    residual, one component per probe.  Each defect
-    E_{f,g}(e) + E_f(E_g e) - E_g(E_f e) is summed into one accumulator, in
-    that order.
+    The defect E_{f,g} + [E_f, E_g] is a derivation, so it vanishes on every
+    expression of jet order at most probe_order exactly when it vanishes on
+    the jet coordinates p^j_sigma with |sigma| <= probe_order (on a base
+    variable every evolutionary derivation is zero).  The residual has one
+    component per coordinate, in jet_coordinates_up_to order: the defect
+    D_sigma{f,g}_j + E_f(D_sigma g_j) - E_g(D_sigma f_j), summed into one
+    accumulator in that order.
     """
-    probes = list(probes)
-    if not probes:
+    if probe_order < 0:
         raise ValueError("need at least one probe expression")
+    check_order(probe_order, "probe order")
     chains = InputChains(f, g)
     bracket = jacobi_bracket(f, g, chains)
-    if any(e.bundle != f.bundle for e in probes):
-        raise SignatureMismatchError("operands carry different signatures")
-    # Each probe reads D_sigma{f,g} once per jet coordinate p^j_sigma it holds,
-    # so the bracket cache plans those reads and drops each derivative after
-    # its last; the caches of f and g, which built the bracket, are read
-    # again by every probe.  One sorted list of all the probes' coordinates
-    # feeds both the plan and the probe order: each probe runs at its first
-    # coordinate, the jet-free ones last.
-    coords = sorted([(j, s[::-1], s, i) for i, e in enumerate(probes) for _, j, s in e.jet_coordinates()])
+    bundle = f.bundle
     fc, gc = chains.of(f), chains.of(g)
-    bc = DerivativeCache(bracket, [(j, s) for j, _, s, _ in coords])
-    defects = [None] * len(probes)
-    for i in dict.fromkeys([c[3] for c in coords] + list(range(len(probes)))):
-        e = probes[i]
-        # The bracket term first: its unkept derivatives go before the
-        # products grow acc.  It may be the cache's own value: copy it.
-        acc = dict(evolutionary_apply(bracket, e, bc)._terms)
-        _evolutionary_into(acc, evolutionary_apply(g, e, gc), fc)
-        _evolutionary_into(acc, evolutionary_apply(f, e, fc), gc, -1)
-        defects[i] = PolyExpr._make(f.bundle, acc)
+    place = {(v.index, v.sigma): k for k, v in enumerate(bundle.jet_coordinates_up_to(probe_order))}
+    defects = [None] * len(place)
+    # Walk the bracket's derivative tree depth first: D_sigma{f,g} is built by
+    # one total derivative from its parent, sigma minus one at its first
+    # nonzero entry, so the children of sigma are sigma + 1_i for i up to that
+    # entry.  Each entry holds its parent's derivative, so one chain of them
+    # is alive at a time, where lex order would keep a whole row.
+    zero = MultiIndex.zero(bundle.n)
+    stack = [(j, zero, bracket[j], None) for j in reversed(range(bundle.r))]
+    while stack:
+        j, sigma, d, i = stack.pop()
+        if i is not None:
+            d = d.total_derivative(i)
+        # d is read again by the children: copy it.
+        acc = dict(d._terms)
+        _evolutionary_into(acc, gc.get(j, sigma), fc)
+        _evolutionary_into(acc, fc.get(j, sigma), gc, -1)
+        defects[place[j, sigma]] = PolyExpr._make(bundle, acc)
         # A sum with zeros was replaced by a new dict; drop its table before
-        # the next probe derives its bracket term.
+        # the next coordinate derives its bracket term.
         del acc
-    value = VectorOperator(defects)
-    return _residual("antihom", value, f=f, g=g, probes=probes)
+        if sigma.order < probe_order:
+            first = next((k for k, e in enumerate(sigma) if e), bundle.n - 1)
+            stack += [(j, sigma.bump(k), d, k) for k in range(first, -1, -1)]
+    return _residual("antihom", VectorOperator(defects), f=f, g=g, probe_order=probe_order)
 
 
 def check_commutation(zeta, tau, fiber: int, e: PolyExpr) -> Residual:
@@ -293,12 +289,7 @@ def trial(identity: str, inputs: dict, k: int = 0, seed: Optional[int] = None) -
     """Run one trial on live inputs; returns (residual, failure record or None).
 
     inputs are the check's arguments, named and ordered as in IDENTITIES."""
-    args = dict(inputs)
-    if "probe_order" in args:
-        check_order(args["probe_order"], "probe order")
-        bundle = args["f"].bundle
-        args["probe_order"] = [bundle.coord_var(v) for v in bundle.jet_coordinates_up_to(args["probe_order"])]
-    res = globals()[IDENTITIES[identity][0]](*args.values())
+    res = globals()[IDENTITIES[identity][0]](*inputs.values())
     if res.holds:
         return res, None
     # Serializing the inputs is not free, so only failing trials do it.

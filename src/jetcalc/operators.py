@@ -11,8 +11,7 @@ Composition expands eagerly through the generalized Leibniz rule
                      binom_product(sigma, kappa) * D_kappa(f) * D_{sigma-kappa}
 
 so every result is again in canonical form and zero-testable.  The D_sigma
-of an operand come from a DerivativeCache, which keeps them all, or, given a
-plan of the requests to come, drops each after its last reader.
+of an operand come from a DerivativeCache, which keeps them all.
 
 Which caches live how long: a kernel called without InputChains builds a
 fresh cache for each operand it derives, which dies when the kernel returns.
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError, _field, _mul_into, _one_based
 from .multiindex import MultiIndex, binom_product, sub_indices
@@ -46,65 +45,40 @@ def _parent(sigma: MultiIndex) -> tuple:
     return MultiIndex._unchecked(tuple(e - 1 if k == i else e for k, e in enumerate(sigma))), i
 
 
-def _derivative(e: PolyExpr, sigma: MultiIndex, memo: dict, uses: Optional[dict]) -> PolyExpr:
+def _derivative(e: PolyExpr, sigma: MultiIndex, memo: dict) -> PolyExpr:
     """D_sigma(e), each one built by one total derivative from its memoized
-    parent.  Without uses every D_sigma is kept; with them, each call spends
-    one use of sigma, and D_sigma is dropped when its last use is spent."""
+    parent and kept."""
     got = memo.get(sigma)
     if got is None:
-        if uses is not None and sigma not in uses:
-            raise ValueError(f"D_sigma for sigma = {list(sigma)} was not planned, or its planned uses are spent")
         got = e
         if sigma.order:
             parent, i = _parent(sigma)
-            got = _derivative(e, parent, memo, uses).total_derivative(i)
+            got = _derivative(e, parent, memo).total_derivative(i)
         memo[sigma] = got
-    if uses is not None:
-        left = uses[sigma] - 1
-        if left:
-            uses[sigma] = left
-        else:
-            del uses[sigma], memo[sigma]
     return got
 
 
 class DerivativeCache:
     """Memoized iterated total derivatives D_sigma of a sequence of expressions.
 
-    Without requests every D_sigma is kept.  requests, a plan, lists the
-    (j, sigma) pairs the caller will ask for, each as often as it will ask;
-    then each D_sigma counts one use per planned request plus one per
-    distinct child on the chains of those requests, is dropped when the last
-    is spent, and a request beyond the plan raises ValueError.  The antihom
-    check plans its bracket cache, which it reads once per probe coordinate.
-    The chain recurses through _derivative, not through get, so that each
-    request is one call of get.
+    Every D_sigma is kept for the life of the cache.  The chain recurses
+    through _derivative, not through get, so that each request is one call
+    of get.
     """
 
-    __slots__ = ("exprs", "_memos", "_uses")
+    __slots__ = ("exprs", "_memos")
 
-    def __init__(self, exprs: Sequence[PolyExpr], requests: Optional[Iterable[tuple]] = None):
+    def __init__(self, exprs: Sequence[PolyExpr]):
         self.exprs = exprs
-        n = len(exprs)
-        self._memos = [{} for _ in range(n)]
-        self._uses = [None] * n if requests is None else [{} for _ in range(n)]
-        for j, sigma in requests or ():
-            uses = self._uses[j]
-            new = sigma not in uses
-            uses[sigma] = uses.get(sigma, 0) + 1
-            # A sigma new to the plan is one more child of its parent.
-            while new and sigma.order:
-                sigma = _parent(sigma)[0]
-                new = sigma not in uses
-                uses[sigma] = uses.get(sigma, 0) + 1
+        self._memos = [{} for _ in range(len(exprs))]
 
     def get(self, j: int, sigma: MultiIndex) -> PolyExpr:
         """D_sigma of the j-th expression."""
-        return _derivative(self.exprs[j], sigma, self._memos[j], self._uses[j])
+        return _derivative(self.exprs[j], sigma, self._memos[j])
 
 
 class InputChains:
-    """The unplanned DerivativeCache of each of a check's input operands,
+    """The DerivativeCache of each of a check's input operands,
     built on first use and handed out again to every kernel the check passes
     it to; any other operand gets a fresh cache.  Operands are told apart by
     identity, and the chains hold them, so no other object can take an id

@@ -1,6 +1,8 @@
 """The summary and the run checks of tools/ab.py, on canned runs."""
 
 import importlib.util
+import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,29 @@ def test_parse_case():
     for bad in ("suite-chains", "suite-chains:x", "a:1:2:3"):
         with pytest.raises(ValueError):
             ab.parse_case(bad)
+
+
+def test_sigterm_removes_the_worktree(monkeypatch):
+    # git is recorded, not run; the first benchmark run sends SIGTERM to
+    # this process.  The worktree and the temporary directory must go, and
+    # the SIGTERM handler in place before must be back.
+    calls = []
+    monkeypatch.setattr(ab, "git", lambda *args: calls.append(args) or "abc1234")
+    monkeypatch.setattr(ab, "run_once", lambda *args: os.kill(os.getpid(), signal.SIGTERM))
+
+    def handler(signum, frame):
+        raise AssertionError("SIGTERM reached the handler in place before")
+
+    before = signal.signal(signal.SIGTERM, handler)
+    try:
+        with pytest.raises(SystemExit) as stop:
+            ab.main(["HEAD", "suite-chains:1"])
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, before)
+    assert stop.value.code == 128 + signal.SIGTERM
+    added = [c for c in calls if c[:2] == ("worktree", "add")]
+    assert len(added) == 1
+    ref_dir = Path(added[0][3])
+    assert ("worktree", "remove", "--force", str(ref_dir)) in calls
+    assert not ref_dir.parent.exists()

@@ -99,6 +99,8 @@ class TestEvolutionary:
 
     @pytest.mark.parametrize("base", [("x",), ("x", "y")])
     def test_coordinate_is_the_cached_derivative(self, base):
+        # The value on p^j_sigma is D_sigma(g_j), built as a new sum: a caller
+        # may write into it without touching the cache.
         b = Bundle(base, ("u", "v"))
         g = random_vector_operator(b, 23)
         cache = DerivativeCache(g)
@@ -106,8 +108,9 @@ class TestEvolutionary:
         for sigma in [(0,) * n, (2,) + (0,) * (n - 1), (1,) * n]:
             for j in range(2):
                 got = evolutionary_apply(g, b.jet(j, sigma), cache)
-                assert got is cache.get(j, MultiIndex(sigma))
-                assert got == g[j].total_derivative_multi(sigma)
+                cached = cache.get(j, MultiIndex(sigma))
+                assert got == cached == g[j].total_derivative_multi(sigma)
+                assert got._terms is not cached._terms
 
     def test_other_targets_take_the_general_path(self):
         b = Bundle(("x", "y"), ("u", "v"), ("c",))

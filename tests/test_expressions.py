@@ -415,6 +415,12 @@ class TestStructure:
         assert (scalar_bundle.fiber_var(0) + 1) != 1
         assert not (scalar_bundle.fiber_var(0) + 1) == 1
 
+    def test_a_bool_is_no_coefficient(self, scalar_bundle):
+        # True == 1 and False == 0 as ints, but an expression equals no bool.
+        assert not scalar_bundle.one() == True  # noqa: E712
+        assert not scalar_bundle.zero() == False  # noqa: E712
+        assert scalar_bundle.one() != True  # noqa: E712
+
 
 class TestTrustedConstructor:
     # _make's keys are not checked; only the term table is measured here.

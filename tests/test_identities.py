@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import weakref
 
 import pytest
 
@@ -17,6 +18,7 @@ from jetcalc import (
     check_jacobi_identity,
     check_linearization_anomaly,
     check_multiplier_identity,
+    evolutionary_apply,
     random_vector_operator,
     run_random_suite,
 )
@@ -95,84 +97,103 @@ class TestJacobi:
         assert check_jacobi_identity(f, g, u).holds
 
 
+def coordinate_defect(f, g, bracket, v):
+    """The antihom defect on one jet coordinate v, through the public kernels."""
+    e = f.bundle.coord_var(v)
+    return (evolutionary_apply(bracket, e) + evolutionary_apply(f, evolutionary_apply(g, e))
+            - evolutionary_apply(g, evolutionary_apply(f, e)))
+
+
 class TestAntihomomorphism:
     def test_generator_probes(self, intro_pair):
+        # Order 0: the fiber variables alone.
         b, f, g = intro_pair
-        probes = [b.fiber_var(0), b.base_var(0)]
-        assert check_evolutionary_antihomomorphism(f, g, probes).holds
+        res = check_evolutionary_antihomomorphism(f, g, 0)
+        assert res.holds
+        assert len(res.value.components) == b.r
 
     def test_jet_probes(self, intro_pair):
         b, f, g = intro_pair
-        probes = [b.coord_var(v) for v in b.jet_coordinates_up_to(4)]
-        res = check_evolutionary_antihomomorphism(f, g, probes)
+        res = check_evolutionary_antihomomorphism(f, g, 4)
         assert res.holds
-        assert len(res.value.components) == len(probes)
+        assert len(res.value.components) == len(b.jet_coordinates_up_to(4))
+        assert res.context["probe_order"] == 4
 
     def test_empty_probe_set_rejected(self, intro_pair):
         _, f, g = intro_pair
-        with pytest.raises(ValueError):
-            check_evolutionary_antihomomorphism(f, g, [])
+        with pytest.raises(ValueError, match="need at least one probe expression"):
+            check_evolutionary_antihomomorphism(f, g, -1)
+        with pytest.raises(ValueError, match=f"probe order {MAX_ORDER + 1} exceeds the limit {MAX_ORDER}"):
+            check_evolutionary_antihomomorphism(f, g, MAX_ORDER + 1)
 
     def test_bracket_cache_holds_at_most_one_derivative_per_order(self, fixtures_dir, monkeypatch):
-        held = []
+        # The walk builds each D_sigma{f,g} by one total derivative of its
+        # parent.  The bracket's components are made weakly referable, and so
+        # is every derivative taken from one of them, so each such call can
+        # count the bracket derivatives of positive order still alive.
+        class Tracked(PolyExpr):
+            __slots__ = ("__weakref__",)
 
-        class Recording(identities.DerivativeCache):
-            __slots__ = ()
+        made, alive = [], []
+        real = PolyExpr.total_derivative
 
-            def get(self, j, sigma):
-                out = super().get(j, sigma)
-                if self._uses[0] is not None:
-                    held.append(sum(map(len, self._memos)))
-                return out
+        def total_derivative(e, i):
+            out = real(e, i)
+            if isinstance(e, Tracked):
+                alive.append(sum(r() is not None for r in made))
+                out = Tracked._make(out.bundle, out._terms)
+                made.append(weakref.ref(out))
+            return out
 
-        monkeypatch.setattr(identities, "DerivativeCache", Recording)
+        bracket = identities.jacobi_bracket
+        monkeypatch.setattr(PolyExpr, "total_derivative", total_derivative)
+        monkeypatch.setattr(identities, "jacobi_bracket", lambda f, g, chains: VectorOperator(
+            Tracked._make(c.bundle, c._terms) for c in bracket(f, g, chains).components))
         session = parse((fixtures_dir / "deep.jet").read_text())
         f, g = session.operators["F"], session.operators["G"]
         assert trial("antihom", {"f": f, "g": g, "probe_order": 8})[0].holds
-        # One request per probe p^j_sigma: 2 fibers x 45 indices of order <= 8.
+        # One call per p^j_sigma with 0 < |sigma| <= 8: 2 fibers x 44 indices.
         # In derivative-tree order only the head of the current row and the
-        # last derivative on it stay held.
-        assert len(held) == 90
-        assert max(held) == 2
-        assert held[-1] == 0
+        # parent of the next derivative on it are alive.
+        assert len(alive) == 88
+        assert max(alive) == 2
+        assert all(r() is None for r in made)
 
     def test_shuffled_probes_keep_their_places(self, plane_bundle, monkeypatch):
-        # A wrong bracket gives each probe a nonzero defect of its own, so a
-        # defect stored at another probe's index would show.
+        # A wrong bracket gives each coordinate a nonzero defect of its own,
+        # so a defect stored at another coordinate's index would show.  The
+        # walk visits them in derivative-tree order, not in the residual's.
         b = plane_bundle
         f, g = random_vector_operator(b, 11), random_vector_operator(b, 12)
         monkeypatch.setattr(identities, "jacobi_bracket", lambda f, g, chains: f)
-        u, v = (lambda s: b.jet(0, s)), (lambda s: b.jet(1, s))
-        # Neither lex nor derivative-tree order; x holds no jet coordinate.
-        probes = [v((0, 1)), u((2, 0)), u((1, 0)) * v((0, 0)), b.base_var(0), u((0, 1)),
-                  v((1, 1)), u((0, 0)), u((1, 0)), v((0, 0))]
-        res = check_evolutionary_antihomomorphism(f, g, probes)
-        alone = [check_evolutionary_antihomomorphism(f, g, [e]).value[0] for e in probes]
+        coords = b.jet_coordinates_up_to(3)
+        res = check_evolutionary_antihomomorphism(f, g, 3)
+        alone = [coordinate_defect(f, g, f, v) for v in coords]
         assert list(res.value.components) == alone
-        assert len({str(c) for c in alone if c}) == len(probes) - 1
+        assert len({str(c) for c in alone if c}) == len(coords)
 
     def test_coordinate_probe_seeds_a_copy(self, plane_bundle, monkeypatch):
-        # Both probes read D_(1,0){f,g}_0 from the planned bracket cache, the
-        # bare coordinate first.  A defect that adopted the cached dict as its
-        # accumulator would add its products into the derivative the second
-        # probe reads.
+        # Each defect's accumulator starts from D_sigma{f,g}, which the walk
+        # then derives the children of sigma from.  A defect that adopted its
+        # terms would add its products into the next derivatives, and into
+        # the bracket itself.
         b = plane_bundle
         f, g = random_vector_operator(b, 11), random_vector_operator(b, 12)
-        monkeypatch.setattr(identities, "jacobi_bracket", lambda f, g, chains: f)
-        ux = b.jet(0, (1, 0))
-        probes = [ux, ux * b.fiber_var(1)]
-        res = check_evolutionary_antihomomorphism(f, g, probes)
-        alone = [check_evolutionary_antihomomorphism(f, g, [e]).value[0] for e in probes]
+        wrong = random_vector_operator(b, 13)
+        before = wrong.to_json()
+        monkeypatch.setattr(identities, "jacobi_bracket", lambda f, g, chains: wrong)
+        res = check_evolutionary_antihomomorphism(f, g, 2)
+        assert wrong.to_json() == before
+        alone = [coordinate_defect(f, g, wrong, v) for v in b.jet_coordinates_up_to(2)]
         assert list(res.value.components) == alone
         assert all(alone)
 
-    def test_probe_over_another_signature(self, plane_bundle):
-        f, g = random_vector_operator(plane_bundle, 7), random_vector_operator(plane_bundle, 8)
-        other = Bundle(("x", "y"), ("u", "v", "w"))
-        probes = [plane_bundle.jet(0, (1, 0)), other.jet(2, (1, 1))]
+    def test_operand_over_another_signature(self, plane_bundle):
+        f = random_vector_operator(plane_bundle, 7)
+        g = random_vector_operator(Bundle(("x", "y"), ("u", "v"), ("c",)), 8)
         with pytest.raises(SignatureMismatchError) as err:
-            check_evolutionary_antihomomorphism(f, g, probes)
-        assert str(err.value) == "operands carry different signatures"
+            check_evolutionary_antihomomorphism(f, g, 2)
+        assert str(err.value) == "vector operators carry different signatures"
 
 
 class TestThreeBaseVariables:
@@ -322,8 +343,7 @@ class TestInputRegistry:
     def test_names_are_the_check_parameters(self, identity):
         check, names = IDENTITIES[identity]
         params = list(inspect.signature(getattr(identities, check)).parameters)
-        # trial turns the probe order into the probes.
-        assert [{"probe_order": "probes"}.get(n, n) for n in names] == params
+        assert list(names) == params
 
 
 # sha256 of json.dumps(run_random_suite(name, trials=3, seed=5)) with every

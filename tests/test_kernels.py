@@ -105,8 +105,8 @@ def ref_total_derivative(t, i):
     return ref_clean(acc)
 
 
-def draw(seed):
-    return random_expr(BUNDLE, seed, max_jet_order=2, max_degree=3, coeff_pool=POOL, max_terms=6)
+def draw(seed, bundle=BUNDLE):
+    return random_expr(bundle, seed, max_jet_order=2, max_degree=3, coeff_pool=POOL, max_terms=6)
 
 
 class TestDifferentialOracle:
@@ -196,19 +196,39 @@ class TestKernels:
         f = random_vector_operator(BUNDLE, 3, max_jet_order=2, max_degree=3, coeff_pool=POOL)
         g = random_vector_operator(BUNDLE, 4, max_jet_order=2, max_degree=3, coeff_pool=POOL)
         monkeypatch.setattr(identities, "jacobi_bracket", lambda f, g, chains: calculus.jacobi_bracket(f, g).scale(2))
-        probes = [BUNDLE.coord_var(v) for v in BUNDLE.jet_coordinates_up_to(2)] + [draw(5), U * UX**2]
-        res = identities.check_evolutionary_antihomomorphism(f, g, probes)
+        res = identities.check_evolutionary_antihomomorphism(f, g, 2)
         twice = calculus.jacobi_bracket(f, g).scale(2)
         expected = [
             evolutionary_apply(f, evolutionary_apply(g, e))
             - evolutionary_apply(g, evolutionary_apply(f, e))
             + evolutionary_apply(twice, e)
-            for e in probes
+            for e in map(BUNDLE.coord_var, BUNDLE.jet_coordinates_up_to(2))
         ]
         assert res.value == VectorOperator(expected)
         assert [d.terms for d in res.value.components] == [d.terms for d in expected]
         assert not res.holds
-        assert all(evolutionary_apply(g, evolutionary_apply(f, e)) for e in probes[-2:])
+
+    def test_coordinates_suffice(self, monkeypatch):
+        # The defect E_{f,g} + [E_f, E_g] is a derivation, so on any probe e
+        # it is the sum over the jet coordinates v of de/dv times its value on
+        # v: the check's coordinate defects determine it on every expression.
+        # A wrong bracket makes those defects nonzero.
+        f, g = OPS["f"], OPS["g"]
+        wrong = calculus.jacobi_bracket(f, g).scale(2)
+        monkeypatch.setattr(identities, "jacobi_bracket", lambda f, g, chains: wrong)
+        res = identities.check_evolutionary_antihomomorphism(f, g, 2)
+        defects = dict(zip(BUNDLE.jet_coordinates_up_to(2), res.value.components))
+        probes = [U * UX**2, X * C + UY] + [draw(seed) for seed in range(8)] + [draw(8) * draw(9)]
+        nonzero = 0
+        for e in probes:
+            direct = (evolutionary_apply(wrong, e) + evolutionary_apply(f, evolutionary_apply(g, e))
+                      - evolutionary_apply(g, evolutionary_apply(f, e)))
+            summed = BUNDLE.zero()
+            for v in e.jet_coordinates():
+                summed = summed + e.partial(v) * defects[v]
+            assert direct == summed
+            nonzero += bool(direct)
+        assert nonzero == sum(bool(e.jet_coordinates()) for e in probes) >= 8
 
 
 def ref_derivative(t, sigma):
@@ -409,8 +429,7 @@ class TestPartialsIndependence:
     @pytest.mark.parametrize("name", ["bracket-oracle", "antihom", "prop2"])
     def test_doubled_partials_fail_the_oracle_checks(self, name, monkeypatch):
         f, g, h = (OPS[n] for n in ("f", "g", "h"))
-        probes = [BUNDLE.coord_var(v) for v in BUNDLE.jet_coordinates_up_to(1)] + [U * UX**2 - V * C]
-        args = {"bracket-oracle": (f, g), "antihom": (f, g, probes), "prop2": (f, g, h)}[name]
+        args = {"bracket-oracle": (f, g), "antihom": (f, g, 1), "prop2": (f, g, h)}[name]
         check = getattr(identities, identities.IDENTITIES[name][0])
         assert check(*args).holds
         doubled_partials(monkeypatch)
@@ -427,6 +446,37 @@ class TestPartialsIndependence:
         monkeypatch.setattr(PolyExpr, "_jet_partials", no_partials)
         assert calculus.jacobi_bracket_coord(f, g) == bracket
         assert evolutionary_apply(g, e) == applied
+
+
+# -- a Hessian oracle that reads no jet partials ------------------------------------
+
+
+def hessian_oracle(f, g, h):
+    """hessian_form(f, g, h) as E_h(E_g f) - E_{E_h g}(f), E = evolutionary_apply.
+
+    E_g f is l_f g, and by the Leibniz rule E_h(l_f g) = Hess_f(g, h) +
+    l_f(E_h g), where l_f(E_h g) = E_{E_h g} f.  Only the evolutionary kernel
+    runs, so no jet partial is taken."""
+    return evolutionary_apply(h, evolutionary_apply(g, f)) - evolutionary_apply(evolutionary_apply(h, g), f)
+
+
+class TestHessianOracle:
+    @given(n=st.sampled_from((1, 2, 3)), r=st.sampled_from((1, 2, 3)), seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_hessian_form_matches_the_oracle(self, n, r, seed):
+        bundle = Bundle(("x", "y", "z")[:n], ("u", "v", "w")[:r], ("c",))
+        f, g, h = (VectorOperator(draw(seed + 3 * k + j, bundle) for j in range(r)) for k in range(3))
+        assert calculus.hessian_form(f, g, h) == hessian_oracle(f, g, h)
+
+    def test_doubled_partials_fail_only_the_hessian_side(self, monkeypatch):
+        # The planted fault quadruples hessian_form, which takes two rounds of
+        # partials; the oracle reads none and keeps its value.
+        f, g, h = (OPS[n] for n in ("f", "g", "h"))
+        form, oracle = calculus.hessian_form(f, g, h), hessian_oracle(f, g, h)
+        assert form == oracle and not form.is_zero()
+        doubled_partials(monkeypatch)
+        assert hessian_oracle(f, g, h) == oracle
+        assert calculus.hessian_form(f, g, h) == form.scale(4) != oracle
 
 
 # -- input chains shared within a check -------------------------------------------
@@ -446,8 +496,7 @@ def order3_inputs(name, seed):
     args = [random_vector_operator(bundle, rng.randrange(2**32), max_jet_order=3, max_degree=3)
             for _ in CHAINED[name][1]]
     if name == "antihom":
-        probes = [bundle.coord_var(v) for v in bundle.jet_coordinates_up_to(2)]
-        args.append(probes + [random_expr(bundle, seed, max_jet_order=2, max_degree=3)])
+        args.append(2)
     return args
 
 
@@ -456,7 +505,7 @@ def residual_json(res):
 
 
 def inputs_json(args):
-    return json.dumps([a.to_json() if hasattr(a, "to_json") else [e.to_json() for e in a] for a in args])
+    return json.dumps([a.to_json() if hasattr(a, "to_json") else a for a in args])
 
 
 def fresh_chains(monkeypatch):
@@ -518,8 +567,8 @@ class TestInputChains:
         class Planted(operators.DerivativeCache):
             __slots__ = ()
 
-            def __init__(self, exprs, requests=None):
-                super().__init__(exprs, requests)
+            def __init__(self, exprs):
+                super().__init__(exprs)
                 if exprs is g and not planted:
                     planted.append(self)
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jetcalc import Bundle
 from jetcalc.multiindex import MAX_BASE_DIM, MultiIndex, binom_product, sub_indices
 
 small_entries = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3)
@@ -57,8 +58,15 @@ class TestArithmetic:
     def test_rejects_negative_and_oversized(self):
         with pytest.raises(ValueError):
             MultiIndex((1, -1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"multi-index has {MAX_BASE_DIM + 1} entries"):
             MultiIndex((0,) * (MAX_BASE_DIM + 1))
+
+    def test_accepts_the_largest_base_dimension(self):
+        assert MultiIndex((1,) * MAX_BASE_DIM).order == MAX_BASE_DIM
+        bundle = Bundle(tuple(f"x{i}" for i in range(MAX_BASE_DIM)), ("u",))
+        coords = bundle.jet_coordinates_up_to(1)
+        assert len(coords) == MAX_BASE_DIM + 1
+        assert bundle.coord_var(coords[-1]).total_derivative(0).jet_coordinates()
 
     @given(a=small_entries, b=small_entries)
     def test_add_commutes(self, a, b):

@@ -261,9 +261,9 @@ class TestSharedChains:
         built = []
 
         class Recording(operators.DerivativeCache):
-            def __init__(self, exprs, requests=None):
+            def __init__(self, exprs):
                 built.append(exprs)
-                super().__init__(exprs, requests)
+                super().__init__(exprs)
 
         monkeypatch.setattr(operators, "DerivativeCache", Recording)
         monkeypatch.setattr(calculus, "DerivativeCache", Recording)

@@ -5,7 +5,7 @@
 A CASE is WORKLOAD:SEED or WORKLOAD:SEED:CORPUS, for example suite-chains:1
 or suite-chains:1009:1 (the held-out seed and corpus).  REF is checked out
 with ``git worktree add`` into a temporary directory, which is removed
-afterwards.  For each case, each of PAIRS (10) pairs runs ``perfbench/run.py
+afterwards, also when SIGTERM stops the tool.  For each case, each of PAIRS (10) pairs runs ``perfbench/run.py
 --trace 0`` once on each side, at run.py's own run length, one run after the
 other: the ref first in odd pairs, the working tree first in even ones, so a
 drift in the machine's speed falls on both sides alike.  Both sides keep
@@ -28,6 +28,7 @@ import os
 import platform
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -119,6 +120,11 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
 
+def _terminate(signum, frame):
+    """Turn SIGTERM into SystemExit, so that finally blocks run."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="git ref of the before side")
@@ -132,27 +138,31 @@ def main(argv=None) -> int:
     commit, head = git("rev-parse", "--short", args.ref), git("rev-parse", "--short", "HEAD")
     tmp = Path(tempfile.mkdtemp(prefix="jetcalc-ab-"))
     ref_dir = tmp / "ref"
-    git("worktree", "add", "--detach", str(ref_dir), commit)
     # Both sides write and read bytecode under one fresh prefix, so neither
     # starts with compiled files the other lacks: compiling moves setup_s
     # and peak_rss_mb.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     env["PYTHONPYCACHEPREFIX"] = str(tmp / "pycache")
     sides = {"before": {}, "after": {}}
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
-        for name, case_args in cases:
-            for side in sides.values():
-                side[name] = {"args": " ".join(case_args), "runs": []}
-            for k in range(1, PAIRS + 1):
-                order = (("before", ref_dir), ("after", ROOT))
-                for side, checkout in order if k % 2 else order[::-1]:
-                    sides[side][name]["runs"].append(run_once(checkout, case_args, env))
-                print(f"{name}: pair {k} of {PAIRS} done", file=sys.stderr)
+        git("worktree", "add", "--detach", str(ref_dir), commit)
+        try:
+            for name, case_args in cases:
+                for side in sides.values():
+                    side[name] = {"args": " ".join(case_args), "runs": []}
+                for k in range(1, PAIRS + 1):
+                    order = (("before", ref_dir), ("after", ROOT))
+                    for side, checkout in order if k % 2 else order[::-1]:
+                        sides[side][name]["runs"].append(run_once(checkout, case_args, env))
+                    print(f"{name}: pair {k} of {PAIRS} done", file=sys.stderr)
+        finally:
+            git("worktree", "remove", "--force", str(ref_dir))
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     finally:
-        git("worktree", "remove", "--force", str(ref_dir))
+        signal.signal(signal.SIGTERM, previous)
         shutil.rmtree(tmp, ignore_errors=True)
     for side, commit_name in (("before", commit), ("after", f"working tree on {head}")):
         text = json.dumps(bench_file(commit_name, sides[side]), indent=1) + "\n"
