@@ -7,7 +7,6 @@ that every identity check is a canonical-form zero test.
 """
 
 from .calculus import (
-    DerivativeCache,
     ad_apply,
     evolutionary_apply,
     hessian_form,
@@ -57,7 +56,6 @@ __all__ = [
     "AuxClaim",
     "Bundle",
     "CDiffOperator",
-    "DerivativeCache",
     "EvaluationError",
     "JetCoordinate",
     "MultiIndex",

@@ -24,7 +24,9 @@ An identity's defect is a signed sum of brackets, applied operators and
 Hessians.  A check sums it into one list of id-form term dicts, one per
 component, through the kernels that add k times a term: _bracket_into,
 _bracket_coord_into, _hessian_into, _evolutionary_into and
-CDiffOperator._apply_into; VectorOperator._make then wraps the sums.  Each
+CDiffOperator._apply_into; VectorOperator._make then wraps the sums.  An
+operator-valued side sums the same way into one id-form operator sum (see
+operators), here through _hessian_operator_into.  Each
 kernel that takes vector operands checks them first (_check_sections, or
 apply's signature and column test), so a check's call order decides which
 error bad input gets; _evolutionary_into takes a cache and stays unchecked.
@@ -41,7 +43,7 @@ derive on fresh caches.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .expressions import (
     _COORDS,
@@ -80,30 +82,20 @@ def linearize(f: VectorOperator) -> CDiffOperator:
     return CDiffOperator._make(bundle, f.rank, bundle.r, entries)
 
 
-def evolutionary_apply(
-    g: VectorOperator,
-    target: Union[PolyExpr, VectorOperator],
-    cache: Optional[DerivativeCache] = None,
-):
+def evolutionary_apply(g: VectorOperator, target: Union[PolyExpr, VectorOperator]):
     """Evolutionary derivation generated by g, applied to an expression.
 
     Acts as sum over j, sigma of D_sigma(g_j) * d(target)/dp^j_sigma; the sum
     is finite because the target has finite jet order.  Vector operators are
-    handled componentwise.  Passing a DerivativeCache for g lets repeated
-    applications share the derivative chains; a cache of another operator
-    raises ValueError.
+    handled componentwise.
     """
     _check_sections("generating operator", g)
     if target.bundle != g.bundle:
         raise SignatureMismatchError("operands carry different signatures")
-    if cache is None:
-        cache = DerivativeCache(g)
-    elif cache.exprs is not g:
-        raise ValueError("the derivative cache belongs to another operator")
     if isinstance(target, VectorOperator):
-        return VectorOperator(evolutionary_apply(g, c, cache) for c in target.components)
+        return VectorOperator(evolutionary_apply(g, c) for c in target.components)
     acc: dict = {}
-    _evolutionary_into(acc, target, cache)
+    _evolutionary_into(acc, target, DerivativeCache(g))
     return PolyExpr._make(g.bundle, acc)
 
 
@@ -217,16 +209,18 @@ def hessian_operator(f: VectorOperator, g: VectorOperator, chains: InputChains =
     dF_i/dp^j_sigma; it vanishes identically when f is linear.  The
     derivatives of g come from chains.
     """
+    acc: dict = {}
+    _hessian_operator_into(acc, f, g, 1, chains)
+    return CDiffOperator._wrap(f.bundle, f.rank, f.bundle.r, acc)
+
+
+def _hessian_operator_into(acc: dict, f: VectorOperator, g: VectorOperator, k: int, chains: InputChains) -> None:
+    """Add k * hessian_operator(f, g) into acc, an id-form operator sum."""
     _check_sections("operator", f, g)
     cache = chains.of(g)
-    entries: dict = {}
     for i, comp in enumerate(f.components):
         for v, first in comp._jet_partials().items():
-            coeff = evolutionary_apply(g, first, cache)
-            if coeff:
-                cell = entries.setdefault((i, v.index), {})
-                cell[v.sigma] = coeff
-    return CDiffOperator._make(f.bundle, f.rank, f.bundle.r, entries)
+            _evolutionary_into(acc.setdefault((i, v.index), {}).setdefault(v.sigma, {}), first, cache, k)
 
 
 def ad_apply(h: VectorOperator, g: VectorOperator) -> VectorOperator:

@@ -43,7 +43,7 @@ from .calculus import (
     _bracket_into,
     _evolutionary_into,
     _hessian_into,
-    hessian_operator,
+    _hessian_operator_into,
     jacobi_bracket,
     linearize,
     random_vector_operator,
@@ -109,11 +109,18 @@ def anomaly_operators(
     """Both sides of the linearization anomaly as matrix operators: the
     commutator of linearizations minus the linearized bracket, and the
     difference of Hessian operators Hess(g, f) - Hess(f, g).  Both sides
-    read one InputChains over f and g."""
+    read one InputChains over f and g, and each is summed into one id-form
+    operator sum."""
     f._coerce(g)
     chains = InputChains(f, g)
-    lhs = linearize(f).commutator(linearize(g)) - linearize(jacobi_bracket(f, g, chains))
-    return lhs, hessian_operator(g, f, chains) - hessian_operator(f, g, chains)
+    lhs: dict = {}
+    linearize(f)._commutator_into(lhs, linearize(g))
+    linearize(jacobi_bracket(f, g, chains))._add_into(lhs, -1)
+    rhs: dict = {}
+    _hessian_operator_into(rhs, g, f, 1, chains)
+    _hessian_operator_into(rhs, f, g, -1, chains)
+    bundle = f.bundle
+    return tuple(CDiffOperator._wrap(bundle, bundle.r, bundle.r, acc) for acc in (lhs, rhs))
 
 
 def check_linearization_anomaly(

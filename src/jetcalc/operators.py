@@ -18,8 +18,14 @@ fresh cache for each operand it derives, which dies when the kernel returns.
 An identity check builds one InputChains over its input operands and hands it
 to every kernel it calls, so each input's D_sigma chain is built once per
 check and dies with it; an intermediate (an inner bracket, an applied
-operator) is not an input and still gets a fresh cache.  _parent is memoized
-for the life of the process, behind a bounded LRU cache.
+operator) is not an input and still gets a fresh cache.  _parent and the
+Leibniz table _leibniz are memoized for the life of the process, behind
+bounded LRU caches.
+
+Sums, products and commutators add into one id-form operator sum
+{(i, j): {sigma: term dict}} through _add_into, _compose_into and
+_commutator_into, which _wrap turns into an operator once; an identity that
+compares two operator sides sums each side this way.
 """
 
 from __future__ import annotations
@@ -43,6 +49,14 @@ def _parent(sigma: MultiIndex) -> tuple:
     as D_i of the parent's derivative."""
     i = next(k for k, v in enumerate(sigma) if v)
     return MultiIndex._unchecked(tuple(e - 1 if k == i else e for k, e in enumerate(sigma))), i
+
+
+@functools.lru_cache(maxsize=4096)
+def _leibniz(sigma: MultiIndex, tau: MultiIndex) -> tuple:
+    """The terms of D_sigma after b D_tau: (kappa, sigma - kappa + tau,
+    binom_product(sigma, kappa)) for every kappa <= sigma, the derivative
+    D_kappa(b) multiplying D_{sigma-kappa+tau}."""
+    return tuple((kappa, sigma.checked_sub(kappa) + tau, binom_product(sigma, kappa)) for kappa in sub_indices(sigma))
 
 
 def _derivative(e: PolyExpr, sigma: MultiIndex, memo: dict) -> PolyExpr:
@@ -212,17 +226,33 @@ class CDiffOperator:
     # -- linear structure --------------------------------------------------------
 
     def __add__(self, other) -> "CDiffOperator":
-        self._check_same_shape(other)
-        acc = {key: dict(cell) for key, cell in self._entries.items()}
-        for key, cell in other._entries.items():
-            mine = acc.setdefault(key, {})
-            for sigma, coeff in cell.items():
-                prev = mine.get(sigma)
-                mine[sigma] = coeff if prev is None else prev + coeff
-        return CDiffOperator._make(self.bundle, self.rows, self.cols, acc)
+        return self._plus(other, 1)
 
     def __sub__(self, other) -> "CDiffOperator":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "CDiffOperator", k: int) -> "CDiffOperator":
+        self._check_same_shape(other)
+        acc: dict = {}
+        self._add_into(acc)
+        other._add_into(acc, k)
+        return CDiffOperator._wrap(self.bundle, self.rows, self.cols, acc)
+
+    def _add_into(self, acc: dict, k: int = 1) -> None:
+        """Add k * self into acc, an id-form operator sum {(i, j): {sigma: term dict}}."""
+        for key, cell in self._entries.items():
+            out = acc.setdefault(key, {})
+            for sigma, coeff in cell.items():
+                terms = out.setdefault(sigma, {})
+                get = terms.get
+                for m, c in coeff._terms.items():
+                    terms[m] = get(m, 0) + k * c
+
+    @classmethod
+    def _wrap(cls, bundle: Bundle, rows: int, cols: int, acc: dict) -> "CDiffOperator":
+        """The operator of an id-form operator sum; acc is not reused."""
+        entries = {ij: {key: PolyExpr._make(bundle, terms) for key, terms in cell.items()} for ij, cell in acc.items()}
+        return cls._make(bundle, rows, cols, entries)
 
     def __neg__(self) -> "CDiffOperator":
         acc = {
@@ -267,6 +297,12 @@ class CDiffOperator:
 
     def compose(self, other: "CDiffOperator") -> "CDiffOperator":
         """Operator product self after other, expanded to canonical form."""
+        acc: dict = {}
+        self._compose_into(acc, other)
+        return CDiffOperator._wrap(self.bundle, self.rows, other.cols, acc)
+
+    def _compose_into(self, acc: dict, other: "CDiffOperator", k: int = 1) -> None:
+        """Add k * (self after other) into acc, an id-form operator sum."""
         if not isinstance(other, CDiffOperator):
             raise TypeError(f"expected CDiffOperator, got {type(other).__name__}")
         if other.bundle != self.bundle:
@@ -276,25 +312,18 @@ class CDiffOperator:
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
         caches = {key: DerivativeCache(list(cell.values())) for key, cell in other._entries.items()}
-        acc: dict = {}
         for (i, j), left_cell in self._entries.items():
             for (j2, l), right_cell in other._entries.items():
                 if j2 != j:
                     continue
+                cache = caches[j2, l]
                 out_cell = acc.setdefault((i, l), {})
-                for k, tau in enumerate(right_cell):
+                for m, tau in enumerate(right_cell):
                     for sigma, a in left_cell.items():
-                        for kappa in sub_indices(sigma):
-                            db = caches[j2, l].get(k, kappa)._terms
-                            if not db:
-                                continue
-                            key = sigma.checked_sub(kappa) + tau
-                            _mul_into(out_cell.setdefault(key, {}), a._terms, db, binom_product(sigma, kappa))
-        entries = {
-            ij: {key: PolyExpr._make(self.bundle, terms) for key, terms in cell.items()}
-            for ij, cell in acc.items()
-        }
-        return CDiffOperator._make(self.bundle, self.rows, other.cols, entries)
+                        for kappa, key, c in _leibniz(sigma, tau):
+                            db = cache.get(m, kappa)._terms
+                            if db:
+                                _mul_into(out_cell.setdefault(key, {}), a._terms, db, k * c)
 
     def __mul__(self, other):
         if isinstance(other, CDiffOperator):
@@ -305,10 +334,17 @@ class CDiffOperator:
 
     def commutator(self, other: "CDiffOperator") -> "CDiffOperator":
         """[self, other] = self other - other self; both must be square and equal-shaped."""
+        acc: dict = {}
+        self._commutator_into(acc, other)
+        return CDiffOperator._wrap(self.bundle, self.rows, self.cols, acc)
+
+    def _commutator_into(self, acc: dict, other: "CDiffOperator") -> None:
+        """Add [self, other] into acc, an id-form operator sum."""
         self._check_same_shape(other)
         if self.rows != self.cols:
             raise ShapeMismatchError("commutator needs square operators")
-        return self.compose(other) - other.compose(self)
+        self._compose_into(acc, other)
+        other._compose_into(acc, self, -1)
 
     # -- serialization and display ------------------------------------------------------
 

@@ -38,7 +38,7 @@ from jetcalc.expressions import (
     _intern,
     _mul_into,
 )
-from jetcalc.multiindex import MultiIndex
+from jetcalc.multiindex import MultiIndex, binom_product, sub_indices
 from jetcalc.operators import CDiffOperator
 
 BUNDLE = Bundle(("x", "y"), ("u", "v"), ("c",))
@@ -105,8 +105,8 @@ def ref_total_derivative(t, i):
     return ref_clean(acc)
 
 
-def draw(seed, bundle=BUNDLE):
-    return random_expr(bundle, seed, max_jet_order=2, max_degree=3, coeff_pool=POOL, max_terms=6)
+def draw(seed, bundle=BUNDLE, order=2):
+    return random_expr(bundle, seed, max_jet_order=order, max_degree=3, coeff_pool=POOL, max_terms=6)
 
 
 class TestDifferentialOracle:
@@ -586,6 +586,96 @@ class TestInputChains:
         calculus._bracket_into(accs, f, g, 1, chains)
         calculus._bracket_coord_into(accs, f, g, -1, chains)
         assert planted and VectorOperator._make(b, accs).is_zero()
+
+
+# -- operator forms against a textbook reference ----------------------------------
+
+
+def ref_add_term(entries, ij, sigma, term):
+    cell = entries.setdefault(ij, {})
+    cell[sigma] = cell.get(sigma, term.bundle.zero()) + term
+
+
+def ref_compose(a, b, entries, k=1):
+    """Add k * (a after b) into entries, {(i, l): {sigma: PolyExpr}}, by the
+    textbook Leibniz rule: D_sigma after c D_tau is the sum over kappa <= sigma
+    of binom_product(sigma, kappa) D_kappa(c) D_{sigma - kappa + tau}."""
+    for i, j, l in itertools.product(range(a.rows), range(a.cols), range(b.cols)):
+        for sigma, coeff in a.entry(i, j).items():
+            for tau, c in b.entry(j, l).items():
+                for kappa in sub_indices(sigma):
+                    term = (coeff * c.total_derivative_multi(kappa)).scale(k * binom_product(sigma, kappa))
+                    ref_add_term(entries, (i, l), sigma.checked_sub(kappa) + tau, term)
+    return entries
+
+
+def ref_linearize(f, entries, k=1):
+    """Add k * linearize(f) into entries, from one partial per jet coordinate."""
+    for i, comp in enumerate(f.components):
+        for v in comp.jet_coordinates():
+            ref_add_term(entries, (i, v.index), v.sigma, comp.partial(v).scale(k))
+    return entries
+
+
+def ref_hessian_operator(f, g, entries, k=1):
+    """Add k * hessian_operator(f, g) into entries: evolutionary_apply once
+    per first partial of f."""
+    for i, comp in enumerate(f.components):
+        for v in comp.jet_coordinates():
+            ref_add_term(entries, (i, v.index), v.sigma, evolutionary_apply(g, comp.partial(v)).scale(k))
+    return entries
+
+
+def ref_json(bundle, entries):
+    r = bundle.r
+    return CDiffOperator(bundle, r, r, entries).to_json()
+
+
+def planted_binomial(monkeypatch):
+    """Plant a defect: the Leibniz table's binomial of kappa = sigma, for
+    every sigma of positive order, comes out one too large."""
+    real = operators._leibniz
+
+    def leibniz(sigma, tau):
+        *rest, (kappa, key, c) = real(sigma, tau)
+        return (*rest, (kappa, key, c + 1)) if sigma.order else real(sigma, tau)
+
+    monkeypatch.setattr(operators, "_leibniz", leibniz)
+
+
+class TestOperatorForms:
+    @given(n=st.sampled_from((1, 2, 3)), r=st.sampled_from((1, 2, 3)), seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_match_the_textbook_reference(self, n, r, seed):
+        bundle = Bundle(("x", "y", "z")[:n], ("u", "v", "w")[:r], ("c",))
+        f, g = (VectorOperator(draw(seed + 4 * k + j, bundle, 3) for j in range(r)) for k in range(2))
+        lf, lg = calculus.linearize(f), calculus.linearize(g)
+        assert lf.compose(lg).to_json() == ref_json(bundle, ref_compose(lf, lg, {}))
+        assert lf.commutator(lg).to_json() == ref_json(bundle, ref_compose(lg, lf, ref_compose(lf, lg, {}), -1))
+        assert calculus.hessian_operator(f, g).to_json() == ref_json(bundle, ref_hessian_operator(f, g, {}))
+        # Both sides of the anomaly, with linearizations and bracket of the reference.
+        rf, rg = (CDiffOperator(bundle, r, r, ref_linearize(e, {})) for e in (f, g))
+        lhs = ref_compose(rg, rf, ref_compose(rf, rg, {}), -1)
+        ref_linearize(calculus.jacobi_bracket_coord(f, g), lhs, -1)
+        rhs = ref_hessian_operator(f, g, ref_hessian_operator(g, f, {}), -1)
+        got = identities.anomaly_operators(f, g)
+        assert [side.to_json() for side in got] == [ref_json(bundle, lhs), ref_json(bundle, rhs)]
+
+    def test_planted_binomial_fails_prop2_through_the_operator_form(self, monkeypatch):
+        # Seeded order-3 suite; every failing trial has unequal operator forms.
+        def suite():
+            return identities.run_random_suite("prop2", trials=10, seed=1, max_jet_order=3, max_degree=3)
+
+        assert suite()["holds"]
+        planted_binomial(monkeypatch)
+        seen = []
+        check = identities.check_linearization_anomaly
+        monkeypatch.setattr(identities, "check_linearization_anomaly",
+                            lambda *args: seen.append(check(*args)) or seen[-1])
+        report = suite()
+        failed = [res for res in seen if not res.holds]
+        assert not report["holds"] and len(failed) == len(report["failures"])
+        assert all(res.context["operator_form_equal"] is False for res in failed)
 
 
 # -- which error bad operands get ------------------------------------------------

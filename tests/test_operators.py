@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +8,6 @@ import pytest
 from jetcalc import (
     Bundle,
     CDiffOperator,
-    DerivativeCache,
     ShapeMismatchError,
     SignatureMismatchError,
     VectorOperator,
@@ -14,7 +15,7 @@ from jetcalc import (
 )
 from jetcalc.expressions import indices_up_to
 from jetcalc.multiindex import MultiIndex
-from jetcalc.operators import _parent
+from jetcalc.operators import DerivativeCache, _leibniz, _parent
 from jetcalc.calculus import random_vector_operator
 
 
@@ -277,3 +278,20 @@ class TestDerivativeCache:
                     assert got == parent(sigma) and type(got[0]) is MultiIndex
                     assert _parent(sigma) is got
         assert _parent.cache_info().maxsize is not None
+
+    def test_leibniz_table_is_the_expansion_and_bounded(self):
+        # Every sigma, tau of order <= 4 with n <= 3: for each kappa <= sigma,
+        # the key sigma - kappa + tau and the product of binomials C(sigma_i, kappa_i).
+        for n in (1, 2, 3):
+            indices = indices_up_to(n, 4)
+            for sigma, tau in itertools.product(indices, indices):
+                want = [
+                    (kappa, tuple(s - k + t for s, k, t in zip(sigma, kappa, tau)),
+                     math.prod(map(math.comb, sigma, kappa)))
+                    for kappa in itertools.product(*(range(s + 1) for s in sigma))
+                ]
+                got = _leibniz(sigma, tau)
+                assert sorted(got) == sorted(want)
+                assert all(type(kappa) is type(key) is MultiIndex for kappa, key, _ in got)
+                assert _leibniz(sigma, tau) is got
+        assert _leibniz.cache_info().maxsize is not None
