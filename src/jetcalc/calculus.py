@@ -31,13 +31,11 @@ kernel that takes vector operands checks them first (_check_sections, or
 apply's signature and column test), so a check's call order decides which
 error bad input gets; _evolutionary_into takes a cache and stays unchecked.
 The other kernels take the derivatives of their operands from an optional
-InputChains (see operators): an identity check passes one over its inputs,
-so each input's D_sigma chain is built once per check, while an intermediate
-operand, or a call without chains, gets a fresh cache that dies with the
-kernel.  jacobi_bracket, jacobi_bracket_coord, hessian_form and
-CDiffOperator.apply are those kernels on fresh accumulators; jacobi_bracket
-and apply also take the optional chains, and without it, like the other two,
-derive on fresh caches.
+InputChains; operators states how long each cache lives.  jacobi_bracket,
+jacobi_bracket_coord, hessian_form, hessian_operator and CDiffOperator.apply
+are those kernels on fresh accumulators; jacobi_bracket and apply also take
+the optional chains, and without it, like the other three, derive on fresh
+caches.
 """
 
 from __future__ import annotations
@@ -202,15 +200,14 @@ def hessian_form(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Vec
     return VectorOperator._make(f.bundle, accs)
 
 
-def hessian_operator(f: VectorOperator, g: VectorOperator, chains: InputChains = FRESH) -> CDiffOperator:
+def hessian_operator(f: VectorOperator, g: VectorOperator) -> CDiffOperator:
     """The Hessian as a matrix operator; applying it to h gives hessian_form(f, g, h).
 
     Entry (i, j) at key sigma is the evolutionary derivative along g of
-    dF_i/dp^j_sigma; it vanishes identically when f is linear.  The
-    derivatives of g come from chains.
+    dF_i/dp^j_sigma; it vanishes identically when f is linear.
     """
     acc: dict = {}
-    _hessian_operator_into(acc, f, g, 1, chains)
+    _hessian_operator_into(acc, f, g, 1, FRESH)
     return CDiffOperator._wrap(f.bundle, f.rank, f.bundle.r, acc)
 
 

@@ -422,14 +422,7 @@ class PolyExpr:
         return None
 
     def __add__(self, other) -> "PolyExpr":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self._terms)
-        get = acc.get
-        for mono, c in other._terms.items():
-            acc[mono] = get(mono, 0) + c
-        return PolyExpr._make(self.bundle, acc)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -437,13 +430,17 @@ class PolyExpr:
         return PolyExpr._make(self.bundle, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "PolyExpr":
+        return self._plus(other, -1)
+
+    def _plus(self, other, k: int) -> "PolyExpr":
+        """self + k * other, once other is coerced."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         acc = dict(self._terms)
         get = acc.get
         for mono, c in other._terms.items():
-            acc[mono] = get(mono, 0) - c
+            acc[mono] = get(mono, 0) + k * c
         return PolyExpr._make(self.bundle, acc)
 
     def __rsub__(self, other) -> "PolyExpr":
@@ -562,15 +559,9 @@ class PolyExpr:
         return PolyExpr._make(self.bundle, acc)
 
     def total_derivative_multi(self, sigma) -> "PolyExpr":
-        """Iterated total derivative D_sigma; order of iteration is immaterial."""
-        sigma = sigma if isinstance(sigma, MultiIndex) else MultiIndex(sigma)
-        if len(sigma) != self.bundle.n:
-            raise ValueError(f"multi-index {sigma} has wrong length")
-        out = self
-        for i, reps in enumerate(sigma):
-            for _ in range(reps):
-                out = out.total_derivative(i)
-        return out
+        """Iterated total derivative D_sigma, built by _derivative's chain;
+        jet_coord checks that sigma has one entry per base variable."""
+        return _derivative(self, self.bundle.jet_coord(0, sigma).sigma, {})
 
     def substitute(self, mapping: Mapping[JetCoordinate, "PolyExpr"]) -> "PolyExpr":
         """Replace coordinates by expressions; unmapped coordinates stay."""
@@ -659,6 +650,30 @@ class PolyExpr:
 
     def __repr__(self) -> str:
         return f"PolyExpr({self})"
+
+
+# -- the D_sigma chain -----------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=4096)
+def _parent(sigma: MultiIndex) -> tuple:
+    """(sigma minus one at its first nonzero entry i, i): D_sigma is built
+    as D_i of the parent's derivative."""
+    i = next(k for k, v in enumerate(sigma) if v)
+    return MultiIndex._unchecked(tuple(e - 1 if k == i else e for k, e in enumerate(sigma))), i
+
+
+def _derivative(e: PolyExpr, sigma: MultiIndex, memo: dict) -> PolyExpr:
+    """D_sigma(e), each one built by one total derivative from its memoized
+    parent and kept in memo, a dict sigma -> D_sigma(e) for this e alone."""
+    got = memo.get(sigma)
+    if got is None:
+        got = e
+        if sigma.order:
+            parent, i = _parent(sigma)
+            got = _derivative(e, parent, memo).total_derivative(i)
+        memo[sigma] = got
+    return got
 
 
 @functools.lru_cache(maxsize=256)

@@ -8,17 +8,15 @@ operands; only inner brackets that are operands of another term are built as
 values, first where that gives bad input the error of the unfused sum.
 
 Each check builds one InputChains over its input operands and hands it to
-every kernel it calls, so the D_sigma chain of each input is built once per
-check and dies with it.  Intermediates (an inner bracket, l_g h) get fresh
-caches that die with their kernel.  Two sides a check compares as
-independent oracles never read one cache: bracket-oracle's two brackets both
-run on fresh caches, and prop2's operator form (anomaly_operators) builds its
-own InputChains apart from that of its applied form.  The antihom check
-probes the jet coordinates alone, which suffices because its defect is a
-derivation.  It derives the bracket by a depth-first walk of the derivative
-tree instead of a cache, so one chain of bracket derivatives is alive at a
-time, and each defect's accumulator is released before the next coordinate
-derives its bracket term.
+every kernel it calls; operators states how long each cache lives.  Two
+sides a check compares as independent oracles never read one cache:
+bracket-oracle's two brackets both run on fresh caches, and prop2's operator
+form (anomaly_operators) builds its own InputChains apart from that of its
+applied form.  The antihom check probes the jet coordinates alone, which
+suffices because its defect is a derivation.  It derives the bracket by a
+depth-first walk of the derivative tree instead of a cache, so one chain of
+bracket derivatives is alive at a time, and each defect's accumulator is
+released before the next coordinate derives its bracket term.
 
 IDENTITIES is the one description of each check's inputs: trial(), the
 suites and `verify --operands` loop over them, never naming an identity.

@@ -11,21 +11,25 @@ Composition expands eagerly through the generalized Leibniz rule
                      binom_product(sigma, kappa) * D_kappa(f) * D_{sigma-kappa}
 
 so every result is again in canonical form and zero-testable.  The D_sigma
-of an operand come from a DerivativeCache, which keeps them all.
+of an operand come from a DerivativeCache, which keeps them all and builds
+each through expressions._derivative, the one D_sigma chain.
 
-Which caches live how long: a kernel called without InputChains builds a
-fresh cache for each operand it derives, which dies when the kernel returns.
-An identity check builds one InputChains over its input operands and hands it
-to every kernel it calls, so each input's D_sigma chain is built once per
-check and dies with it; an intermediate (an inner bracket, an applied
-operator) is not an input and still gets a fresh cache.  _parent and the
-Leibniz table _leibniz are memoized for the life of the process, behind
-bounded LRU caches.
+Which caches live how long (the policy the calculus kernels and the identity
+checks follow): a kernel called without InputChains builds a fresh cache for
+each operand it derives, which dies when the kernel returns.  An identity
+check builds one InputChains over its input operands and hands it to every
+kernel it calls, so each input's D_sigma chain is built once per check and
+dies with it; an intermediate (an inner bracket, an applied operator) is not
+an input and still gets a fresh cache.  expressions._parent and the Leibniz
+table _leibniz are memoized for the life of the process, behind bounded LRU
+caches.
 
-Sums, products and commutators add into one id-form operator sum
-{(i, j): {sigma: term dict}} through _add_into, _compose_into and
-_commutator_into, which _wrap turns into an operator once; an identity that
-compares two operator sides sums each side this way.
+Sums, differences, scalings, products and commutators add into one id-form
+operator sum {(i, j): {sigma: term dict}} through _add_into, _compose_into
+and _commutator_into, which _wrap turns into an operator once; an identity
+that compares two operator sides sums each side this way.  _wrap is the one
+builder that drops the terms and cells of a sum that cancelled; _make, the
+trusted constructor, takes cells that are nonzero by construction.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ import functools
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError, _field, _mul_into, _one_based
+from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError
+from .expressions import _as_coeff, _derivative, _field, _mul_into, _one_based
 from .multiindex import MultiIndex, binom_product, sub_indices
 from .vectorops import VectorOperator
 
@@ -44,32 +49,11 @@ class ShapeMismatchError(ValueError):
 
 
 @functools.lru_cache(maxsize=4096)
-def _parent(sigma: MultiIndex) -> tuple:
-    """(sigma minus one at its first nonzero entry i, i): D_sigma is built
-    as D_i of the parent's derivative."""
-    i = next(k for k, v in enumerate(sigma) if v)
-    return MultiIndex._unchecked(tuple(e - 1 if k == i else e for k, e in enumerate(sigma))), i
-
-
-@functools.lru_cache(maxsize=4096)
 def _leibniz(sigma: MultiIndex, tau: MultiIndex) -> tuple:
     """The terms of D_sigma after b D_tau: (kappa, sigma - kappa + tau,
     binom_product(sigma, kappa)) for every kappa <= sigma, the derivative
     D_kappa(b) multiplying D_{sigma-kappa+tau}."""
     return tuple((kappa, sigma.checked_sub(kappa) + tau, binom_product(sigma, kappa)) for kappa in sub_indices(sigma))
-
-
-def _derivative(e: PolyExpr, sigma: MultiIndex, memo: dict) -> PolyExpr:
-    """D_sigma(e), each one built by one total derivative from its memoized
-    parent and kept."""
-    got = memo.get(sigma)
-    if got is None:
-        got = e
-        if sigma.order:
-            parent, i = _parent(sigma)
-            got = _derivative(e, parent, memo).total_derivative(i)
-        memo[sigma] = got
-    return got
 
 
 class DerivativeCache:
@@ -151,17 +135,13 @@ class CDiffOperator:
 
     @classmethod
     def _make(cls, bundle: Bundle, rows: int, cols: int, entries: dict) -> "CDiffOperator":
-        # Trusted constructor; prunes zeros but skips validation.
+        # Trusted constructor: no cell of entries is empty and no coefficient
+        # zero.  A computed sum, which may cancel, goes through _wrap.
         self = object.__new__(cls)
-        cleaned = {}
-        for key, cell in entries.items():
-            cell = {s: c for s, c in cell.items() if c}
-            if cell:
-                cleaned[key] = cell
         self.bundle = bundle
         self.rows = rows
         self.cols = cols
-        self._entries = cleaned
+        self._entries = entries
         return self
 
     # -- constructors --------------------------------------------------------
@@ -170,7 +150,7 @@ class CDiffOperator:
     def zero(cls, bundle: Bundle, rows: Optional[int] = None, cols: Optional[int] = None) -> "CDiffOperator":
         rows = bundle.r if rows is None else rows
         cols = rows if cols is None else cols
-        return cls._make(bundle, rows, cols, {})
+        return cls(bundle, rows, cols)
 
     @classmethod
     def identity(cls, bundle: Bundle) -> "CDiffOperator":
@@ -213,11 +193,14 @@ class CDiffOperator:
 
     __hash__ = None
 
-    def _check_same_shape(self, other: "CDiffOperator") -> None:
+    def _check_operand(self, other: "CDiffOperator") -> None:
         if not isinstance(other, CDiffOperator):
             raise TypeError(f"expected CDiffOperator, got {type(other).__name__}")
         if other.bundle != self.bundle:
             raise SignatureMismatchError("operators carry different signatures")
+
+    def _check_same_shape(self, other: "CDiffOperator") -> None:
+        self._check_operand(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
@@ -250,23 +233,23 @@ class CDiffOperator:
 
     @classmethod
     def _wrap(cls, bundle: Bundle, rows: int, cols: int, acc: dict) -> "CDiffOperator":
-        """The operator of an id-form operator sum; acc is not reused."""
-        entries = {ij: {key: PolyExpr._make(bundle, terms) for key, terms in cell.items()} for ij, cell in acc.items()}
+        """The operator of an id-form operator sum, without the terms and
+        cells that cancelled; acc is not reused.  The one builder of a
+        computed sum that drops zeros."""
+        entries = {}
+        for ij, cell in acc.items():
+            cell = {sigma: coeff for sigma, terms in cell.items() if (coeff := PolyExpr._make(bundle, terms))}
+            if cell:
+                entries[ij] = cell
         return cls._make(bundle, rows, cols, entries)
 
     def __neg__(self) -> "CDiffOperator":
-        acc = {
-            key: {sigma: -coeff for sigma, coeff in cell.items()}
-            for key, cell in self._entries.items()
-        }
-        return CDiffOperator._make(self.bundle, self.rows, self.cols, acc)
+        return self.scale(-1)
 
     def scale(self, q: Rational) -> "CDiffOperator":
-        acc = {
-            key: {sigma: coeff.scale(q) for sigma, coeff in cell.items()}
-            for key, cell in self._entries.items()
-        }
-        return CDiffOperator._make(self.bundle, self.rows, self.cols, acc)
+        acc: dict = {}
+        self._add_into(acc, _as_coeff(q))
+        return CDiffOperator._wrap(self.bundle, self.rows, self.cols, acc)
 
     def __rmul__(self, q) -> "CDiffOperator":
         if isinstance(q, (int, Fraction)) and not isinstance(q, bool):
@@ -303,10 +286,7 @@ class CDiffOperator:
 
     def _compose_into(self, acc: dict, other: "CDiffOperator", k: int = 1) -> None:
         """Add k * (self after other) into acc, an id-form operator sum."""
-        if not isinstance(other, CDiffOperator):
-            raise TypeError(f"expected CDiffOperator, got {type(other).__name__}")
-        if other.bundle != self.bundle:
-            raise SignatureMismatchError("operators carry different signatures")
+        self._check_operand(other)
         if self.cols != other.rows:
             raise ShapeMismatchError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"

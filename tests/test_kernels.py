@@ -37,6 +37,7 @@ from jetcalc.expressions import (
     JetCoordinate,
     _intern,
     _mul_into,
+    indices_up_to,
 )
 from jetcalc.multiindex import MultiIndex, binom_product, sub_indices
 from jetcalc.operators import CDiffOperator
@@ -137,6 +138,15 @@ class TestDifferentialOracle:
             assert e.total_derivative(i).terms == ref_total_derivative(e.terms, i)
         for v in [BUNDLE.param_coord("c"), BUNDLE.base_coord(1)] + BUNDLE.jet_coordinates_up_to(3):
             assert e.partial(v).terms == ref_partial(e.terms, v)
+
+    @given(seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_iterated_total_derivative(self, seed):
+        # The D_sigma chain that DerivativeCache also reads, against repeated
+        # reference total derivatives on the decoded view.
+        e = draw(seed)
+        for sigma in indices_up_to(BUNDLE.n, 3):
+            assert e.total_derivative_multi(sigma).terms == ref_derivative(e.terms, sigma)
 
 
 U, V, UX, UY = (BUNDLE.jet(j, s) for j, s in ((0, (0, 0)), (1, (0, 0)), (0, (1, 0)), (0, (0, 1))))

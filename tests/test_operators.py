@@ -13,9 +13,9 @@ from jetcalc import (
     VectorOperator,
     random_expr,
 )
-from jetcalc.expressions import indices_up_to
+from jetcalc.expressions import _parent, indices_up_to
 from jetcalc.multiindex import MultiIndex
-from jetcalc.operators import DerivativeCache, _leibniz, _parent
+from jetcalc.operators import DerivativeCache, _leibniz
 from jetcalc.calculus import random_vector_operator
 
 
@@ -144,6 +144,14 @@ class TestLinearStructure:
         p = b.jet(0, (1,))
         assert 2 * d_x(b, p) == d_x(b, 2 * p)
 
+    def test_negation_is_scaling_by_minus_one(self, plane_bundle):
+        theta = random_cdiff(plane_bundle, 7, 2, 2)
+        assert not theta.is_zero()
+        assert -theta == theta.scale(-1)
+        assert (theta + -theta).is_zero()
+        assert theta.scale(0) == CDiffOperator.zero(plane_bundle, 2, 2)
+        assert theta.scale(Fraction(4, 2)) == theta + theta
+
     def test_order(self, scalar_bundle):
         b = scalar_bundle
         assert CDiffOperator.zero(b).order == 0
@@ -156,12 +164,13 @@ class TestLinearStructure:
         assert d_x(b, p) * 3 == d_x(b, 3 * p)
         assert d_x(b, p) * Fraction(1, 2) == d_x(b, Fraction(1, 2) * p)
         for other in (0.5, "D_x", True):
-            with pytest.raises(TypeError):
-                d_x(b) * other
-            # The zero operator has no coefficient to scale, so only the type
-            # test in __mul__ can refuse it.
-            with pytest.raises(TypeError):
-                CDiffOperator.zero(b) * other
+            # The zero operator has no coefficient to scale; its factor is
+            # refused by type all the same.
+            for op in (d_x(b), CDiffOperator.identity(b), CDiffOperator.zero(b)):
+                with pytest.raises(TypeError):
+                    op * other
+                with pytest.raises(TypeError):
+                    op.scale(other)
 
     def test_vector_negation(self, plane_bundle):
         g = random_vector_operator(plane_bundle, 9)
@@ -177,6 +186,11 @@ class TestConstructor:
     def test_entry_outside_the_shape(self, scalar_bundle):
         with pytest.raises(ValueError, match=r"^entry \(0,1\) outside shape 1x1$"):
             CDiffOperator(scalar_bundle, 1, 1, {(0, 1): {(1,): 1}})
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, None), (0, 1), (1, 0)])
+    def test_zero_shape_at_least_one_by_one(self, scalar_bundle, shape):
+        with pytest.raises(ValueError, match="^operator shape must be at least 1x1$"):
+            CDiffOperator.zero(scalar_bundle, *shape)
 
     def test_multi_index_of_the_wrong_length(self, scalar_bundle):
         with pytest.raises(ValueError, match="has wrong length$"):
