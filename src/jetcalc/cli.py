@@ -72,7 +72,7 @@ def _emit(args, head: dict, rows: list, ok: bool = True) -> int:
         for key, _, value in rows:
             if key is not None:
                 doc[key] = value.to_json() if hasattr(value, "to_json") else value
-        print(json.dumps(doc, indent=2))
+        print(printing.json_text(doc))
     else:
         for _, label, value in rows:
             if label is not None:

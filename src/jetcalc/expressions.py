@@ -18,9 +18,11 @@ once per coordinate and direction.  Inside a PolyExpr a monomial is a sorted
 tuple of ids with one id per power (u^2*u_x is (id_u, id_u, id_ux)), so a
 product is a sorted concatenation, a total derivative one table lookup per
 distinct factor and the degree the tuple's length.  Ids depend on the order
-in which coordinates were first seen and never reach output: PolyExpr.terms
-decodes to a dict whose monomials are coordinate-sorted tuples of
-(JetCoordinate, power) pairs, and printing, JSON and pickling read that view.
+in which coordinates were first seen and never reach output: the printers and
+to_json read the id form in print order through the printing module's
+per-bundle name tables, and PolyExpr.terms decodes to a dict whose monomials
+are coordinate-sorted tuples of (JetCoordinate, power) pairs, which pickling,
+evaluate, substitute and embed read.
 Because a monomial holds one id per power, its total degree is bounded by
 MAX_DEGREE wherever a power is set: the PolyExpr constructor, from_json and
 ``**``; the session DSL also checks it at each product, ``*`` itself does not.
@@ -582,11 +584,10 @@ class PolyExpr:
 
     def evaluate(self, point: Mapping[JetCoordinate, Rational]) -> Rational:
         """Exact value at a full assignment of coordinates to rationals."""
-        from .printing import TEXT, coord_name
-
         missing = [v for v in self.coordinates() if v not in point]
         if missing:
-            raise EvaluationError(f"coordinate {coord_name(TEXT, self.bundle, min(missing))} is not assigned")
+            name = printing.coord_name(printing.TEXT, self.bundle, min(missing))
+            raise EvaluationError(f"coordinate {name} is not assigned")
         total = Fraction(0)
         for mono, c in self.terms.items():
             val = Fraction(c)
@@ -611,30 +612,22 @@ class PolyExpr:
     # -- serialization and display -------------------------------------------
 
     def to_json(self) -> dict:
-        from .printing import coord_token, display_order
-
-        terms = self.terms
-        monos = []
-        for mono in display_order(terms):
-            monos.append(
-                {
-                    "coeff": str(Fraction(terms[mono])),
-                    "vars": [{"var": coord_token(self.bundle, v), "pow": k} for v, k in mono],
-                }
-            )
+        tokens = printing.name_table(None, self.bundle)
+        monos = [
+            {"coeff": str(c), "vars": [{"var": tokens[v], "pow": k} for v, k in pairs]}
+            for pairs, c in printing.print_order(self)
+        ]
         return {"monomials": monos}
 
     @classmethod
     def from_json(cls, data: Mapping, bundle: Bundle) -> "PolyExpr":
-        from .printing import parse_coord_token
-
         acc: dict = {}
         for entry in _field(data, "monomials", list, dict):
             coeff = _field(entry, "coeff")
             if not isinstance(coeff, str):
                 raise TypeError(f"coefficient must be a string, got {coeff!r}")
             mono = tuple(
-                (parse_coord_token(bundle, _field(var, "var", str)), _field(var, "pow"))
+                (printing.parse_coord_token(bundle, _field(var, "var", str)), _field(var, "pow"))
                 for var in _field({"vars": [], **entry}, "vars", list, dict)
             )
             try:
@@ -644,9 +637,7 @@ class PolyExpr:
         return cls(bundle, acc)
 
     def __str__(self) -> str:
-        from .printing import poly_text
-
-        return poly_text(self)
+        return printing.poly_text(self)
 
     def __repr__(self) -> str:
         return f"PolyExpr({self})"
@@ -714,3 +705,7 @@ def random_expr(
         key = tuple(sorted(rng.choice(ids) for _ in range(deg)))
         acc[key] = acc.get(key, 0) + coeff
     return PolyExpr._make(bundle, acc)
+
+
+# Last, because printing imports this module's names.
+from . import printing  # noqa: E402

@@ -5,38 +5,68 @@ coordinate order (parameters, base variables, jet coordinates).  Jet
 coordinates use the suffix notation u_xxy whenever every base variable
 name is a single letter, and the explicit form u[2,1] otherwise; both
 forms are accepted back by the DSL parser.
+
+Every printer reads the id-form terms (PolyExpr._terms) through print_order.
+Each id's display key is computed once per process, and each coordinate's
+name once per (style, bundle) in a table keyed on the bundle: ids are global
+to the process, names belong to a bundle.  json_text writes the reports.
 """
 
 from __future__ import annotations
 
+import functools
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .expressions import _one_based
+from .expressions import _COORDS, BASE, JET, PARAM, PolyExpr, _one_based
 from .multiindex import MultiIndex
+from .operators import CDiffOperator
+from .vectorops import VectorOperator
 
 
-def _coord_display_key(v):
-    return (v.kind, v.index, v.sigma.order, v.sigma)
+class _Table(dict):
+    """id -> fill(coordinate of the id), computed on first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, v: int):
+        got = self[v] = self.fill(_COORDS[v])
+        return got
 
 
-def display_order(terms) -> list:
-    """Monomials in print order: total degree descending, then by coordinate
-    rank with higher derivative order first, so derivatives lead and
-    constants trail."""
+# Display key of each id: its coordinate's rank with higher derivative order first.
+_DISPLAY_KEY = _Table(lambda c: (c.kind, c.index, c.sigma.order, c.sigma))
 
-    def key(mono):
-        return (
-            sum(k for _, k in mono),
-            tuple((_coord_display_key(v), k) for v, k in mono),
-        )
 
-    return sorted(terms, key=key, reverse=True)
+def print_order(e) -> list:
+    """(pairs, coeff) of each term of e in print order: total degree
+    descending, then by coordinate rank with higher derivative order first,
+    so derivatives lead and constants trail.  pairs are the monomial's
+    (id, power) in coordinate order."""
+    key = _DISPLAY_KEY
+    rows = []
+    for mono, c in e._terms.items():
+        pairs = [(v, mono.count(v)) for v in sorted(set(mono), key=_COORDS.__getitem__)]
+        rows.append(((len(mono), tuple([(key[v], k) for v, k in pairs])), pairs, c))
+    rows.sort(reverse=True)  # distinct monomials have distinct keys: pairs are never compared
+    return [(pairs, c) for _, pairs, c in rows]
+
+
+@functools.lru_cache(maxsize=256)
+def name_table(style, bundle) -> _Table:
+    """id -> name of bundle's coordinates in style, or their JSON token when
+    style is None, filled through coord_name or coord_token."""
+    if style is None:
+        return _Table(functools.partial(coord_token, bundle))
+    return _Table(functools.partial(coord_name, style, bundle))
 
 
 def coord_token(bundle, v) -> str:
     """Positional token used in JSON documents."""
-    from .expressions import BASE, PARAM
-
     if v.kind == PARAM:
         return bundle.params[v.index]
     if v.kind == BASE:
@@ -121,8 +151,6 @@ def _subscript(style: Style, bundle, sigma: MultiIndex) -> str:
 
 def coord_name(style: Style, bundle, v) -> str:
     """Display name of one coordinate."""
-    from .expressions import JET, PARAM
-
     if v.kind == JET:
         name = bundle.fiber[v.index]
         return name if v.sigma.order == 0 else name + _subscript(style, bundle, v.sigma)
@@ -130,16 +158,16 @@ def coord_name(style: Style, bundle, v) -> str:
     return name if len(name) == 1 else style.long_name % name
 
 
-def _term(style: Style, bundle, mono: tuple, coeff):
-    """(sign, body) for one monomial term."""
+def _term(style: Style, names: dict, pairs: list, coeff):
+    """(sign, body) for one monomial term; names maps ids to names."""
     neg = coeff < 0
     mag = -coeff if neg else coeff
     parts = []
-    if not mono or mag != 1:
+    if not pairs or mag != 1:
         frac = (mag.numerator, mag.denominator)
         parts.append(str(mag) if mag.denominator == 1 else style.fraction % frac)
-    for v, k in mono:
-        name = coord_name(style, bundle, v)
+    for v, k in pairs:
+        name = names[v]
         parts.append(name if k == 1 else name + style.power % k)
     return neg, style.times.join(parts)
 
@@ -156,10 +184,10 @@ def _signed_sum(terms) -> str:
 
 
 def _poly(style: Style, e) -> str:
-    if e.is_zero():
+    if not e._terms:
         return "0"
-    terms = e.terms
-    return _signed_sum(_term(style, e.bundle, m, terms[m]) for m in display_order(terms))
+    table = name_table(style, e.bundle)
+    return _signed_sum(_term(style, table, pairs, c) for pairs, c in print_order(e))
 
 
 def _join(brackets: tuple, entries) -> str:
@@ -174,13 +202,13 @@ def _vector(style: Style, v) -> str:
 def _cdiff_entry(style: Style, bundle, terms: dict) -> str:
     if not terms:
         return "0"
+    table = name_table(style, bundle)
     pieces = []
     for sigma in sorted(terms, key=lambda s: (s.order, s), reverse=True):
         coeff = terms[sigma]
-        coeff_terms = coeff.terms
-        if len(coeff_terms) == 1:
-            ((mono, c),) = coeff_terms.items()
-            neg, body = _term(style, bundle, mono, c)
+        if len(coeff._terms) == 1:
+            ((pairs, c),) = print_order(coeff)
+            neg, body = _term(style, table, pairs, c)
         else:
             neg, body = False, style.group[0] + _poly(style, coeff) + style.group[1]
         if sigma.order:
@@ -214,10 +242,6 @@ def cdiff_text(op) -> str:
 
 def _printer(obj, printers: tuple, what: str):
     """The one of printers (for a PolyExpr, VectorOperator, CDiffOperator) that fits obj."""
-    from .expressions import PolyExpr
-    from .operators import CDiffOperator
-    from .vectorops import VectorOperator
-
     for cls, printer in zip((PolyExpr, VectorOperator, CDiffOperator), printers):
         if isinstance(obj, cls):
             return printer
@@ -232,3 +256,28 @@ def text(obj) -> str:
 def latex(obj) -> str:
     """LaTeX form of a PolyExpr, VectorOperator or CDiffOperator."""
     return _printer(obj, (_poly, _vector, _cdiff), "LaTeX")(LATEX, obj)
+
+
+def json_text(doc, indent: str = "\n") -> str:
+    """json.dumps(doc, indent=2), byte for byte, for a document of dicts with
+    str keys, lists, tuples, str, int, bool and None.  A float or any other
+    type raises TypeError: exact output never holds a float."""
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if doc is None:
+        return "null"
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = (inner + encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in doc.items())
+        return "{" + ",".join(items) + indent + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        return "[" + ",".join(inner + json_text(v, inner) for v in doc) + indent + "]"
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
