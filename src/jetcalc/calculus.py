@@ -27,15 +27,17 @@ _bracket_coord_into, _hessian_into, _evolutionary_into and
 CDiffOperator._apply_into; VectorOperator._make then wraps the sums.  An
 operator-valued side sums the same way into one id-form operator sum (see
 operators), here through _hessian_operator_into.  Each
-kernel that takes vector operands checks them first (_check_sections, or
-apply's signature and column test), so a check's call order decides which
-error bad input gets; _evolutionary_into takes a cache and stays unchecked.
+kernel that takes vector operands checks them first, once per call and type
+first (_check_sections, or apply's type, signature and column test), so a
+check's call order decides which error bad input gets; _evolutionary_into
+takes a cache and stays unchecked.
 The other kernels take the derivatives of their operands from an optional
 InputChains; operators states how long each cache lives.  jacobi_bracket,
 jacobi_bracket_coord, hessian_form, hessian_operator and CDiffOperator.apply
 are those kernels on fresh accumulators; jacobi_bracket and apply also take
 the optional chains, and without it, like the other three, derive on fresh
-caches.
+caches.  evolutionary_apply derives its generator on one fresh cache, which
+every component of a vector target reads.
 """
 
 from __future__ import annotations
@@ -54,12 +56,13 @@ from .expressions import (
     random_expr,
 )
 from .operators import FRESH, CDiffOperator, DerivativeCache, InputChains
-from .vectorops import RankMismatchError, VectorOperator
+from .vectorops import RankMismatchError, VectorOperator, _check_vector
 
 
 def _check_sections(role: str, f: VectorOperator, *others: VectorOperator) -> None:
     """Raise unless each of others matches f in signature and rank, and f has
     the bundle's rank; role names f in the message."""
+    _check_vector(f)
     for g in others:
         f._coerce(g)
     if f.rank != f.bundle.r:
@@ -72,6 +75,7 @@ def linearize(f: VectorOperator) -> CDiffOperator:
     For f linear in the jet coordinates with constant coefficients and no
     free term, applying the result to g reproduces f's own linear action.
     """
+    _check_vector(f)
     bundle = f.bundle
     entries: dict = {}
     for i, comp in enumerate(f.components):
@@ -85,16 +89,19 @@ def evolutionary_apply(g: VectorOperator, target: Union[PolyExpr, VectorOperator
 
     Acts as sum over j, sigma of D_sigma(g_j) * d(target)/dp^j_sigma; the sum
     is finite because the target has finite jet order.  Vector operators are
-    handled componentwise.
+    handled componentwise, on one cache of g's derivatives.
     """
     _check_sections("generating operator", g)
-    if target.bundle != g.bundle:
+    vector = isinstance(target, VectorOperator)
+    targets = target if vector else VectorOperator([target])
+    if targets.bundle != g.bundle:
         raise SignatureMismatchError("operands carry different signatures")
-    if isinstance(target, VectorOperator):
-        return VectorOperator(evolutionary_apply(g, c) for c in target.components)
-    acc: dict = {}
-    _evolutionary_into(acc, target, DerivativeCache(g))
-    return PolyExpr._make(g.bundle, acc)
+    cache = DerivativeCache(g)
+    accs = [{} for _ in targets.components]
+    for acc, comp in zip(accs, targets.components):
+        _evolutionary_into(acc, comp, cache)
+    out = VectorOperator._make(g.bundle, accs)
+    return out if vector else out[0]
 
 
 def _evolutionary_into(acc: dict, target: PolyExpr, cache: DerivativeCache, k: int = 1) -> None:
@@ -236,6 +243,8 @@ def substitute_section(e: PolyExpr, sections: Sequence[PolyExpr]) -> PolyExpr:
     if len(sections) != bundle.r:
         raise RankMismatchError(f"need {bundle.r} section components, got {len(sections)}")
     for s in sections:
+        if not isinstance(s, PolyExpr):
+            raise TypeError(f"component {s!r} is not a PolyExpr")
         if s.bundle != bundle:
             raise SignatureMismatchError("section carries a different signature")
         if s.jet_coordinates():

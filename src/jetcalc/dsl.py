@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from .expressions import JET, MAX_DEGREE, Bundle, JetCoordinate, PolyExpr, _intern, _mul_into, _Record
+from .expressions import JET, MAX_DEGREE, Bundle, JetCoordinate, PolyExpr, _add_terms, _intern, _mul_into, _Record
 from .multiindex import MAX_BASE_DIM, MAX_ORDER, MultiIndex
 from .vectorops import VectorOperator
 
@@ -177,7 +177,9 @@ class _Parser:
     #
     # Each method returns a fresh id-form term dict, monomial -> nonzero
     # coefficient (the representation inside PolyExpr, see expressions.py);
-    # parse_expr wraps one per component, so no intermediate PolyExpr is made.
+    # parse_expr wraps one per component.  A sum or product drops its zeros
+    # through PolyExpr._make, once, before the degree bound of a product reads
+    # the dict.
 
     def parse_expr(self) -> PolyExpr:
         return PolyExpr._make(self.bundle, self.parse_sum())
@@ -186,13 +188,8 @@ class _Parser:
         acc = self.parse_term()
         while self.tokens[self.pos] in ("+", "-"):
             sign = 1 if self.next() == "+" else -1
-            for mono, c in self.parse_term().items():
-                c = acc.get(mono, 0) + sign * c
-                if c:
-                    acc[mono] = c
-                else:
-                    del acc[mono]
-        return acc
+            _add_terms(acc, self.parse_term(), sign)
+        return PolyExpr._make(self.bundle, acc)._terms
 
     def parse_term(self) -> dict:
         left = self.parse_factor()
@@ -207,7 +204,7 @@ class _Parser:
                 raise self.error(f"product of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", star)
             acc: dict = {}
             _mul_into(acc, left, right)
-            left = {mono: c for mono, c in acc.items() if c}
+            left = PolyExpr._make(self.bundle, acc)._terms
         return left
 
     def parse_factor(self) -> dict:

@@ -131,6 +131,15 @@ def _decode(mono: tuple) -> tuple:
     return tuple(sorted((_COORDS[v], mono.count(v)) for v in set(mono)))
 
 
+def _add_terms(acc: dict, terms: dict, k: Rational = 1) -> None:
+    """Add k * terms, an id-form term dict, into acc.  The one adding loop of
+    a sum outside the product kernels; zeros stay in acc until PolyExpr._make
+    or CDiffOperator._wrap drops them."""
+    get = acc.get
+    for m, c in terms.items():
+        acc[m] = get(m, 0) + k * c
+
+
 def _mul_into(acc: dict, ta: dict, tb: dict, k: int = 1) -> None:
     """Add k * ta * tb, for id-form term dicts ta and tb, into acc without
     building the product; PolyExpr._make(bundle, acc) then gives the sum.  The
@@ -357,7 +366,7 @@ class PolyExpr:
             key = _encode(norm.items())
             acc[key] = acc.get(key, 0) + coeff
         self.bundle = bundle
-        self._terms = {m: c for m, c in acc.items() if c}
+        self._terms = PolyExpr._make(bundle, acc)._terms
 
     @classmethod
     def _make(cls, bundle: Bundle, terms: dict) -> "PolyExpr":
@@ -440,9 +449,7 @@ class PolyExpr:
         if other is None:
             return NotImplemented
         acc = dict(self._terms)
-        get = acc.get
-        for mono, c in other._terms.items():
-            acc[mono] = get(mono, 0) + k * c
+        _add_terms(acc, other._terms, k)
         return PolyExpr._make(self.bundle, acc)
 
     def __rsub__(self, other) -> "PolyExpr":

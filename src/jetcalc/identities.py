@@ -5,10 +5,13 @@ defect of one identity and wraps it in a Residual; holds is true exactly
 when the canonical form of the defect is zero.  Checks sum each defect into
 one accumulator per component (see calculus), whose kernels check their own
 operands; only inner brackets that are operands of another term are built as
-values, first where that gives bad input the error of the unfused sum.
+values, first where that gives bad input the error of the unfused sum.  The
+commutation lemma's defect starts from a copy of its direct side and takes
+each closed-form term through expressions._add_terms.
 
-Each check builds one InputChains over its input operands and hands it to
-every kernel it calls; operators states how long each cache lives.  Two
+Each check builds one InputChains over its input operands, which makes each
+input's cache at once, and hands it to every kernel it calls; operators
+states how long each cache lives.  Two
 sides a check compares as independent oracles never read one cache:
 bracket-oracle's two brackets both run on fresh caches, and prop2's operator
 form (anomaly_operators) builds its own InputChains apart from that of its
@@ -46,7 +49,7 @@ from .calculus import (
     linearize,
     random_vector_operator,
 )
-from .expressions import Bundle, PolyExpr, _Record, indices_up_to, random_expr
+from .expressions import Bundle, PolyExpr, _add_terms, _Record, indices_up_to, random_expr
 from .multiindex import MultiIndex, binom_product, check_order, sub_indices
 from .operators import CDiffOperator, InputChains
 from .vectorops import VectorOperator
@@ -229,23 +232,21 @@ def check_commutation(zeta, tau, fiber: int, e: PolyExpr) -> Residual:
 
     The closed form sums over common sub-indices kappa with multiplicity
     binom_product(tau, kappa); the residual compares it against the direct
-    computation on e.
+    computation on e.  The defect starts from the terms of the direct side
+    and subtracts each term of the closed form into that one accumulator.
     """
     bundle = e.bundle
     zeta = zeta if isinstance(zeta, MultiIndex) else MultiIndex(zeta)
     tau = tau if isinstance(tau, MultiIndex) else MultiIndex(tau)
-    lhs = e.total_derivative_multi(tau).partial(bundle.jet_coord(fiber, zeta))
-    rhs = bundle.zero()
+    acc = dict(e.total_derivative_multi(tau).partial(bundle.jet_coord(fiber, zeta))._terms)
     for kappa in sub_indices(tau):
         rem = zeta.checked_sub(kappa)
         if rem is None:
             continue
         part = e.partial(bundle.jet_coord(fiber, rem))
         if part:
-            rhs = rhs + part.total_derivative_multi(tau.checked_sub(kappa)).scale(
-                binom_product(tau, kappa)
-            )
-    value = VectorOperator([lhs - rhs])
+            _add_terms(acc, part.total_derivative_multi(tau.checked_sub(kappa))._terms, -binom_product(tau, kappa))
+    value = VectorOperator._make(bundle, [acc])
     return _residual(
         "commutation-lemma", value, zeta=list(zeta), tau=list(tau), fiber=fiber, e=e
     )

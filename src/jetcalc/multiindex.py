@@ -75,6 +75,8 @@ class MultiIndex(tuple):
             return NotImplemented
         if len(self) != len(other):
             raise ValueError(f"multi-index length mismatch: {len(self)} vs {len(other)}")
+        if not isinstance(other, MultiIndex):  # a plain tuple is checked as the constructor checks it
+            other = MultiIndex(other)
         return MultiIndex._unchecked(tuple(a + b for a, b in zip(self, other)))
 
     __radd__ = __add__

@@ -17,17 +17,20 @@ each through expressions._derivative, the one D_sigma chain.
 Which caches live how long (the policy the calculus kernels and the identity
 checks follow): a kernel called without InputChains builds a fresh cache for
 each operand it derives, which dies when the kernel returns.  An identity
-check builds one InputChains over its input operands and hands it to every
-kernel it calls, so each input's D_sigma chain is built once per check and
-dies with it; an intermediate (an inner bracket, an applied operator) is not
-an input and still gets a fresh cache.  expressions._parent and the Leibniz
+check builds one InputChains over its input operands, which makes each
+input's cache at once, and hands it to every kernel it calls, so each input's
+D_sigma chain is built once per check and dies with it; an intermediate (an
+inner bracket, an applied operator) is not an input and still gets a fresh
+cache.  expressions._parent and the Leibniz
 table _leibniz are memoized for the life of the process, behind bounded LRU
 caches.
 
 Sums, differences, scalings, products and commutators add into one id-form
-operator sum {(i, j): {sigma: term dict}} through _add_into, _compose_into
-and _commutator_into, which _wrap turns into an operator once; an identity
-that compares two operator sides sums each side this way.  _wrap is the one
+operator sum {(i, j): {sigma: term dict}} through _add_into (one
+expressions._add_terms per cell and sigma), _compose_into and
+_commutator_into, which _wrap turns into an operator once; an identity that
+compares two operator sides sums each side this way, and the validating
+constructor adds its coefficients into such a sum too.  _wrap is the one
 builder that drops the terms and cells of a sum that cancelled; _make, the
 trusted constructor, takes cells that are nonzero by construction.
 """
@@ -39,9 +42,9 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError
-from .expressions import _as_coeff, _derivative, _field, _mul_into, _one_based
+from .expressions import _add_terms, _as_coeff, _derivative, _field, _mul_into, _one_based
 from .multiindex import MultiIndex, binom_product, sub_indices
-from .vectorops import VectorOperator
+from .vectorops import VectorOperator, _check_vector
 
 
 class ShapeMismatchError(ValueError):
@@ -76,27 +79,22 @@ class DerivativeCache:
 
 
 class InputChains:
-    """The DerivativeCache of each of a check's input operands,
-    built on first use and handed out again to every kernel the check passes
-    it to; any other operand gets a fresh cache.  Operands are told apart by
-    identity, and the chains hold them, so no other object can take an id
-    while they live.  InputChains() hands out fresh caches only."""
+    """The DerivativeCache of each of a check's input operands, built when
+    the chains are and handed out again to every kernel the check passes
+    them to; any other operand gets a fresh cache.  Operands are told apart
+    by identity, and each cache holds its operand, so no other object can
+    take an id while the chains live.  InputChains() hands out fresh caches
+    only."""
 
-    __slots__ = ("_operands", "_caches")
+    __slots__ = ("_caches",)
 
     def __init__(self, *operands):
-        self._operands = {id(g): g for g in operands}
-        self._caches: dict = {}
+        self._caches = {id(g): DerivativeCache(g) for g in operands}
 
     def of(self, g) -> DerivativeCache:
         """The cache of g: shared if g is one of the inputs, else fresh."""
-        key = id(g)
-        if self._operands.get(key) is not g:
-            return DerivativeCache(g)
-        cache = self._caches.get(key)
-        if cache is None:
-            cache = self._caches[key] = DerivativeCache(g)
-        return cache
+        cache = self._caches.get(id(g))
+        return DerivativeCache(g) if cache is None else cache
 
 
 FRESH = InputChains()
@@ -108,36 +106,28 @@ class CDiffOperator:
     def __init__(self, bundle: Bundle, rows: int, cols: int, entries: Optional[Mapping] = None):
         if rows < 1 or cols < 1:
             raise ValueError("operator shape must be at least 1x1")
-        cleaned: dict = {}
-        if entries:
-            for (i, j), terms in entries.items():
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise ValueError(f"entry ({i},{j}) outside shape {rows}x{cols}")
-                cell: dict = {}
-                for sigma, coeff in terms.items():
-                    sigma = sigma if isinstance(sigma, MultiIndex) else MultiIndex(sigma)
-                    if len(sigma) != bundle.n:
-                        raise ValueError(f"multi-index {sigma} has wrong length")
-                    if not isinstance(coeff, PolyExpr):
-                        coeff = bundle.const(coeff)
-                    if coeff.bundle != bundle:
-                        raise SignatureMismatchError("coefficient over a different signature")
-                    if coeff:
-                        prev = cell.get(sigma)
-                        cell[sigma] = coeff if prev is None else prev + coeff
-                cell = {s: c for s, c in cell.items() if c}
-                if cell:
-                    cleaned[(i, j)] = cell
-        self.bundle = bundle
-        self.rows = rows
-        self.cols = cols
-        self._entries = cleaned
+        acc: dict = {}
+        for (i, j), terms in (entries or {}).items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i},{j}) outside shape {rows}x{cols}")
+            cell = acc.setdefault((i, j), {})
+            for sigma, coeff in terms.items():
+                sigma = sigma if isinstance(sigma, MultiIndex) else MultiIndex(sigma)
+                if len(sigma) != bundle.n:
+                    raise ValueError(f"multi-index {sigma} has wrong length")
+                if not isinstance(coeff, PolyExpr):
+                    coeff = bundle.const(coeff)
+                if coeff.bundle != bundle:
+                    raise SignatureMismatchError("coefficient over a different signature")
+                _add_terms(cell.setdefault(sigma, {}), coeff._terms)
+        CDiffOperator._wrap(bundle, rows, cols, acc, self)
 
     @classmethod
-    def _make(cls, bundle: Bundle, rows: int, cols: int, entries: dict) -> "CDiffOperator":
+    def _make(cls, bundle: Bundle, rows: int, cols: int, entries: dict, into=None) -> "CDiffOperator":
         # Trusted constructor: no cell of entries is empty and no coefficient
-        # zero.  A computed sum, which may cancel, goes through _wrap.
-        self = object.__new__(cls)
+        # zero.  A computed sum, which may cancel, goes through _wrap.  into
+        # is an instance to fill in place of a new one (__init__ passes itself).
+        self = object.__new__(cls) if into is None else into
         self.bundle = bundle
         self.rows = rows
         self.cols = cols
@@ -226,22 +216,20 @@ class CDiffOperator:
         for key, cell in self._entries.items():
             out = acc.setdefault(key, {})
             for sigma, coeff in cell.items():
-                terms = out.setdefault(sigma, {})
-                get = terms.get
-                for m, c in coeff._terms.items():
-                    terms[m] = get(m, 0) + k * c
+                _add_terms(out.setdefault(sigma, {}), coeff._terms, k)
 
     @classmethod
-    def _wrap(cls, bundle: Bundle, rows: int, cols: int, acc: dict) -> "CDiffOperator":
+    def _wrap(cls, bundle: Bundle, rows: int, cols: int, acc: dict, into=None) -> "CDiffOperator":
         """The operator of an id-form operator sum, without the terms and
-        cells that cancelled; acc is not reused.  The one builder of a
-        computed sum that drops zeros."""
+        cells that cancelled; acc is not reused, and into is as in _make.
+        The one builder of an operator sum that drops zeros, for computed
+        sums and the validating constructor alike."""
         entries = {}
         for ij, cell in acc.items():
             cell = {sigma: coeff for sigma, terms in cell.items() if (coeff := PolyExpr._make(bundle, terms))}
             if cell:
                 entries[ij] = cell
-        return cls._make(bundle, rows, cols, entries)
+        return cls._make(bundle, rows, cols, entries, into)
 
     def __neg__(self) -> "CDiffOperator":
         return self.scale(-1)
@@ -269,6 +257,7 @@ class CDiffOperator:
         """Add k * self(g) into accs, one id-form term dict per row, once g
         has the same signature and rank = cols; g's derivatives come from
         chains."""
+        _check_vector(g)
         if g.bundle != self.bundle:
             raise SignatureMismatchError("operand carries a different signature")
         if g.rank != self.cols:

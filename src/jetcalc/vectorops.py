@@ -18,6 +18,13 @@ class RankMismatchError(ValueError):
     """Operators of incompatible ranks were combined."""
 
 
+def _check_vector(g) -> None:
+    """Raise TypeError unless g is a VectorOperator; a kernel calls it once,
+    before it reads g's bundle or rank."""
+    if not isinstance(g, VectorOperator):
+        raise TypeError(f"expected VectorOperator, got {type(g).__name__}")
+
+
 class VectorOperator:
     __slots__ = ("components",)
 
@@ -25,11 +32,10 @@ class VectorOperator:
         components = tuple(components)
         if not components:
             raise ValueError("a vector operator needs at least one component")
-        bundle = components[0].bundle
-        for c in components:
+        for c in components:  # the first is checked before its bundle is read
             if not isinstance(c, PolyExpr):
                 raise TypeError(f"component {c!r} is not a PolyExpr")
-            if c.bundle != bundle:
+            if c.bundle != components[0].bundle:
                 raise SignatureMismatchError("components carry different signatures")
         self.components = components
 
@@ -61,8 +67,7 @@ class VectorOperator:
         return all(c.is_zero() for c in self.components)
 
     def _coerce(self, other) -> "VectorOperator":
-        if not isinstance(other, VectorOperator):
-            raise TypeError(f"expected VectorOperator, got {type(other).__name__}")
+        _check_vector(other)
         if other.bundle != self.bundle:
             raise SignatureMismatchError("vector operators carry different signatures")
         if other.rank != self.rank:

@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 
 from jetcalc import (
     Bundle,
     CDiffOperator,
+    SignatureMismatchError,
     VectorOperator,
     ad_apply,
     evolutionary_apply,
@@ -17,6 +19,7 @@ from jetcalc import (
     random_vector_operator,
     substitute_section,
 )
+from jetcalc import calculus
 from jetcalc.multiindex import MultiIndex
 from jetcalc.operators import DerivativeCache
 from jetcalc.vectorops import RankMismatchError
@@ -294,3 +297,46 @@ class TestJacobiIdentity:
                     + jacobi_bracket(h, jacobi_bracket(f, g))
                 )
                 assert total.is_zero()
+
+
+_B = Bundle(("x",), ("u",))
+_E = _B.fiber_var(0) * _B.jet(0, (1,))
+_G = VectorOperator([_E])
+# Each call read .bundle, .rank or .kind off the int before it was checked.
+WRONG_TYPES = {
+    "vector component": (lambda: VectorOperator([1]), "component 1 is not a PolyExpr"),
+    "linearize": (lambda: linearize(3), "expected VectorOperator, got int"),
+    "apply": (lambda: linearize(_G).apply(3), "expected VectorOperator, got int"),
+    "generator": (lambda: evolutionary_apply(3, _E), "expected VectorOperator, got int"),
+    "target": (lambda: evolutionary_apply(_G, 3), "component 3 is not a PolyExpr"),
+    "section": (lambda: substitute_section(_E, [3]), "component 3 is not a PolyExpr"),
+}
+
+
+class TestOperandErrors:
+    @pytest.mark.parametrize("call, message", WRONG_TYPES.values(), ids=WRONG_TYPES)
+    def test_wrong_type_raises_type_error(self, call, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_signature_errors(self, scalar_bundle):
+        with pytest.raises(SignatureMismatchError, match="^operands carry different signatures$"):
+            evolutionary_apply(_G, scalar_bundle.fiber_var(0))
+        with pytest.raises(SignatureMismatchError, match="^section carries a different signature$"):
+            substitute_section(_E, [scalar_bundle.base_var(0)])
+
+
+def test_vector_target_derives_its_generator_once(plane_bundle, monkeypatch):
+    built = []
+
+    class Counting(DerivativeCache):
+        def __init__(self, exprs):
+            built.append(exprs)
+            super().__init__(exprs)
+
+    g = random_vector_operator(plane_bundle, 25, max_jet_order=3)
+    target = random_vector_operator(plane_bundle, 26, max_jet_order=3)
+    each = VectorOperator(evolutionary_apply(g, c) for c in target.components)
+    monkeypatch.setattr(calculus, "DerivativeCache", Counting)
+    assert evolutionary_apply(g, target) == each
+    assert len(built) == 1 and built[0] is g

@@ -37,6 +37,11 @@ class TestComputationCommands:
         assert code == 0
         assert out == "bracket: 2*c*u_x\ncoordinate: 2*c*u_x\nagree: true\n"
 
+    def test_missing_session_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.jet"
+        assert main(["linearize", "--session", str(path), "--op", "F"]) == 2
+        assert capsys.readouterr().err == f"error: session file {path} does not exist\n"
+
     def test_linearize_golden(self, intro_session, capsys):
         code = main(["linearize", "--session", intro_session, "--op", "F"])
         assert code == 0

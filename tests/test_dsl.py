@@ -287,3 +287,11 @@ class TestRoundTrip:
         }
         session = SessionFile(bundle, ops)
         assert parse(print_session(session)) == session
+
+
+def test_cancelled_terms_are_dropped_before_the_degree_bound():
+    # u^600 - u^600 cancels inside the parentheses, so the product has
+    # degree 601, not 1200.
+    b = Bundle(("x",), ("u",))
+    u = b.fiber_var(0)
+    assert parse_expression("(u^600 - u^600 + u) * u^600", b) == u**601

@@ -445,3 +445,33 @@ class TestTrustedConstructor:
         res = trial("antihom", {"f": f, "g": g, "probe_order": 8})[0]
         assert res.holds and len(res.value.components) == 90
         assert {sys.getsizeof(c._terms) for c in res.value.components} == {sys.getsizeof({})}
+
+
+# -- error branches, one row per raise -------------------------------------------
+
+_B1 = Bundle(("x",), ("u",))
+_B2 = Bundle(("x", "y"), ("u", "v"), ("c",))
+EXPRESSION_ERRORS = {
+    "no fiber": (lambda: Bundle(("x",), ()), ValueError, "need at least one fiber variable"),
+    "base index": (lambda: _B1.base_coord(5), ValueError, "base index 5 out of range"),
+    "fiber index": (lambda: _B1.jet_coord(5, (0,)), ValueError, "fiber index 5 out of range"),
+    "parameter": (lambda: _B1.param_coord("q"), ValueError, "unknown parameter 'q'"),
+    "variable type": (lambda: PolyExpr(_B1, {(("u", 1),): 1}), TypeError,
+                      "monomial variable 'u' is not a JetCoordinate"),
+    "kind 7": (lambda: PolyExpr(_B1, {((JetCoordinate(7, 0), 1),): 1}), ValueError,
+               f"coordinate {JetCoordinate(7, 0)} does not belong to signature {_B1}"),
+    "negative power": (lambda: _B1.fiber_var(0) ** -1, ValueError, "exponent must be a non-negative integer"),
+    "derivative direction": (lambda: _B1.fiber_var(0).total_derivative(3), ValueError, "base index 3 out of range"),
+    "substitute": (lambda: _B1.fiber_var(0).substitute({_B1.fiber_coord(0): _B2.fiber_var(0)}),
+                   SignatureMismatchError, "substitution value over a different signature"),
+    "embed names": (lambda: _B1.fiber_var(0).embed(_B2), SignatureMismatchError,
+                    "embed requires identical base and fiber names"),
+    "embed params": (lambda: _B2.fiber_var(0).embed(Bundle(("x", "y"), ("u", "v"))), SignatureMismatchError,
+                     "target signature lacks parameter 'c'"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", EXPRESSION_ERRORS.values(), ids=EXPRESSION_ERRORS)
+def test_expression_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

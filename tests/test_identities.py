@@ -234,6 +234,37 @@ class TestCommutation:
             res = check_commutation((1, 1), (2, 1), 1, e)
             assert res.holds
 
+    def test_defect_under_a_wrong_multiplicity(self, plane_bundle, monkeypatch):
+        # The defect is D_tau(e)'s partial minus the closed form, each term
+        # with the multiplicity the check reads, summed in one accumulator.
+        from jetcalc import random_expr
+        from jetcalc.multiindex import MultiIndex, binom_product, sub_indices
+
+        monkeypatch.setattr(identities, "binom_product", lambda tau, kappa: binom_product(tau, kappa) + 1)
+        zeta, tau = MultiIndex((1, 1)), MultiIndex((2, 1))
+        for seed in range(5):
+            e = random_expr(plane_bundle, seed, max_jet_order=3, max_degree=3)
+            want = e.total_derivative_multi(tau).partial(plane_bundle.jet_coord(1, zeta))
+            for kappa in sub_indices(tau):
+                if zeta.checked_sub(kappa) is not None:
+                    part = e.partial(plane_bundle.jet_coord(1, zeta.checked_sub(kappa)))
+                    want -= part.total_derivative_multi(tau.checked_sub(kappa)).scale(binom_product(tau, kappa) + 1)
+            res = check_commutation(zeta, tau, 1, e)
+            assert res.value == VectorOperator([want]) and res.holds == want.is_zero()
+
+    @pytest.mark.parametrize(
+        "zeta, tau, fiber, message",
+        [
+            ((0,), (0, 0), 5, r"multi-index \(0, 0\) has wrong length for 1 base variables"),
+            ((0, 0), (0,), 5, "fiber index 5 out of range"),
+            ((0, 0), (0,), 0, r"multi-index \(0, 0\) has wrong length for 1 base variables"),
+        ],
+        ids=["tau first", "then the fiber", "then zeta"],
+    )
+    def test_validation_order(self, scalar_bundle, zeta, tau, fiber, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_commutation(zeta, tau, fiber, scalar_bundle.fiber_var(0))
+
 
 class TestMultiplierIdentity:
     def test_linear_inputs(self, scalar_bundle):

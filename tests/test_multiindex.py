@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -147,3 +149,32 @@ class TestSubIndices:
         assert len(set(subs)) == len(subs)
         assert subs == sorted(subs)
         assert all(sigma.checked_sub(k) is not None for k in subs)
+
+
+class TestPlainTupleOperands:
+    @pytest.mark.parametrize("other", [(-5,), (True,), (1.0,)], ids=["negative", "bool", "float"])
+    def test_checked_as_the_constructor_checks(self, other):
+        with pytest.raises(ValueError, match=r"^multi-index entries must be non-negative integers, got"):
+            MultiIndex((1,)) + other
+        with pytest.raises(ValueError, match=r"^multi-index entries must be non-negative integers, got"):
+            other + MultiIndex((1,))
+
+    def test_valid_tuple_adds_entrywise(self):
+        for got in (MultiIndex((1, 0)) + (2, 3), (2, 3) + MultiIndex((1, 0))):
+            assert got == (3, 3) and type(got) is MultiIndex
+
+    def test_length_mismatch_comes_first(self):
+        with pytest.raises(ValueError, match=r"^multi-index length mismatch: 1 vs 9$"):
+            MultiIndex((1,)) + (0,) * 9
+
+
+MULTIINDEX_ERRORS = {
+    "unit": (lambda: MultiIndex.unit(1, 3), "base index 3 out of range for 1 variables"),
+    "checked_sub": (lambda: MultiIndex((1,)).checked_sub(MultiIndex((1, 2))), "multi-index length mismatch: 1 vs 2"),
+}
+
+
+@pytest.mark.parametrize("call, message", MULTIINDEX_ERRORS.values(), ids=MULTIINDEX_ERRORS)
+def test_multiindex_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

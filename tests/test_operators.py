@@ -206,6 +206,17 @@ class TestConstructor:
         assert CDiffOperator(b, 1, 1, {(0, 0): {(1,): Fraction(2, 3)}}) == d_x(b, b.const(Fraction(2, 3)))
         assert CDiffOperator(b, 1, 1, {(0, 0): {(1,): 0}}).is_zero()
 
+    def test_duplicate_keys_that_cancel_drop_their_cell(self, plane_bundle):
+        u = plane_bundle.fiber_var(0)
+        op = CDiffOperator(plane_bundle, 2, 2, {(0, 1): {range(2): u, (0, 1): -u}, (1, 0): {(1, 0): u}})
+        assert op.entry(0, 1) == {} and (0, 1) not in op._entries
+        assert CDiffOperator(plane_bundle, 1, 1, {(0, 0): {range(2): u, (0, 1): -u}}).is_zero()
+
+    def test_from_json_shape_of_three_ints(self, scalar_bundle):
+        data = {"shape": [1, 1, 1], "signature": scalar_bundle.to_json()}
+        with pytest.raises(ValueError, match=r"^field 'shape' must be a list of two ints, got \[1, 1, 1\]$"):
+            CDiffOperator.from_json(data)
+
 
 class TestAlgebraOperandErrors:
     @pytest.mark.parametrize("op", ["add", "commutator"])
@@ -309,3 +320,17 @@ class TestDerivativeCache:
                 assert all(type(kappa) is type(key) is MultiIndex for kappa, key, _ in got)
                 assert _leibniz(sigma, tau) is got
         assert _leibniz.cache_info().maxsize is not None
+
+
+class TestVectorOperatorErrors:
+    def test_table(self, scalar_bundle, plane_bundle):
+        f = VectorOperator([scalar_bundle.fiber_var(0)])
+        cases = [
+            (lambda: VectorOperator([]), ValueError, "a vector operator needs at least one component"),
+            (lambda: VectorOperator([scalar_bundle.one(), plane_bundle.one()]), SignatureMismatchError,
+             "components carry different signatures"),
+            (lambda: f + 3, TypeError, "expected VectorOperator, got int"),
+        ]
+        for call, error, message in cases:
+            with pytest.raises(error, match=f"^{message}$"):
+                call()

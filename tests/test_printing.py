@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from jetcalc.printing import (
     coord_token,
     json_text,
     latex,
+    parse_coord_token,
     poly_text,
     text,
     vector_text,
@@ -326,3 +328,16 @@ class TestJsonText:
     def test_rejects_what_has_no_exact_json_form(self, bad):
         with pytest.raises(TypeError):
             json_text(bad)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: parse_coord_token(Bundle(("x",), ("u",)), "q[1]"), ValueError, "unrecognized coordinate token 'q[1]'"),
+        (lambda: text(3), TypeError, "cannot render int as text"),
+    ],
+    ids=["coordinate token", "text of an int"],
+)
+def test_printing_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -274,3 +274,10 @@ class TestSharedChains:
             built.clear()
             claim_residual(kind, claim)
             assert {key: sum(c is getattr(claim, key) for c in built) for key in builds} == builds
+
+
+def test_claim_expect_must_be_zero_or_nonzero():
+    record = {"kind": "symmetry", "signature": {"base": ["x"], "fiber": ["u"]},
+              "f": ["u_x"], "h": ["u"], "theta": ["0"], "expect": "maybe"}
+    with pytest.raises(ValueError, match="^expect must be 'zero' or 'nonzero', got 'maybe'$"):
+        parse_claim(record)
