@@ -308,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("section4", _cmd_section4, "the non-homogeneous diagonal pair example")
 
+    parser.commands = sub.choices  # command name -> its parser, see _parse_args
     return parser
 
 
@@ -316,6 +317,23 @@ def _parser() -> argparse.ArgumentParser:
     # Parsing leaves the parser unchanged, so one instance serves every call
     # of main in a process; build_parser stays public and returns a fresh one.
     return build_parser()
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """The arguments of argv, as the full parser's parse_args gives them.
+
+    After a command name the command's own parser reads the rest, the way the
+    full parser hands it over, so the arguments are sorted once, not twice.
+    Any other argv goes through the full parser.
+    """
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
@@ -328,7 +346,7 @@ def main(argv=None) -> int:
     """
     try:
         try:
-            args = _parser().parse_args(argv)
+            args = _parse_args(sys.argv[1:] if argv is None else list(argv))
             code = args.func(args)
         except SystemExit as e:
             code = int(e.code or 0)

@@ -31,6 +31,7 @@ KEYWORDS = ("base", "fiber", "param", "op")
 # unbounded depth would end in RecursionError.
 MAX_NESTING = 100
 _PUNCT = "+-*^()[],;=/"
+_STARTS = {"int": str.isdecimal, "ident": str.isalpha}  # the first character of an "int" or "ident" token
 
 
 class DslError(ValueError):
@@ -57,13 +58,6 @@ def tokenize(source: str) -> list[str]:
             raise DslError(f"unexpected character {tok[0]!r}", *_position(source, k))
     tokens.append("")
     return tokens
-
-
-def _kind(tok: str) -> str:
-    """"int", "ident", "eof", or the punctuation character itself."""
-    if not tok:
-        return "eof"
-    return "int" if tok[0].isdecimal() else "ident" if tok[0].isalpha() else tok
 
 
 def _position(source: str, k: int) -> tuple[int, int]:
@@ -95,15 +89,11 @@ class _Parser:
     def error(self, message: str, k: int) -> DslError:
         return DslError(message, *_position(self.source, k))
 
-    def next(self) -> str:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind: str) -> str:
-        """The next token, which must be of the given kind (see _kind)."""
+        """The next token, which must be the punctuation character kind, or
+        for kind "int" or "ident" a decimal run or a name (see tokenize)."""
         tok = self.tokens[self.pos]
-        if _kind(tok) != kind:
+        if (tok != kind) if len(kind) == 1 else not _STARTS[kind](tok[:1]):
             what = "end of input" if not tok else repr(tok)
             raise self.error(f"expected {kind!r}, found {what}", self.pos)
         self.pos += 1
@@ -121,12 +111,15 @@ class _Parser:
     def parse_session(self) -> SessionFile:
         decls = {"base": [], "fiber": [], "param": []}
         seen: set = set()
-        while self.tokens[self.pos] in decls:
-            kind = self.next()
+        tokens = self.tokens
+        while tokens[self.pos] in decls:
+            kind = tokens[self.pos]
+            self.pos += 1
             first = self.pos
-            while _kind(self.tokens[self.pos]) == "ident":
+            while tokens[self.pos][:1].isalpha():
                 self._check_name(self.pos, seen)
-                decls[kind].append(self.next())
+                decls[kind].append(tokens[self.pos])
+                self.pos += 1
             if self.pos == first:
                 raise self.error(f"expected a name after {kind!r}", self.pos)
             self.expect(";")
@@ -139,8 +132,9 @@ class _Parser:
             raise self.error(f"at most {MAX_BASE_DIM} base variables supported", head)
         self.bundle = Bundle(tuple(decls["base"]), tuple(decls["fiber"]), tuple(decls["param"]))
         session = SessionFile(self.bundle)
-        while self.tokens[self.pos]:
-            tok = self.next()
+        while tokens[self.pos]:
+            tok = tokens[self.pos]
+            self.pos += 1
             if tok in decls:
                 raise self.error("declarations must precede operator definitions", self.pos - 1)
             if tok != "op":
@@ -150,8 +144,8 @@ class _Parser:
             self.expect("=")
             self.expect("[")
             comps = [self.parse_expr()]
-            while self.tokens[self.pos] == ",":
-                self.next()
+            while tokens[self.pos] == ",":
+                self.pos += 1
                 comps.append(self.parse_expr())
             self.expect("]")
             self.expect(";")
@@ -170,44 +164,51 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------------
     #
-    #   sum    := term (("+" | "-") term)*
-    #   term   := factor ("*" factor)*
-    #   factor := "-"* atom ("^" int)?
-    #   atom   := int ("/" int)? | name | fiber "[" int ("," int)* "]" | "(" sum ")"
+    #   sum     := product (("+" | "-") product)*
+    #   product := factor ("*" factor)*
+    #   factor  := "-"* atom ("^" int)?
+    #   atom    := int ("/" int)? | name | fiber "[" int ("," int)* "]" | "(" sum ")"
     #
-    # Each method returns a fresh id-form term dict, monomial -> nonzero
-    # coefficient (the representation inside PolyExpr, see expressions.py);
-    # parse_expr wraps one per component.  A sum or product drops its zeros
-    # through PolyExpr._make, once, before the degree bound of a product reads
-    # the dict.
+    # parse_sum reads a sum and its products in one loop: it multiplies out
+    # each product and adds it, with its sign, into the sum.  Term dicts are
+    # fresh and in id form, monomial -> coefficient (the representation inside
+    # PolyExpr, see expressions.py).  One filter drops the zeros of each "*"
+    # and of each whole sum.  parse_factor also returns the degree, and
+    # the bound on a product adds the degrees of its factors before the
+    # product is built.  That is exact: over the rationals a product of
+    # nonzero factors has the sum of their degrees, and a zero factor has
+    # degree 0.
 
     def parse_expr(self) -> PolyExpr:
         return PolyExpr._make(self.bundle, self.parse_sum())
 
     def parse_sum(self) -> dict:
-        acc = self.parse_term()
-        while self.tokens[self.pos] in ("+", "-"):
-            sign = 1 if self.next() == "+" else -1
-            _add_terms(acc, self.parse_term(), sign)
-        return PolyExpr._make(self.bundle, acc)._terms
-
-    def parse_term(self) -> dict:
-        left = self.parse_factor()
-        while self.tokens[self.pos] == "*":
-            star = self.pos
+        tokens = self.tokens
+        acc: dict = {}
+        sign = 1
+        while True:
+            terms, degree = self.parse_factor()
+            while tokens[self.pos] == "*":
+                star = self.pos
+                self.pos += 1
+                right, rdeg = self.parse_factor()
+                degree += rdeg
+                if degree > MAX_DEGREE:
+                    raise self.error(f"product of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", star)
+                product: dict = {}
+                _mul_into(product, terms, right)
+                terms = {m: c for m, c in product.items() if c}
+                if not terms:
+                    degree = 0
+            _add_terms(acc, terms, sign)
+            tok = tokens[self.pos]
+            if tok != "+" and tok != "-":
+                return {m: c for m, c in acc.items() if c}
             self.pos += 1
-            right = self.parse_factor()
-            # Over the rationals the degree of a product is the sum of the
-            # degrees, so the bound is checked before the product is built.
-            degree = max(map(len, left), default=0) + max(map(len, right), default=0)
-            if degree > MAX_DEGREE:
-                raise self.error(f"product of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", star)
-            acc: dict = {}
-            _mul_into(acc, left, right)
-            left = PolyExpr._make(self.bundle, acc)._terms
-        return left
+            sign = 1 if tok == "+" else -1
 
-    def parse_factor(self) -> dict:
+    def parse_factor(self) -> tuple:
+        """(terms, degree) of the next factor."""
         tokens = self.tokens
         negate = False
         while tokens[self.pos] == "-":
@@ -225,7 +226,7 @@ class _Parser:
                 vid = self.symbol_ids.get(tok)
                 if vid is None:
                     vid = self.symbol_ids[tok] = _intern(self._resolve_symbol(tok, k))
-            terms = {(vid,): 1}
+            terms, degree = {(vid,): 1}, 1
         elif tok[:1].isdecimal():
             q = self.expect_int()
             if tokens[self.pos] == "/":
@@ -235,13 +236,14 @@ class _Parser:
                     raise self.error("zero denominator", self.pos - 1)
                 q = Fraction(q, den)
                 q = q.numerator if q.denominator == 1 else q
-            terms = {(): q} if q else {}
+            terms, degree = {(): q} if q else {}, 0
         elif tok == "(":
             if self.depth == MAX_NESTING:
                 raise self.error(f"parentheses nested deeper than MAX_NESTING = {MAX_NESTING}", k)
             self.depth += 1
             self.pos += 1
             terms = self.parse_sum()
+            degree = max(map(len, terms), default=0)  # after cancellation
             self.expect(")")
             self.depth -= 1
         else:
@@ -254,7 +256,8 @@ class _Parser:
                 terms = (PolyExpr._make(self.bundle, terms) ** exp)._terms
             except ValueError as e:
                 raise self.error(str(e), self.pos - 1) from None
-        return {mono: -c for mono, c in terms.items()} if negate else terms
+            degree *= exp
+        return {mono: -c for mono, c in terms.items()} if negate else terms, degree
 
     def _resolve_symbol(self, name: str, k: int) -> JetCoordinate:
         bundle = self.bundle
@@ -272,10 +275,10 @@ class _Parser:
         if self.tokens[self.pos] == "[":
             if name not in bundle.fiber:
                 raise self.error(f"undeclared fiber variable {name!r}", k)
-            self.next()
+            self.pos += 1
             entries = [self.expect_int()]
             while self.tokens[self.pos] == ",":
-                self.next()
+                self.pos += 1
                 entries.append(self.expect_int())
             self.expect("]")
             if len(entries) != bundle.n:

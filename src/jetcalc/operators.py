@@ -104,6 +104,9 @@ class CDiffOperator:
     __slots__ = ("bundle", "rows", "cols", "_entries")
 
     def __init__(self, bundle: Bundle, rows: int, cols: int, entries: Optional[Mapping] = None):
+        """entries maps (i, j) to the terms of that cell: a mapping sigma ->
+        coefficient, or an iterable of (sigma, coefficient) pairs.  Terms
+        whose sigma is the same multi-index add."""
         if rows < 1 or cols < 1:
             raise ValueError("operator shape must be at least 1x1")
         acc: dict = {}
@@ -111,7 +114,7 @@ class CDiffOperator:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside shape {rows}x{cols}")
             cell = acc.setdefault((i, j), {})
-            for sigma, coeff in terms.items():
+            for sigma, coeff in terms.items() if isinstance(terms, Mapping) else terms:
                 sigma = sigma if isinstance(sigma, MultiIndex) else MultiIndex(sigma)
                 if len(sigma) != bundle.n:
                     raise ValueError(f"multi-index {sigma} has wrong length")
@@ -349,12 +352,11 @@ class CDiffOperator:
         for rec in _field({"entries": [], **data}, "entries", list, dict):
             i = _one_based(_field(rec, "i", int), rows, "field 'i'")
             j = _one_based(_field(rec, "j", int), cols, "field 'j'")
-            cell = entries.setdefault((i, j), {})
+            cell = entries.setdefault((i, j), [])
             for term in _field(rec, "terms", list, dict):
                 sigma = MultiIndex(tuple(_field(term, "sigma", list, int)))
-                coeff = PolyExpr.from_json(_field(term, "coeff"), bundle)
-                cell[sigma] = cell.get(sigma, bundle.zero()) + coeff
-        return cls(bundle, rows, cols, entries)
+                cell.append((sigma, PolyExpr.from_json(_field(term, "coeff"), bundle)))
+        return cls(bundle, rows, cols, entries)  # which adds the terms of a repeated sigma
 
     def __str__(self) -> str:
         from .printing import cdiff_text

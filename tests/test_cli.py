@@ -417,6 +417,66 @@ class TestUsageErrors:
         self._assert_error([*argv, str(tmp_path)], capsys)
 
 
+# {intro} and {claims} stand for the fixture paths.
+DISPATCH_TABLE = [
+    ["linearize", "--session", "{intro}", "--op", "F"],
+    ["bracket", "--session", "{intro}", "--left", "F", "--right", "G", "--format", "json"],
+    ["hessian", "--session", "{intro}", "--f", "F", "--g", "G", "--h", "G"],
+    ["anomaly", "--session", "{intro}", "--f", "F", "--g", "G", "--format", "latex"],
+    ["verify", "prop2", "--random", "2"],
+    ["verify", "prop2", "--session", "{intro}", "--operands", "F", "G"],
+    ["check-symmetry", "--fixtures", "{claims}"],
+    ["check-aux", "--fixtures", "{claims}", "--format", "json"],
+    ["section4"],
+    ["linearize", "--session={intro}", "--op", "F"],
+    ["linearize", "--sess", "{intro}", "--op", "F"],
+    ["linearize", "--session", "{intro}", "--op", "F", "--bogus"],
+    ["linearize", "--session", "{intro}", "--op", "F", "stray", "--bogus=1"],
+    ["verify", "prop2", "stray", "--random", "2"],
+    ["linearize", "--session", "{intro}"],
+    ["bracket", "--left", "F"],
+    ["linearize", "--session", "{intro}", "--op", "F", "--format", "xml"],
+    ["verify", "no-such-identity"],
+    ["linearize", "-h"],
+    ["verify", "--help"],
+    ["section4", "-h", "--bogus"],
+    ["frobnicate", "--op", "F"],
+    ["--session", "{intro}", "linearize", "--op", "F"],
+    ["-h"],
+    [],
+]
+
+
+class TestDispatch:
+    """main hands the arguments after a command name to that command's own
+    parser; every argv must still behave as under the full parser."""
+
+    @staticmethod
+    def full_parser(argv) -> int:
+        try:
+            args = cli.build_parser().parse_args(argv)
+            return args.func(args)
+        except SystemExit as e:
+            return int(e.code or 0)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+
+    @pytest.mark.parametrize("argv", DISPATCH_TABLE, ids=" ".join)
+    def test_same_as_the_full_parser(self, argv, intro_session, claims_file, capsys):
+        argv = [a.format(intro=intro_session, claims=claims_file) for a in argv]
+        got = main(list(argv)), *capsys.readouterr()
+        want = self.full_parser(list(argv)), *capsys.readouterr()
+        assert got == want
+        assert got[2] or got[1]
+
+    def test_leftover_arguments_get_the_full_usage(self, intro_session, capsys):
+        assert main(["linearize", "--session", intro_session, "--op", "F", "--bogus", "x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: jetcalc [-h] COMMAND ...\n")
+        assert err.endswith("jetcalc: error: unrecognized arguments: --bogus x\n")
+
+
 def console_env() -> dict:
     env = dict(os.environ)
     src = str(Path(jetcalc.__file__).resolve().parent.parent)

@@ -295,3 +295,102 @@ def test_cancelled_terms_are_dropped_before_the_degree_bound():
     b = Bundle(("x",), ("u",))
     u = b.fiber_var(0)
     assert parse_expression("(u^600 - u^600 + u) * u^600", b) == u**601
+
+
+# -- the parser against PolyExpr's own arithmetic ----------------------------
+#
+# A tree is a leaf, ("+" | "-" | "*", left, right), ("^", base, k), ("neg", a)
+# or ("paren", a).  show() prints it with the parentheses that the grammar's
+# precedence needs, and value() computes it with PolyExpr's + - * **.
+
+# Precedence of printed text: sum 1, product 2, "-" factor 3, power 4, atom 5.
+PREC = {"+": 1, "-": 1, "*": 2, "neg": 3, "^": 4}
+
+
+@st.composite
+def expression_trees(draw):
+    n, r = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    bundle = Bundle(("x", "y")[:n], ("u", "v")[:r], ("c",))
+    sigmas = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    leaves = st.one_of(
+        st.tuples(st.just("jet"), st.integers(0, r - 1), sigmas, st.booleans()),
+        st.tuples(st.just("base"), st.integers(0, n - 1)),
+        st.tuples(st.just("param")),
+        st.tuples(st.just("num"), st.integers(0, 12), st.none() | st.integers(1, 6)),
+    )
+    tree = draw(st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*"), sub, sub),
+        st.tuples(st.just("^"), sub, st.integers(0, 3)),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("paren"), sub),
+    ), max_leaves=8))
+    return bundle, tree
+
+
+def show(tree, bundle) -> tuple:
+    """(text, precedence) of a tree."""
+    kind = tree[0]
+    if kind == "jet":
+        _, j, sigma, suffix = tree
+        name = bundle.fiber[j]
+        if not suffix:
+            return f"{name}[{','.join(map(str, sigma))}]", 5
+        letters = "".join(x * k for x, k in zip(bundle.base, sigma))
+        return (f"{name}_{letters}" if letters else name), 5
+    if kind == "base":
+        return bundle.base[tree[1]], 5
+    if kind == "param":
+        return "c", 5
+    if kind == "num":
+        return (str(tree[1]) if tree[2] is None else f"{tree[1]}/{tree[2]}"), 5
+    if kind == "paren":
+        return f"({show(tree[1], bundle)[0]})", 5
+
+    def operand(sub, least):
+        text, prec = show(sub, bundle)
+        return text if prec >= least else f"({text})"
+
+    if kind == "^":
+        return f"{operand(tree[1], 5)}^{tree[2]}", 4
+    if kind == "neg":
+        return "-" + operand(tree[1], 3), 3
+    # Left-associative: the right operand binds one level tighter.
+    prec = PREC[kind]
+    return f"{operand(tree[1], prec)} {kind} {operand(tree[2], prec + 1)}", prec
+
+
+def value(tree, bundle):
+    kind = tree[0]
+    if kind == "jet":
+        return bundle.jet(tree[1], tree[2])
+    if kind == "base":
+        return bundle.base_var(tree[1])
+    if kind == "param":
+        return bundle.param("c")
+    if kind == "num":
+        return bundle.const(Fraction(tree[1], tree[2] or 1))
+    if kind == "paren":
+        return value(tree[1], bundle)
+    if kind == "neg":
+        return -value(tree[1], bundle)
+    if kind == "^":
+        return value(tree[1], bundle) ** tree[2]
+    a, b = value(tree[1], bundle), value(tree[2], bundle)
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+@given(expression_trees())
+@settings(max_examples=300, deadline=None)
+def test_parser_agrees_with_polyexpr_arithmetic(case):
+    bundle, tree = case
+    text = show(tree, bundle)[0]
+    assert parse_expression(text, bundle) == value(tree, bundle), text
+
+
+@pytest.mark.parametrize(
+    "source", ["(u - u)*u^1000*u", "u^500*(u - u)*u^600", "-(u - u)^1000*u^1000*u", "u*(x - x)*u^1000"]
+)
+def test_a_zero_factor_has_degree_zero(source, scalar_bundle):
+    # The product is zero from its zero factor on, so the bound then counts
+    # only the factors that follow it.
+    assert parse_expression(source, scalar_bundle) == 0

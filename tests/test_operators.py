@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -275,6 +276,38 @@ class TestCanonicalEquality:
         assert theta.to_json()["entries"]
         assert CDiffOperator.from_json(theta.to_json()) == theta
         assert CDiffOperator.from_json(theta.to_json(), plane_bundle) == theta
+
+    @staticmethod
+    def listed(bundle, terms) -> dict:
+        """An operator document whose one cell, (1, 2), lists terms, (sigma, coefficient) pairs."""
+        return {
+            "shape": [1, 2],
+            "signature": bundle.to_json(),
+            "entries": [{"i": 1, "j": 2, "terms": [{"sigma": s, "coeff": c.to_json()} for s, c in terms]}],
+        }
+
+    def test_json_sigma_listed_twice_reads_as_the_sum(self, plane_bundle):
+        u, v = plane_bundle.fiber_var(0), plane_bundle.fiber_var(1)
+        doc = self.listed(plane_bundle, [([1, 0], u), ([0, 1], v), ([1, 0], 2 * u - v)])
+        op = CDiffOperator.from_json(doc)
+        assert op.entry(0, 1) == {MultiIndex((1, 0)): 3 * u - v, MultiIndex((0, 1)): v}
+        assert json.dumps(CDiffOperator.from_json(op.to_json()).to_json()) == json.dumps(op.to_json())
+
+    def test_json_entries_that_cancel_leave_no_cell(self, plane_bundle):
+        u = plane_bundle.fiber_var(0)
+        doc = self.listed(plane_bundle, [([1, 0], u * u), ([1, 0], -(u * u))])
+        op = CDiffOperator.from_json(doc)
+        assert op.is_zero() and op._entries == {}
+        assert op.to_json()["entries"] == []
+        # The same cell listed in two records adds too.
+        doc["entries"].append({"i": 1, "j": 2, "terms": [{"sigma": [0, 2], "coeff": u.to_json()}]})
+        assert CDiffOperator.from_json(doc).entry(0, 1) == {MultiIndex((0, 2)): u}
+
+    def test_json_round_trip_is_byte_for_byte(self, plane_bundle):
+        for seed in range(5):
+            theta = random_cdiff(plane_bundle, seed, 2, 2)
+            text = json.dumps(theta.to_json())
+            assert json.dumps(CDiffOperator.from_json(json.loads(text)).to_json()) == text
 
 
 class TestDerivativeCache:
