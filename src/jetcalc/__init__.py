@@ -7,7 +7,6 @@ that every identity check is a canonical-form zero test.
 """
 
 from .calculus import (
-    ad_apply,
     evolutionary_apply,
     hessian_form,
     hessian_operator,
@@ -44,7 +43,6 @@ from .structures import (
     SymmetryClaim,
     aux_residual,
     evaluate_claim_file,
-    graded_additivity_check,
     nonhomogeneous_diagonal_pair,
     symmetry_residual,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "SignatureMismatchError",
     "SymmetryClaim",
     "VectorOperator",
-    "ad_apply",
     "aux_residual",
     "binom_product",
     "check_bracket_leibniz",
@@ -79,7 +76,6 @@ __all__ = [
     "check_multiplier_identity",
     "evaluate_claim_file",
     "evolutionary_apply",
-    "graded_additivity_check",
     "hessian_form",
     "hessian_operator",
     "jacobi_bracket",

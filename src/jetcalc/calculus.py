@@ -26,11 +26,20 @@ component, through the kernels that add k times a term: _bracket_into,
 _bracket_coord_into, _hessian_into, _evolutionary_into and
 CDiffOperator._apply_into; VectorOperator._make then wraps the sums.  An
 operator-valued side sums the same way into one id-form operator sum (see
-operators), here through _hessian_operator_into.  Each
-kernel that takes vector operands checks them first, once per call and type
-first (_check_sections, or apply's type, signature and column test), so a
-check's call order decides which error bad input gets; _evolutionary_into
-takes a cache and stays unchecked.
+operators), here through _hessian_operator_into.
+
+Types are tested once per public call, not per kernel call: kernels test
+signatures and shapes only.  Each public function runs
+expressions._check_type once on each operand before it reads an attribute,
+where it first touches the operands: at its accumulators (_sums, which
+tests the operands it is given and returns one empty term dict per
+component of the first), at its InputChains, or at the top.  A kernel then
+checks the signatures and ranks of its vector operands once per call
+(_check_sections, or apply's signature and column test), so a check's call
+order decides which of those errors bad input gets; _evolutionary_into
+takes a cache and stays unchecked.  _check_sections compares operands
+through VectorOperator._coerce, whose type test is there for the
+arithmetic operators.
 The other kernels take the derivatives of their operands from an optional
 InputChains; operators states how long each cache lives.  jacobi_bracket,
 jacobi_bracket_coord, hessian_form, hessian_operator and CDiffOperator.apply
@@ -52,17 +61,26 @@ from .expressions import (
     Bundle,
     PolyExpr,
     SignatureMismatchError,
+    _check_type,
     _mul_into,
     random_expr,
 )
 from .operators import FRESH, CDiffOperator, DerivativeCache, InputChains
-from .vectorops import RankMismatchError, VectorOperator, _check_vector
+from .vectorops import RankMismatchError, VectorOperator
+
+
+def _sums(**operands: VectorOperator) -> list:
+    """The accumulators of a public call, one empty id-form term dict per
+    component of its first operand, once each operand passed the type gate."""
+    for slot, g in operands.items():
+        _check_type(g, VectorOperator, slot)
+    return [{} for _ in next(iter(operands.values())).components]
 
 
 def _check_sections(role: str, f: VectorOperator, *others: VectorOperator) -> None:
     """Raise unless each of others matches f in signature and rank, and f has
-    the bundle's rank; role names f in the message."""
-    _check_vector(f)
+    the bundle's rank; role names f in the message.  The caller has tested
+    f's type."""
     for g in others:
         f._coerce(g)
     if f.rank != f.bundle.r:
@@ -75,7 +93,7 @@ def linearize(f: VectorOperator) -> CDiffOperator:
     For f linear in the jet coordinates with constant coefficients and no
     free term, applying the result to g reproduces f's own linear action.
     """
-    _check_vector(f)
+    _check_type(f, VectorOperator, "f")
     bundle = f.bundle
     entries: dict = {}
     for i, comp in enumerate(f.components):
@@ -91,6 +109,8 @@ def evolutionary_apply(g: VectorOperator, target: Union[PolyExpr, VectorOperator
     is finite because the target has finite jet order.  Vector operators are
     handled componentwise, on one cache of g's derivatives.
     """
+    _check_type(g, VectorOperator, "g")
+    _check_type(target, (PolyExpr, VectorOperator), "target")
     _check_sections("generating operator", g)
     vector = isinstance(target, VectorOperator)
     targets = target if vector else VectorOperator([target])
@@ -184,7 +204,7 @@ def _hessian_into(
 def jacobi_bracket(f: VectorOperator, g: VectorOperator, chains: InputChains = FRESH) -> VectorOperator:
     """Higher Jacobi bracket {f, g}, via linearization; the derivatives of f
     and g come from chains."""
-    accs = [{} for _ in range(f.rank)]
+    accs = _sums(f=f, g=g)
     _bracket_into(accs, f, g, 1, chains)
     return VectorOperator._make(f.bundle, accs)
 
@@ -195,14 +215,14 @@ def jacobi_bracket_coord(f: VectorOperator, g: VectorOperator) -> VectorOperator
 
     Independent of the operator-algebra code path; serves as its oracle.
     """
-    accs = [{} for _ in range(f.rank)]
+    accs = _sums(f=f, g=g)
     _bracket_coord_into(accs, f, g)
     return VectorOperator._make(f.bundle, accs)
 
 
 def hessian_form(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> VectorOperator:
     """Trilinear Hessian: second partials of f contracted with derivatives of g and h."""
-    accs = [{} for _ in range(f.rank)]
+    accs = _sums(f=f, g=g, h=h)
     _hessian_into(accs, f, g, h)
     return VectorOperator._make(f.bundle, accs)
 
@@ -213,6 +233,8 @@ def hessian_operator(f: VectorOperator, g: VectorOperator) -> CDiffOperator:
     Entry (i, j) at key sigma is the evolutionary derivative along g of
     dF_i/dp^j_sigma; it vanishes identically when f is linear.
     """
+    _check_type(f, VectorOperator, "f")
+    _check_type(g, VectorOperator, "g")
     acc: dict = {}
     _hessian_operator_into(acc, f, g, 1, FRESH)
     return CDiffOperator._wrap(f.bundle, f.rank, f.bundle.r, acc)
@@ -227,11 +249,6 @@ def _hessian_operator_into(acc: dict, f: VectorOperator, g: VectorOperator, k: i
             _evolutionary_into(acc.setdefault((i, v.index), {}).setdefault(v.sigma, {}), first, cache, k)
 
 
-def ad_apply(h: VectorOperator, g: VectorOperator) -> VectorOperator:
-    """Adjoint action of h: the bracket {h, g}."""
-    return jacobi_bracket(h, g)
-
-
 def substitute_section(e: PolyExpr, sections: Sequence[PolyExpr]) -> PolyExpr:
     """Pull an expression back along a section of the bundle.
 
@@ -239,12 +256,13 @@ def substitute_section(e: PolyExpr, sections: Sequence[PolyExpr]) -> PolyExpr:
     sections[j]; the sections must be jet-free (base variables and parameters
     only), one per fiber variable.
     """
+    _check_type(e, PolyExpr, "e")
+    _check_type(sections, Sequence, "sections")
     bundle = e.bundle
     if len(sections) != bundle.r:
         raise RankMismatchError(f"need {bundle.r} section components, got {len(sections)}")
-    for s in sections:
-        if not isinstance(s, PolyExpr):
-            raise TypeError(f"component {s!r} is not a PolyExpr")
+    for k, s in enumerate(sections):
+        _check_type(s, PolyExpr, f"sections[{k}]")
         if s.bundle != bundle:
             raise SignatureMismatchError("section carries a different signature")
         if s.jet_coordinates():

@@ -22,10 +22,15 @@ in which coordinates were first seen and never reach output: the printers and
 to_json read the id form in print order through the printing module's
 per-bundle name tables, and PolyExpr.terms decodes to a dict whose monomials
 are coordinate-sorted tuples of (JetCoordinate, power) pairs, which pickling,
-evaluate, substitute and embed read.
+evaluate and substitute read.
 Because a monomial holds one id per power, its total degree is bounded by
 MAX_DEGREE wherever a power is set: the PolyExpr constructor, from_json and
 ``**``; the session DSL also checks it at each product, ``*`` itself does not.
+
+Operand types.  _check_type is the one operand type test: every public call
+of the package runs it once per operand, before it reads any attribute, and
+raises a TypeError that names the slot ("g must be a VectorOperator, got
+int").  The kernels behind a public call test signatures and shapes only.
 """
 
 from __future__ import annotations
@@ -69,6 +74,15 @@ class JetCoordinate(NamedTuple):
     kind: int
     index: int
     sigma: MultiIndex = MultiIndex(())
+
+
+def _check_type(value, cls, slot: str) -> None:
+    """Raise a TypeError naming slot unless value is a cls, or one of a tuple
+    of classes: the one operand type test, which each public call runs once
+    per operand before it reads an attribute."""
+    if not isinstance(value, cls):
+        kinds = " or ".join(c.__name__ for c in cls) if type(cls) is tuple else cls.__name__
+        raise TypeError(f"{slot} must be {'an' if kinds[0] in 'AEIOU' else 'a'} {kinds}, got {type(value).__name__}")
 
 
 def _as_coeff(q) -> Rational:
@@ -354,8 +368,7 @@ class PolyExpr:
             coeff = _as_coeff(coeff)
             norm: dict = {}
             for v, k in mono:
-                if not isinstance(v, JetCoordinate):
-                    raise TypeError(f"monomial variable {v!r} is not a JetCoordinate")
+                _check_type(v, JetCoordinate, "monomial variable")
                 _check_coord(bundle, v)
                 if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
                     raise ValueError(f"monomial power must be a positive int, got {k!r}")
@@ -603,19 +616,6 @@ class PolyExpr:
             total += val
         return _as_coeff(total)
 
-    def embed(self, target: Bundle) -> "PolyExpr":
-        """Re-home onto a bundle with the same base/fiber names and a superset of parameters."""
-        if target.base != self.bundle.base or target.fiber != self.bundle.fiber:
-            raise SignatureMismatchError("embed requires identical base and fiber names")
-        for name in self.bundle.params:
-            if name not in target.params:
-                raise SignatureMismatchError(f"target signature lacks parameter {name!r}")
-
-        def move(v: JetCoordinate) -> JetCoordinate:
-            return target.param_coord(self.bundle.params[v.index]) if v.kind == PARAM else v
-
-        return PolyExpr(target, {tuple((move(v), k) for v, k in mono): c for mono, c in self.terms.items()})
-
     # -- serialization and display -------------------------------------------
 
     def to_json(self) -> dict:
@@ -630,9 +630,7 @@ class PolyExpr:
     def from_json(cls, data: Mapping, bundle: Bundle) -> "PolyExpr":
         acc: dict = {}
         for entry in _field(data, "monomials", list, dict):
-            coeff = _field(entry, "coeff")
-            if not isinstance(coeff, str):
-                raise TypeError(f"coefficient must be a string, got {coeff!r}")
+            coeff = _field(entry, "coeff", str)
             mono = tuple(
                 (printing.parse_coord_token(bundle, _field(var, "var", str)), _field(var, "pow"))
                 for var in _field({"vars": [], **entry}, "vars", list, dict)

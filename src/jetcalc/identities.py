@@ -3,9 +3,12 @@
 Every check instantiates concrete polynomial operators, computes the exact
 defect of one identity and wraps it in a Residual; holds is true exactly
 when the canonical form of the defect is zero.  Checks sum each defect into
-one accumulator per component (see calculus), whose kernels check their own
-operands; only inner brackets that are operands of another term are built as
-values, first where that gives bad input the error of the unfused sum.  The
+one accumulator per component (see calculus).  A check tests each operand's
+type once, before it reads it: its InputChains tests the operands it holds,
+and calculus._sums (which returns the accumulators) or
+expressions._check_type any other; its kernels check signatures and ranks.
+Only inner brackets that are operands of another term are built as values,
+first where that gives bad input the error of the unfused sum.  The
 commutation lemma's defect starts from a copy of its direct side and takes
 each closed-form term through expressions._add_terms.
 
@@ -45,11 +48,12 @@ from .calculus import (
     _evolutionary_into,
     _hessian_into,
     _hessian_operator_into,
+    _sums,
     jacobi_bracket,
     linearize,
     random_vector_operator,
 )
-from .expressions import Bundle, PolyExpr, _add_terms, _Record, indices_up_to, random_expr
+from .expressions import Bundle, PolyExpr, _add_terms, _check_type, _Record, indices_up_to, random_expr
 from .multiindex import MultiIndex, binom_product, check_order, sub_indices
 from .operators import CDiffOperator, InputChains
 from .vectorops import VectorOperator
@@ -97,8 +101,8 @@ def _residual(name: str, value, **context) -> Residual:
 def check_hessian_symmetry(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Residual:
     """The Hessian form is symmetric in its two derivative slots:
     hessian_form(f, g, h) - hessian_form(f, h, g) vanishes."""
-    chains = InputChains(g, h)
-    accs = [{} for _ in range(f.rank)]
+    chains = InputChains(g=g, h=h)
+    accs = _sums(f=f)
     _hessian_into(accs, f, g, h, 1, chains)
     _hessian_into(accs, f, h, g, -1, chains)
     return _residual("hess-sym", VectorOperator._make(f.bundle, accs), f=f, g=g, h=h)
@@ -112,8 +116,8 @@ def anomaly_operators(
     difference of Hessian operators Hess(g, f) - Hess(f, g).  Both sides
     read one InputChains over f and g, and each is summed into one id-form
     operator sum."""
+    chains = InputChains(f=f, g=g)
     f._coerce(g)
-    chains = InputChains(f, g)
     lhs: dict = {}
     linearize(f)._commutator_into(lhs, linearize(g))
     linearize(jacobi_bracket(f, g, chains))._add_into(lhs, -1)
@@ -136,8 +140,8 @@ def check_linearization_anomaly(
     canonically; holds needs both comparisons, and the context records the
     operator one.
     """
+    chains = InputChains(f=f, g=g, h=h)
     lhs_op, rhs_op = anomaly_operators(f, g)
-    chains = InputChains(f, g, h)
     accs = [{} for _ in range(f.rank)]
     lhs_op._apply_into(accs, h, 1, chains)
     _hessian_into(accs, g, f, h, -1, chains)
@@ -155,7 +159,7 @@ def check_bracket_leibniz(f: VectorOperator, g: VectorOperator, h: VectorOperato
 
         {f, l_g h} - l_{f,g} h - l_g {f, h} + hessian_form(f, g, h)  =  0
     """
-    chains = InputChains(f, g, h)
+    chains = InputChains(f=f, g=g, h=h)
     lg = linearize(g)
     lgh = lg.apply(h, chains)
     fg = jacobi_bracket(f, g, chains)  # checks f against g, as {f, l_g h} would
@@ -171,7 +175,7 @@ def check_bracket_leibniz(f: VectorOperator, g: VectorOperator, h: VectorOperato
 def check_jacobi_identity(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Residual:
     """Cyclic sum of nested brackets vanishes:
     {f, {g, h}} + {g, {h, f}} + {h, {f, g}} = 0."""
-    chains = InputChains(f, g, h)
+    chains = InputChains(f=f, g=g, h=h)
     gh = jacobi_bracket(g, h, chains)
     fg = jacobi_bracket(f, g, chains)  # checks f against g, as {f, {g, h}} would
     hf = jacobi_bracket(h, f, chains)
@@ -196,7 +200,7 @@ def check_evolutionary_antihomomorphism(f: VectorOperator, g: VectorOperator, pr
     if probe_order < 0:
         raise ValueError("need at least one probe expression")
     check_order(probe_order, "probe order")
-    chains = InputChains(f, g)
+    chains = InputChains(f=f, g=g)
     bracket = jacobi_bracket(f, g, chains)
     bundle = f.bundle
     fc, gc = chains.of(f), chains.of(g)
@@ -235,6 +239,7 @@ def check_commutation(zeta, tau, fiber: int, e: PolyExpr) -> Residual:
     computation on e.  The defect starts from the terms of the direct side
     and subtracts each term of the closed form into that one accumulator.
     """
+    _check_type(e, PolyExpr, "e")
     bundle = e.bundle
     zeta = zeta if isinstance(zeta, MultiIndex) else MultiIndex(zeta)
     tau = tau if isinstance(tau, MultiIndex) else MultiIndex(tau)
@@ -261,7 +266,7 @@ def check_multiplier_identity(
         linearize({mu,h}) g + ad_h(linearize(mu) g)
         + hessian_form(h, mu, g) + linearize(mu) {g,h}  =  0
     """
-    chains = InputChains(g, h, mu)
+    chains = InputChains(g=g, h=h, mu=mu)
     l_mu = linearize(mu)
     muh = jacobi_bracket(mu, h, chains)
     lmug = l_mu.apply(g, chains)  # checks g, as linearize({mu,h}) g would
@@ -278,7 +283,7 @@ def check_bracket_oracle(f: VectorOperator, g: VectorOperator) -> Residual:
     """The operator-algebra bracket against the coordinate-formula bracket.
 
     The two sides are independent oracles, so each reads fresh caches."""
-    accs = [{} for _ in range(f.rank)]
+    accs = _sums(f=f, g=g)
     _bracket_into(accs, f, g)
     _bracket_coord_into(accs, f, g, -1)
     return _residual("bracket-oracle", VectorOperator._make(f.bundle, accs), f=f, g=g)

@@ -33,6 +33,12 @@ compares two operator sides sums each side this way, and the validating
 constructor adds its coefficients into such a sum too.  _wrap is the one
 builder that drops the terms and cells of a sum that cancelled; _make, the
 trusted constructor, takes cells that are nonzero by construction.
+
+Types are tested once per public call, and kernels test signatures and
+shapes only: apply and InputChains test their vector operands, and the
+algebra its operator operand (_check_operand), through
+expressions._check_type; _apply_into, which apply and the identity checks
+call on operands already tested, checks signature and columns alone.
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError
-from .expressions import _add_terms, _as_coeff, _derivative, _field, _mul_into, _one_based
+from .expressions import _add_terms, _as_coeff, _check_type, _derivative, _field, _mul_into, _one_based
 from .multiindex import MultiIndex, binom_product, sub_indices
-from .vectorops import VectorOperator, _check_vector
+from .vectorops import VectorOperator
 
 
 class ShapeMismatchError(ValueError):
@@ -81,15 +87,18 @@ class DerivativeCache:
 class InputChains:
     """The DerivativeCache of each of a check's input operands, built when
     the chains are and handed out again to every kernel the check passes
-    them to; any other operand gets a fresh cache.  Operands are told apart
-    by identity, and each cache holds its operand, so no other object can
-    take an id while the chains live.  InputChains() hands out fresh caches
-    only."""
+    them to; any other operand gets a fresh cache.  Operands are named by
+    their slots, and each passes the type gate first: building the chains
+    is where a check first touches them.  They are told apart by identity,
+    and each cache holds its operand, so no other object can take an id
+    while the chains live.  InputChains() hands out fresh caches only."""
 
     __slots__ = ("_caches",)
 
-    def __init__(self, *operands):
-        self._caches = {id(g): DerivativeCache(g) for g in operands}
+    def __init__(self, **operands: VectorOperator):
+        for slot, g in operands.items():
+            _check_type(g, VectorOperator, slot)
+        self._caches = {id(g): DerivativeCache(g) for g in operands.values()}
 
     def of(self, g) -> DerivativeCache:
         """The cache of g: shared if g is one of the inputs, else fresh."""
@@ -187,8 +196,7 @@ class CDiffOperator:
     __hash__ = None
 
     def _check_operand(self, other: "CDiffOperator") -> None:
-        if not isinstance(other, CDiffOperator):
-            raise TypeError(f"expected CDiffOperator, got {type(other).__name__}")
+        _check_type(other, CDiffOperator, "other")
         if other.bundle != self.bundle:
             raise SignatureMismatchError("operators carry different signatures")
 
@@ -252,6 +260,7 @@ class CDiffOperator:
     def apply(self, g: VectorOperator, chains: InputChains = FRESH) -> VectorOperator:
         """Act on a vector operator: (Theta g)_i = sum a^{ij}_sigma D_sigma(g_j),
         with the D_sigma(g_j) from chains."""
+        _check_type(g, VectorOperator, "g")
         accs = [{} for _ in range(self.rows)]
         self._apply_into(accs, g, 1, chains)
         return VectorOperator._make(self.bundle, accs)
@@ -259,8 +268,7 @@ class CDiffOperator:
     def _apply_into(self, accs: list, g: VectorOperator, k: int = 1, chains: InputChains = FRESH) -> None:
         """Add k * self(g) into accs, one id-form term dict per row, once g
         has the same signature and rank = cols; g's derivatives come from
-        chains."""
-        _check_vector(g)
+        chains.  The caller has tested g's type."""
         if g.bundle != self.bundle:
             raise SignatureMismatchError("operand carries a different signature")
         if g.rank != self.cols:

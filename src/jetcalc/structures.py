@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
 from .calculus import jacobi_bracket, jacobi_bracket_coord, linearize
-from .expressions import Bundle, _field
+from .expressions import Bundle, _check_type, _field
 from .identities import Residual, _residual
 from .operators import InputChains
 from .vectorops import VectorOperator
@@ -61,8 +61,10 @@ def symmetry_residual(claim: SymmetryClaim) -> Residual:
     the module form on derivative chains of its own, and holds needs both to
     vanish and agree.
     """
-    f, h, theta = claim.f, claim.h, claim.theta
-    chains = InputChains(f, h)
+    _check_type(claim, SymmetryClaim, "claim")
+    f, h, theta = claim
+    _check_type(theta, VectorOperator, "theta")
+    chains = InputChains(f=f, h=h)
     bracket_form = jacobi_bracket(f, h, chains) - linearize(theta).apply(f, chains)
     module_form = linearize(f).apply(h) - linearize(theta + h).apply(f)
     res = _residual("symmetry", bracket_form, f=f, h=h, theta=theta)
@@ -78,29 +80,17 @@ def aux_residual(claim: AuxClaim) -> Residual:
     For scalar operators the context reports whether order(mu) < order(f),
     the normalization available in rank one; nothing is enforced.
     """
-    f, g, lam, mu = claim.f, claim.g, claim.lam, claim.mu
-    chains = InputChains(f, g)
+    _check_type(claim, AuxClaim, "claim")
+    f, g, lam, mu = claim
+    _check_type(lam, VectorOperator, "lam")
+    _check_type(mu, VectorOperator, "mu")
+    chains = InputChains(f=f, g=g)
     value = jacobi_bracket(f, g, chains) - linearize(lam).apply(f, chains) - linearize(mu).apply(g, chains)
     res = _residual("aux", value, f=f, g=g, lam=lam, mu=mu)
     res.context["order_mu"] = mu.order
     res.context["order_f"] = f.order
     res.context["scalar_order_ok"] = mu.order < f.order if f.bundle.r == 1 else None
     return res
-
-
-def graded_additivity_check(
-    f: VectorOperator,
-    h1: VectorOperator,
-    theta1: VectorOperator,
-    h2: VectorOperator,
-    theta2: VectorOperator,
-) -> Residual:
-    """The symmetry residual is additive in the (h, theta) pair."""
-    combined = symmetry_residual(SymmetryClaim(f, h1 + h2, theta1 + theta2)).value
-    first = symmetry_residual(SymmetryClaim(f, h1, theta1)).value
-    second = symmetry_residual(SymmetryClaim(f, h2, theta2)).value
-    value = combined - first - second
-    return _residual("graded-additivity", value, f=f, h1=h1, theta1=theta1, h2=h2, theta2=theta2)
 
 
 class DiagonalPairExample(NamedTuple):

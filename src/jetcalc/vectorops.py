@@ -11,18 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .expressions import _KIND, JET, Bundle, PolyExpr, Rational, SignatureMismatchError, _field, highest_jet_order
+from .expressions import _KIND, JET, Bundle, PolyExpr, Rational, SignatureMismatchError, _check_type, _field
+from .expressions import highest_jet_order
 
 
 class RankMismatchError(ValueError):
     """Operators of incompatible ranks were combined."""
-
-
-def _check_vector(g) -> None:
-    """Raise TypeError unless g is a VectorOperator; a kernel calls it once,
-    before it reads g's bundle or rank."""
-    if not isinstance(g, VectorOperator):
-        raise TypeError(f"expected VectorOperator, got {type(g).__name__}")
 
 
 class VectorOperator:
@@ -33,8 +27,7 @@ class VectorOperator:
         if not components:
             raise ValueError("a vector operator needs at least one component")
         for c in components:  # the first is checked before its bundle is read
-            if not isinstance(c, PolyExpr):
-                raise TypeError(f"component {c!r} is not a PolyExpr")
+            _check_type(c, PolyExpr, "component")
             if c.bundle != components[0].bundle:
                 raise SignatureMismatchError("components carry different signatures")
         self.components = components
@@ -67,7 +60,7 @@ class VectorOperator:
         return all(c.is_zero() for c in self.components)
 
     def _coerce(self, other) -> "VectorOperator":
-        _check_vector(other)
+        _check_type(other, VectorOperator, "other")
         if other.bundle != self.bundle:
             raise SignatureMismatchError("vector operators carry different signatures")
         if other.rank != self.rank:

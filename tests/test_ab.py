@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import signal
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -63,12 +64,12 @@ def test_parse_case():
             ab.parse_case(bad)
 
 
-def test_sigterm_removes_the_worktree(monkeypatch):
-    # git is recorded, not run; the first benchmark run sends SIGTERM to
-    # this process.  The worktree and the temporary directory must go, and
-    # the SIGTERM handler in place before must be back.
+def sigterm_run(monkeypatch, git) -> tuple:
+    """Run ab.main with git recorded by git(calls, *args), while the first
+    benchmark run sends SIGTERM to this process; (exit code, calls).  The
+    SIGTERM handler in place before must be back afterwards."""
     calls = []
-    monkeypatch.setattr(ab, "git", lambda *args: calls.append(args) or "abc1234")
+    monkeypatch.setattr(ab, "git", lambda *args: git(calls, *args))
     monkeypatch.setattr(ab, "run_once", lambda *args: os.kill(os.getpid(), signal.SIGTERM))
 
     def handler(signum, frame):
@@ -81,9 +82,45 @@ def test_sigterm_removes_the_worktree(monkeypatch):
         assert signal.getsignal(signal.SIGTERM) is handler
     finally:
         signal.signal(signal.SIGTERM, before)
-    assert stop.value.code == 128 + signal.SIGTERM
+    return stop.value.code, calls
+
+
+def recorded(calls, *args):
+    # A prune is recorded with whether the temporary directory still exists.
+    if args == ("worktree", "prune"):
+        added = next(c for c in calls if c[:2] == ("worktree", "add"))
+        args += (Path(added[3]).parent.exists(),)
+    calls.append(args)
+    return "abc1234"
+
+
+def failing_removal(calls, *args):
+    out = recorded(calls, *args)
+    if args[:2] == ("worktree", "remove"):
+        raise subprocess.CalledProcessError(128, ["git", *args])
+    return out
+
+
+def assert_cleaned_up(code, calls, err):
+    """SIGTERM's exit code, no traceback, the worktree removed and then
+    pruned once the temporary directory is gone."""
+    assert code == 128 + signal.SIGTERM
+    assert "Traceback" not in err
     added = [c for c in calls if c[:2] == ("worktree", "add")]
     assert len(added) == 1
     ref_dir = Path(added[0][3])
-    assert ("worktree", "remove", "--force", str(ref_dir)) in calls
+    removal = calls.index(("worktree", "remove", "--force", str(ref_dir)))
+    assert calls[removal + 1:] == [("worktree", "prune", False)]
     assert not ref_dir.parent.exists()
+
+
+def test_sigterm_removes_the_worktree(monkeypatch, capsys):
+    code, calls = sigterm_run(monkeypatch, recorded)
+    assert_cleaned_up(code, calls, capsys.readouterr().err)
+
+
+def test_failed_worktree_removal_keeps_the_sigterm_exit(monkeypatch, capsys):
+    # git cannot remove the worktree: its CalledProcessError must not replace
+    # SIGTERM's exit, and the temporary directory still goes.
+    code, calls = sigterm_run(monkeypatch, failing_removal)
+    assert_cleaned_up(code, calls, capsys.readouterr().err)

@@ -380,14 +380,6 @@ class TestStructure:
         out = e.substitute({b.fiber_coord(0): x + 1})
         assert out == (x + 1) ** 2 + x + 2
 
-    def test_embed_adds_parameter(self):
-        small = Bundle(("x",), ("u",), ("c",))
-        big = Bundle(("x",), ("u",), ("c", "t"))
-        e = small.jet(0, (1,)) * small.param("c")
-        lifted = e.embed(big)
-        assert lifted.bundle == big
-        assert lifted == big.jet(0, (1,)) * big.param("c")
-
     def test_json_roundtrip(self, plane_bundle):
         for seed in range(10):
             e = random_expr(plane_bundle, seed, max_jet_order=2, max_degree=3,
@@ -398,7 +390,7 @@ class TestStructure:
         doc = scalar_bundle.fiber_var(0).to_json()
         assert PolyExpr.from_json(doc, scalar_bundle) == scalar_bundle.fiber_var(0)
         doc["monomials"][0]["coeff"] = 0.5
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^field 'coeff' must be a string, got 0.5$"):
             PolyExpr.from_json(doc, scalar_bundle)
 
     @pytest.mark.parametrize("power", [1.9, "2", True])
@@ -457,17 +449,13 @@ EXPRESSION_ERRORS = {
     "fiber index": (lambda: _B1.jet_coord(5, (0,)), ValueError, "fiber index 5 out of range"),
     "parameter": (lambda: _B1.param_coord("q"), ValueError, "unknown parameter 'q'"),
     "variable type": (lambda: PolyExpr(_B1, {(("u", 1),): 1}), TypeError,
-                      "monomial variable 'u' is not a JetCoordinate"),
+                      "monomial variable must be a JetCoordinate, got str"),
     "kind 7": (lambda: PolyExpr(_B1, {((JetCoordinate(7, 0), 1),): 1}), ValueError,
                f"coordinate {JetCoordinate(7, 0)} does not belong to signature {_B1}"),
     "negative power": (lambda: _B1.fiber_var(0) ** -1, ValueError, "exponent must be a non-negative integer"),
     "derivative direction": (lambda: _B1.fiber_var(0).total_derivative(3), ValueError, "base index 3 out of range"),
     "substitute": (lambda: _B1.fiber_var(0).substitute({_B1.fiber_coord(0): _B2.fiber_var(0)}),
                    SignatureMismatchError, "substitution value over a different signature"),
-    "embed names": (lambda: _B1.fiber_var(0).embed(_B2), SignatureMismatchError,
-                    "embed requires identical base and fiber names"),
-    "embed params": (lambda: _B2.fiber_var(0).embed(Bundle(("x", "y"), ("u", "v"))), SignatureMismatchError,
-                     "target signature lacks parameter 'c'"),
 }
 
 

@@ -533,7 +533,7 @@ def counting_total_derivatives(monkeypatch):
 class TestInputChains:
     def test_shared_inside_chains_fresh_outside(self):
         f, g = OPS["f"], OPS["g"]
-        chains = operators.InputChains(f)
+        chains = operators.InputChains(f=f)
         assert chains.of(f) is chains.of(f)
         assert chains.of(g) is not chains.of(g)
         assert operators.FRESH.of(f) is not operators.FRESH.of(f)
@@ -592,7 +592,7 @@ class TestInputChains:
         assert res.value == VectorOperator([uxx])  # d(f_1)/du times the planted 1
         planted.clear()
         accs = [{}]
-        chains = operators.InputChains(f, g)
+        chains = operators.InputChains(f=f, g=g)
         calculus._bracket_into(accs, f, g, 1, chains)
         calculus._bracket_coord_into(accs, f, g, -1, chains)
         assert planted and VectorOperator._make(b, accs).is_zero()

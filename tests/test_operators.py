@@ -224,7 +224,7 @@ class TestAlgebraOperandErrors:
     def test_same_shape_operations(self, op, scalar_bundle, plane_bundle):
         call = {"add": lambda a, c: a + c, "commutator": lambda a, c: a.commutator(c)}[op]
         a = d_x(scalar_bundle)
-        with pytest.raises(TypeError, match="^expected CDiffOperator, got int$"):
+        with pytest.raises(TypeError, match="^other must be a CDiffOperator, got int$"):
             call(a, 1)
         with pytest.raises(SignatureMismatchError, match="^operators carry different signatures$"):
             call(a, CDiffOperator.total_derivative(plane_bundle, (1, 0)))
@@ -233,7 +233,7 @@ class TestAlgebraOperandErrors:
 
     def test_compose(self, scalar_bundle, plane_bundle):
         a = d_x(scalar_bundle)
-        with pytest.raises(TypeError, match="^expected CDiffOperator, got VectorOperator$"):
+        with pytest.raises(TypeError, match="^other must be a CDiffOperator, got VectorOperator$"):
             a.compose(VectorOperator([scalar_bundle.one()]))
         with pytest.raises(SignatureMismatchError, match="^operators carry different signatures$"):
             a.compose(CDiffOperator.total_derivative(plane_bundle, (1, 0)))
@@ -362,7 +362,7 @@ class TestVectorOperatorErrors:
             (lambda: VectorOperator([]), ValueError, "a vector operator needs at least one component"),
             (lambda: VectorOperator([scalar_bundle.one(), plane_bundle.one()]), SignatureMismatchError,
              "components carry different signatures"),
-            (lambda: f + 3, TypeError, "expected VectorOperator, got int"),
+            (lambda: f + 3, TypeError, "other must be a VectorOperator, got int"),
         ]
         for call, error, message in cases:
             with pytest.raises(error, match=f"^{message}$"):

@@ -5,7 +5,9 @@
 A CASE is WORKLOAD:SEED or WORKLOAD:SEED:CORPUS, for example suite-chains:1
 or suite-chains:1009:1 (the held-out seed and corpus).  REF is checked out
 with ``git worktree add`` into a temporary directory, which is removed
-afterwards, also when SIGTERM stops the tool.  For each case, each of PAIRS (10) pairs runs ``perfbench/run.py
+afterwards, also when SIGTERM stops the tool (exit 143, no traceback, even
+if ``git worktree remove`` fails; ``git worktree prune`` then drops its
+record).  For each case, each of PAIRS (10) pairs runs ``perfbench/run.py
 --trace 0`` once on each side, at run.py's own run length, one run after the
 other: the ref first in odd pairs, the working tree first in even ones, so a
 drift in the machine's speed falls on both sides alike.  Both sides keep
@@ -23,6 +25,7 @@ Stdlib only; run from anywhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -147,23 +150,27 @@ def main(argv=None) -> int:
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         git("worktree", "add", "--detach", str(ref_dir), commit)
-        try:
-            for name, case_args in cases:
-                for side in sides.values():
-                    side[name] = {"args": " ".join(case_args), "runs": []}
-                for k in range(1, PAIRS + 1):
-                    order = (("before", ref_dir), ("after", ROOT))
-                    for side, checkout in order if k % 2 else order[::-1]:
-                        sides[side][name]["runs"].append(run_once(checkout, case_args, env))
-                    print(f"{name}: pair {k} of {PAIRS} done", file=sys.stderr)
-        finally:
-            git("worktree", "remove", "--force", str(ref_dir))
+        for name, case_args in cases:
+            for side in sides.values():
+                side[name] = {"args": " ".join(case_args), "runs": []}
+            for k in range(1, PAIRS + 1):
+                order = (("before", ref_dir), ("after", ROOT))
+                for side, checkout in order if k % 2 else order[::-1]:
+                    sides[side][name]["runs"].append(run_once(checkout, case_args, env))
+                print(f"{name}: pair {k} of {PAIRS} done", file=sys.stderr)
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     finally:
         signal.signal(signal.SIGTERM, previous)
+        # A failed removal must not replace the exit under way (SIGTERM's
+        # SystemExit, say): the directory goes with tmp, and prune then drops
+        # the worktree's record.
+        with contextlib.suppress(subprocess.CalledProcessError):
+            git("worktree", "remove", "--force", str(ref_dir))
         shutil.rmtree(tmp, ignore_errors=True)
+        with contextlib.suppress(subprocess.CalledProcessError):
+            git("worktree", "prune")
     for side, commit_name in (("before", commit), ("after", f"working tree on {head}")):
         text = json.dumps(bench_file(commit_name, sides[side]), indent=1) + "\n"
         (ROOT / f"BENCH_{side}.json").write_text(text)
