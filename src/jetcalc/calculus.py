@@ -274,5 +274,6 @@ def substitute_section(e: PolyExpr, sections: Sequence[PolyExpr]) -> PolyExpr:
 def random_vector_operator(bundle: Bundle, seed: int, **bounds) -> VectorOperator:
     """Deterministic random operator of rank bundle.r; component seeds derive
     from the master seed, and bounds are random_expr's keyword bounds."""
+    _check_type(bundle, Bundle, "bundle")
     rng = random.Random(seed)
     return VectorOperator(random_expr(bundle, rng.randrange(2**32), **bounds) for _ in range(bundle.r))

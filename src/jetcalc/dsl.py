@@ -13,6 +13,16 @@ letters (u_xxy) or with an explicit multi-index (u[2,1]); a bare fiber name
 is the order-zero coordinate.  Expressions use + - * ^ with integer or
 num/den literals.  Parse errors carry exact line and column positions, and
 printing a parsed session yields text that parses back to an equal session.
+
+The parser bounds the work an input can ask for, each bound raising a
+DslError at the token that breaks it: parentheses nest at most MAX_NESTING
+deep, a jet coordinate has order at most MAX_ORDER, a product or power has
+degree at most MAX_DEGREE, and a power base^exp has exp * B at most
+MAX_POWER_BITS, B being the bit length of the base's largest numerator or
+denominator.  The last one is tested only once the degree bound has passed,
+so it bounds the coefficients of a power, above all of a constant, whose
+degree is 0 at any nesting.  The number of terms of a power of a sum is not
+bounded yet.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from .expressions import JET, MAX_DEGREE, Bundle, JetCoordinate, PolyExpr, _add_terms, _intern, _mul_into, _Record
+from .expressions import JET, MAX_DEGREE, Bundle, JetCoordinate, PolyExpr, _add_terms, _check_type, _intern, _mul_into
+from .expressions import _Record
 from .multiindex import MAX_BASE_DIM, MAX_ORDER, MultiIndex
 from .vectorops import VectorOperator
 
@@ -30,6 +41,11 @@ KEYWORDS = ("base", "fiber", "param", "op")
 # Deepest nesting of parentheses; the descent recurses once per level, so an
 # unbounded depth would end in RecursionError.
 MAX_NESTING = 100
+# Largest exp * B for a power base^exp, B being the bit length of the base's
+# largest numerator or denominator: the degree bound reads 0 for a constant at
+# any nesting, so this bounds the coefficients a power builds.  Below Python's
+# 4,300-digit int-to-str limit, so a powered constant still prints.
+MAX_POWER_BITS = 14_000
 _PUNCT = "+-*^()[],;=/"
 _STARTS = {"int": str.isdecimal, "ident": str.isalpha}  # the first character of an "int" or "ident" token
 
@@ -252,6 +268,10 @@ class _Parser:
         if tokens[self.pos] == "^":
             self.pos += 1
             exp = self.expect_int()
+            bits = max((max(abs(c.numerator), c.denominator).bit_length() for c in terms.values()), default=0)
+            if max(exp, exp * degree) <= MAX_DEGREE and exp * bits > MAX_POWER_BITS:
+                message = f"power {exp} of a {bits}-bit coefficient exceeds MAX_POWER_BITS = {MAX_POWER_BITS}"
+                raise self.error(message, self.pos - 1)
             try:
                 terms = (PolyExpr._make(self.bundle, terms) ** exp)._terms
             except ValueError as e:
@@ -307,6 +327,7 @@ def parse(source: str) -> SessionFile:
 
 def parse_expression(source: str, bundle: Bundle) -> PolyExpr:
     """Parse a single expression against an existing signature."""
+    _check_type(bundle, Bundle, "bundle")
     parser = _Parser(source, bundle)
     expr = parser.parse_expr()
     tok = parser.tokens[parser.pos]

@@ -30,7 +30,10 @@ MAX_DEGREE wherever a power is set: the PolyExpr constructor, from_json and
 Operand types.  _check_type is the one operand type test: every public call
 of the package runs it once per operand, before it reads any attribute, and
 raises a TypeError that names the slot ("g must be a VectorOperator, got
-int").  The kernels behind a public call test signatures and shapes only.
+int").  A bundle slot is an operand too: the PolyExpr and CDiffOperator
+constructors, PolyExpr.from_json, random_expr, random_vector_operator and
+dsl.parse_expression test theirs.  The kernels behind a public call test
+signatures and shapes only.
 """
 
 from __future__ import annotations
@@ -271,9 +274,6 @@ class Bundle(_Signature):
             raise ValueError(f"multi-index {sigma} has wrong length for {self.n} base variables")
         return JetCoordinate(JET, j, sigma)
 
-    def fiber_coord(self, j: int) -> JetCoordinate:
-        return self.jet_coord(j, MultiIndex.zero(self.n))
-
     def param_coord(self, name: str) -> JetCoordinate:
         try:
             k = self.params.index(name)
@@ -363,6 +363,7 @@ class PolyExpr:
     def __init__(self, bundle: Bundle, terms: Optional[Mapping] = None):
         """terms maps monomials, each an iterable of (JetCoordinate, power)
         pairs, to rational coefficients."""
+        _check_type(bundle, Bundle, "bundle")
         acc: dict = {}
         for mono, coeff in (terms or {}).items():
             coeff = _as_coeff(coeff)
@@ -628,6 +629,7 @@ class PolyExpr:
 
     @classmethod
     def from_json(cls, data: Mapping, bundle: Bundle) -> "PolyExpr":
+        _check_type(bundle, Bundle, "bundle")
         acc: dict = {}
         for entry in _field(data, "monomials", list, dict):
             coeff = _field(entry, "coeff", str)
@@ -698,6 +700,7 @@ def random_expr(
     """
     if max_jet_order < 0 or not 0 <= max_degree <= MAX_DEGREE or max_terms < 1 or not coeff_pool:
         raise ValueError("bounds must be positive, max_degree at most MAX_DEGREE and the coefficient pool non-empty")
+    _check_type(bundle, Bundle, "bundle")
     coeffs = [_as_coeff(q) for q in coeff_pool]
     rng = random.Random(seed)
     ids = _sample_pool(len(bundle.params), bundle.n, bundle.r, max_jet_order)

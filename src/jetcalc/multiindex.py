@@ -58,13 +58,6 @@ class MultiIndex(tuple):
     def zero(cls, n: int) -> "MultiIndex":
         return cls((0,) * n)
 
-    @classmethod
-    def unit(cls, n: int, i: int) -> "MultiIndex":
-        """The index 1_i: a single derivative along base variable i (0-based)."""
-        if not 0 <= i < n:
-            raise ValueError(f"base index {i} out of range for {n} variables")
-        return cls._unchecked(tuple(1 if k == i else 0 for k in range(n)))
-
     @property
     def order(self) -> int:
         """|sigma|, the total number of derivatives."""
@@ -82,7 +75,7 @@ class MultiIndex(tuple):
     __radd__ = __add__
 
     def bump(self, i: int) -> "MultiIndex":
-        """sigma + 1_i without building the unit index."""
+        """sigma + 1_i: one more derivative along base variable i (0-based)."""
         return MultiIndex._unchecked(tuple(e + 1 if k == i else e for k, e in enumerate(self)))
 
     def checked_sub(self, other: "MultiIndex") -> Optional["MultiIndex"]:

@@ -10,9 +10,16 @@ Composition expands eagerly through the generalized Leibniz rule
     D_sigma (f . ) = sum over kappa <= sigma of
                      binom_product(sigma, kappa) * D_kappa(f) * D_{sigma-kappa}
 
-so every result is again in canonical form and zero-testable.  The D_sigma
-of an operand come from a DerivativeCache, which keeps them all and builds
-each through expressions._derivative, the one D_sigma chain.
+so every result is again in canonical form and zero-testable.
+
+An operator is built through its one public constructor, which validates:
+CDiffOperator(bundle, rows, cols) is the zero operator,
+CDiffOperator(bundle, 1, 1, {(0, 0): {sigma: 1}}) is D_sigma, the same cell
+with a zero sigma and coefficient e is the multiplication operator e, and
+the identity has a 1 at the zero sigma in each diagonal cell.
+
+The D_sigma of an operand come from a DerivativeCache, which keeps them all
+and builds each through expressions._derivative, the one D_sigma chain.
 
 Which caches live how long (the policy the calculus kernels and the identity
 checks follow): a kernel called without InputChains builds a fresh cache for
@@ -35,10 +42,10 @@ builder that drops the terms and cells of a sum that cancelled; _make, the
 trusted constructor, takes cells that are nonzero by construction.
 
 Types are tested once per public call, and kernels test signatures and
-shapes only: apply and InputChains test their vector operands, and the
-algebra its operator operand (_check_operand), through
-expressions._check_type; _apply_into, which apply and the identity checks
-call on operands already tested, checks signature and columns alone.
+shapes only: the constructor tests its bundle, apply and InputChains their
+vector operands, and the algebra its operator operand (_check_operand),
+through expressions._check_type; _apply_into, which apply and the identity
+checks call on operands already tested, checks signature and columns alone.
 """
 
 from __future__ import annotations
@@ -116,6 +123,7 @@ class CDiffOperator:
         """entries maps (i, j) to the terms of that cell: a mapping sigma ->
         coefficient, or an iterable of (sigma, coefficient) pairs.  Terms
         whose sigma is the same multi-index add."""
+        _check_type(bundle, Bundle, "bundle")
         if rows < 1 or cols < 1:
             raise ValueError("operator shape must be at least 1x1")
         acc: dict = {}
@@ -145,30 +153,6 @@ class CDiffOperator:
         self.cols = cols
         self._entries = entries
         return self
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, bundle: Bundle, rows: Optional[int] = None, cols: Optional[int] = None) -> "CDiffOperator":
-        rows = bundle.r if rows is None else rows
-        cols = rows if cols is None else cols
-        return cls(bundle, rows, cols)
-
-    @classmethod
-    def identity(cls, bundle: Bundle) -> "CDiffOperator":
-        """The bundle.r x bundle.r identity."""
-        one = {MultiIndex.zero(bundle.n): bundle.one()}
-        return cls._make(bundle, bundle.r, bundle.r, {(i, i): one for i in range(bundle.r)})
-
-    @classmethod
-    def total_derivative(cls, bundle: Bundle, sigma) -> "CDiffOperator":
-        """The 1x1 operator D_sigma."""
-        return cls(bundle, 1, 1, {(0, 0): {sigma: bundle.one()}})
-
-    @classmethod
-    def multiplication(cls, e: PolyExpr) -> "CDiffOperator":
-        """The 1x1 zero-order operator e."""
-        return cls(e.bundle, 1, 1, {(0, 0): {MultiIndex.zero(e.bundle.n): e}})
 
     # -- structure -------------------------------------------------------------
 

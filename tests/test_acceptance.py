@@ -70,7 +70,7 @@ def test_criterion_1_intro_example():
         assert bracket == VectorOperator([2 * c * p])
         lf, lg = linearize(f), linearize(g)
         assert lf == CDiffOperator(b, 1, 1, {(0, 0): {(1,): 2 * p}})
-        assert lg == CDiffOperator.total_derivative(b, (1,))
+        assert lg == CDiffOperator(b, 1, 1, {(0, 0): {(1,): 1}})
         assert lf.commutator(lg) == CDiffOperator(b, 1, 1, {(0, 0): {(1,): -2 * p2}})
         assert linearize(bracket) == CDiffOperator(b, 1, 1, {(0, 0): {(1,): 2 * c}})
         elapsed = time.monotonic() - t0

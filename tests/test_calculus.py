@@ -41,7 +41,7 @@ class TestLinearize:
 
     def test_affine_operator(self, intro_pair):
         b, _, g = intro_pair
-        assert linearize(g) == CDiffOperator.total_derivative(b, (1,))
+        assert linearize(g) == CDiffOperator(b, 1, 1, {(0, 0): {(1,): 1}})
 
     def test_linear_operator_reproduced(self, scalar_bundle):
         b = scalar_bundle

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from jetcalc import Bundle, VectorOperator
 from jetcalc.calculus import random_vector_operator
-from jetcalc.dsl import MAX_NESTING, DslError, SessionFile, parse, parse_expression, print_session
+from jetcalc.dsl import MAX_NESTING, MAX_POWER_BITS, DslError, SessionFile, parse, parse_expression, print_session
 from jetcalc.expressions import MAX_DEGREE
 from jetcalc.multiindex import MAX_ORDER
 
@@ -228,6 +228,36 @@ class TestErrors:
             parse("base x; fiber u;\nop F = [u^600*(u^300*u^100)*u];")
         assert (err.value.line, err.value.col) == (2, 28)
         assert "product of degree 1001" in str(err.value)
+
+    # exp * B is 14 * 1000 = MAX_POWER_BITS, B being the bit length of the
+    # base's largest numerator or denominator: 8192 = 2^13 has 14 bits.
+    @pytest.mark.parametrize("body", ["8192^1000", "(1/8192*u)^1000", "-(-8192*u)^1000"])
+    def test_power_at_max_power_bits(self, body):
+        assert 14 * 1000 == MAX_POWER_BITS
+        session = parse(f"base x; fiber u; op F = [{body}];")
+        assert parse(print_session(session)) == session
+
+    # 274877906944 = 2^38 has 39 bits, and 39 * 359 = MAX_POWER_BITS + 1; the
+    # two nested powers were bounded by nothing before MAX_POWER_BITS.
+    @pytest.mark.parametrize("body, exp, bits", [
+        ("274877906944^359", 359, 39),
+        (str(2**14000) + "^1", 1, 14001),
+        ("((9)^1000)^1000", 1000, 3170),
+        ("(9^1000*u)^1000", 1000, 3170),
+    ], ids=["39 bits", "14001 bits", "constant", "degree 1"])
+    def test_power_beyond_max_power_bits_has_a_position(self, body, exp, bits):
+        assert exp * bits > MAX_POWER_BITS
+        with pytest.raises(DslError) as err:
+            parse(f"base x; fiber u; op F = [{body}];")
+        # The error points at the exponent of the last power.
+        assert (err.value.line, err.value.col) == (1, 27 + body.rindex("^"))
+        assert str(err.value).endswith(f"power {exp} of a {bits}-bit coefficient exceeds MAX_POWER_BITS = 14000")
+
+    def test_degree_bound_comes_before_the_power_bound(self):
+        with pytest.raises(DslError, match="power 1001 of a degree-0 expression exceeds MAX_DEGREE = 1000$"):
+            parse("base x; fiber u; op F = [(9^1000)^1001];")
+        with pytest.raises(DslError, match="power 1000 of a degree-2 expression exceeds MAX_DEGREE = 1000$"):
+            parse("base x; fiber u; op F = [(9^1000*u^2)^1000];")
 
     @pytest.mark.parametrize(
         "jet",

@@ -1,11 +1,13 @@
 """The operand type gate, over every public callable of jetcalc.
 
 Each operand slot is read from the callable's type hints: VectorOperator,
-PolyExpr, SymmetryClaim, AuxClaim, Sequence[PolyExpr] or a Union of these.
-The slot gets 3, None and an operand of the wrong kind while every other
-argument is valid, and the call must raise a TypeError whose message starts
-with the slot's name.  Index slots (zeta, tau, fiber, probe_order) get valid
-values only; they have their own TypeError and ValueError tests.
+PolyExpr, SymmetryClaim, AuxClaim, Bundle, Sequence[PolyExpr], a Union of
+these or an Optional one.  The slot gets 3, None unless the hint is
+Optional, and an operand of the wrong kind (a bundle slot the plain tuple of
+a bundle's names) while every other argument is valid, and the call must
+raise a TypeError whose message starts with the slot's name.  Index and
+shape slots (zeta, tau, fiber, probe_order, seed, rows, cols) and the input
+of a reader or parser get valid values only; they have their own tests.
 """
 
 import collections.abc
@@ -15,7 +17,8 @@ import typing
 import pytest
 
 import jetcalc
-from jetcalc import AuxClaim, Bundle, PolyExpr, SymmetryClaim, VectorOperator
+from jetcalc import AuxClaim, Bundle, CDiffOperator, PolyExpr, SymmetryClaim, VectorOperator
+from jetcalc.dsl import parse_expression
 
 _B = Bundle(("x",), ("u",), ("c",))
 _E = _B.fiber_var(0) * _B.jet(0, (1,)) + _B.param("c")
@@ -26,16 +29,19 @@ VALID = {
     PolyExpr: _E,
     SymmetryClaim: SymmetryClaim(_F, _F, _F),
     AuxClaim: AuxClaim(_F, _F, _F, _F),
+    Bundle: _B,
 }
-INDICES = {"zeta": (1,), "tau": (1,), "fiber": 0, "probe_order": 1}
+INDICES = {"zeta": (1,), "tau": (1,), "fiber": 0, "probe_order": 1, "seed": 0, "rows": 1, "cols": 1}
+NONE = type(None)
 
 
 def operand_kinds(hint) -> tuple:
-    """The operand kinds a hint admits, (list,) for Sequence[PolyExpr], or ()
-    if the slot takes no operand."""
+    """The operand kinds a hint admits, NoneType among them if it is
+    Optional, (list,) for Sequence[PolyExpr], or () if the slot takes no
+    operand."""
     if hint in VALID:
         return (hint,)
-    if typing.get_origin(hint) is typing.Union and all(a in VALID for a in typing.get_args(hint)):
+    if typing.get_origin(hint) is typing.Union and all(a in VALID or a is NONE for a in typing.get_args(hint)):
         return typing.get_args(hint)
     if typing.get_origin(hint) is collections.abc.Sequence and typing.get_args(hint) == (PolyExpr,):
         return (list,)
@@ -51,15 +57,26 @@ def wrong_kinds(kinds: tuple) -> list:
     a lone expression and a list holding an operator."""
     if kinds == (list,):
         return [_E, [_F]]
+    if Bundle in kinds:
+        return [tuple(_B)]
     return [next(v for kind, v in VALID.items() if kind not in kinds)]
 
 
 def public_callables() -> dict:
-    """Every function of jetcalc.__all__, and CDiffOperator.apply bound to an
-    operator; classes are records or validate their own constructor input."""
-    out = {name: getattr(jetcalc, name) for name in jetcalc.__all__}
-    out = {name: obj for name, obj in out.items() if callable(obj) and not isinstance(obj, type)}
-    out["CDiffOperator.apply"] = jetcalc.linearize(_F).apply
+    """name -> (callable, valid values of its slots that are neither operands
+    nor indices): every function of jetcalc.__all__, CDiffOperator.apply bound
+    to an operator, and the constructors, JSON readers and expression parser
+    outside __all__ that take a bundle.  Other classes are records or
+    validate their own constructor input."""
+    out = {name: (getattr(jetcalc, name), {}) for name in jetcalc.__all__}
+    out = {name: c for name, c in out.items() if callable(c[0]) and not isinstance(c[0], type)}
+    out["CDiffOperator.apply"] = (jetcalc.linearize(_F).apply, {})
+    out["PolyExpr"] = (PolyExpr, {})
+    out["CDiffOperator"] = (CDiffOperator, {})
+    out["PolyExpr.from_json"] = (PolyExpr.from_json, {"data": _E.to_json()})
+    out["VectorOperator.from_json"] = (VectorOperator.from_json, {"data": _F.to_json()})
+    out["CDiffOperator.from_json"] = (CDiffOperator.from_json, {"data": jetcalc.linearize(_F).to_json()})
+    out["parse_expression"] = (parse_expression, {"source": "c*u_x"})
     return out
 
 
@@ -67,14 +84,16 @@ def valid_calls() -> dict:
     """name -> (callable, its operand slots with their kinds, valid keyword
     arguments), for each public callable with an operand slot."""
     out = {}
-    for name, call in public_callables().items():
-        hints = typing.get_type_hints(call)
+    for name, (call, others) in public_callables().items():
+        hints = typing.get_type_hints(call.__init__ if isinstance(call, type) else call)
         params = inspect.signature(call).parameters
         slots = {p: kinds for p in params if (kinds := operand_kinds(hints.get(p)))}
         if not slots:
             continue
-        kwargs = {p: valid(slots[p]) if p in slots else INDICES[p] for p in params if p in slots or p in INDICES}
-        missing = [p for p in params if p not in kwargs and params[p].default is inspect.Parameter.empty]
+        kwargs = {**{p: INDICES[p] for p in params if p in INDICES}, **others}
+        kwargs.update((p, valid(kinds)) for p, kinds in slots.items())
+        missing = [p for p, par in params.items()
+                   if p not in kwargs and par.default is par.empty and par.kind is not par.VAR_KEYWORD]
         assert not missing, f"{name}: no valid value for {missing}"
         out[name] = (call, slots, kwargs)
     return out
@@ -85,16 +104,20 @@ CASES = [
     pytest.param(call, slot, {**kwargs, slot: bad}, id=f"{name}-{slot}-{type(bad).__name__}")
     for name, (call, slots, kwargs) in VALID_CALLS.items()
     for slot, kinds in slots.items()
-    for bad in [3, None] + wrong_kinds(kinds)
+    for bad in [3] + [None] * (NONE not in kinds) + wrong_kinds(kinds)
 ]
+BUNDLE_SLOTS = {"PolyExpr-bundle", "CDiffOperator-bundle", "PolyExpr.from_json-bundle",
+                "VectorOperator.from_json-bundle", "CDiffOperator.from_json-bundle", "random_expr-bundle",
+                "random_vector_operator-bundle", "parse_expression-bundle"}
 
 
 def test_every_operand_slot_is_covered():
-    assert len(VALID_CALLS) == 18
+    assert len(VALID_CALLS) == 26
     slots = {f"{name}-{slot}" for name, (_, slots, _) in VALID_CALLS.items() for slot in slots}
     assert {"linearize-f", "evolutionary_apply-target", "substitute_section-sections", "aux_residual-claim",
-            "check_commutation-e", "CDiffOperator.apply-g"} <= slots
-    assert len(slots) == 37
+            "check_commutation-e", "CDiffOperator.apply-g"} | BUNDLE_SLOTS <= slots
+    assert {slot for slot in slots if slot.endswith("-bundle")} == BUNDLE_SLOTS
+    assert len(slots) == 45
 
 
 @pytest.mark.parametrize("name", VALID_CALLS)

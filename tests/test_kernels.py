@@ -767,7 +767,7 @@ class TestDegreeBound:
             scalar_bundle.one() ** (MAX_DEGREE + 1)
 
     def test_constructor_and_json(self, scalar_bundle):
-        mono = ((scalar_bundle.fiber_coord(0), MAX_DEGREE + 1),)
+        mono = ((scalar_bundle.jet_coord(0, (0,)), MAX_DEGREE + 1),)
         with pytest.raises(ValueError):
             PolyExpr(scalar_bundle, {mono: 1})
         for power in (MAX_DEGREE + 1, 0):  # u^0 would be a non-canonical 1

@@ -169,7 +169,6 @@ class TestPlainTupleOperands:
 
 
 MULTIINDEX_ERRORS = {
-    "unit": (lambda: MultiIndex.unit(1, 3), "base index 3 out of range for 1 variables"),
     "checked_sub": (lambda: MultiIndex((1,)).checked_sub(MultiIndex((1, 2))), "multi-index length mismatch: 1 vs 2"),
 }
 
