@@ -14,6 +14,12 @@ is the order-zero coordinate.  Expressions use + - * ^ with integer or
 num/den literals.  Parse errors carry exact line and column positions, and
 printing a parsed session yields text that parses back to an equal session.
 
+A product is read as one coefficient times one monomial: its numbers (and
+their powers and signs) multiply the coefficient and its coordinates (and
+their powers) make the monomial, so a product such as -24*u_yy*u_xx builds no
+term dict.  Only a parenthesised sum is a term dict, and the polynomial
+product kernel _mul_into runs only for a product that holds one.
+
 The parser bounds the work an input can ask for, each bound raising a
 DslError at the token that breaks it: parentheses nest at most MAX_NESTING
 deep, a jet coordinate has order at most MAX_ORDER, a product or power has
@@ -32,7 +38,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
-from .expressions import JET, MAX_DEGREE, Bundle, JetCoordinate, PolyExpr, _add_terms, _check_type, _intern, _mul_into
+from .expressions import JET, MAX_DEGREE, Bundle, JetCoordinate, PolyExpr, _check_power, _check_type, _intern, _mul_into
 from .expressions import _Record
 from .multiindex import MAX_BASE_DIM, MAX_ORDER, MultiIndex
 from .vectorops import VectorOperator
@@ -185,15 +191,20 @@ class _Parser:
     #   factor  := "-"* atom ("^" int)?
     #   atom    := int ("/" int)? | name | fiber "[" int ("," int)* "]" | "(" sum ")"
     #
-    # parse_sum reads a sum and its products in one loop: it multiplies out
-    # each product and adds it, with its sign, into the sum.  Term dicts are
-    # fresh and in id form, monomial -> coefficient (the representation inside
-    # PolyExpr, see expressions.py).  One filter drops the zeros of each "*"
-    # and of each whole sum.  parse_factor also returns the degree, and
-    # the bound on a product adds the degrees of its factors before the
-    # product is built.  That is exact: over the rationals a product of
-    # nonzero factors has the sum of their degrees, and a zero factor has
-    # degree 0.
+    # parse_sum reads a sum and its products in one loop.  A product is read
+    # as one coefficient times one monomial, a list of coordinate ids: a
+    # number, its power and each "-" multiply the coefficient, a coordinate
+    # and its power append ids.  Only a "(" sum ")" factor, powered or not,
+    # is a term dict, in id form, monomial -> coefficient (the representation
+    # inside PolyExpr, see expressions.py); a product's parenthesised sums
+    # are multiplied out with _mul_into, with the zeros of each "*" dropped.
+    # At the end of the product, coefficient times sorted monomial (times
+    # those sums) is added once, with its sign, into the sum, and one filter
+    # drops the zeros of the whole sum.  parse_factor also returns the
+    # degree, and the bound on a product adds the degrees of its factors
+    # before the product is built.  That is exact: over the rationals a
+    # product of nonzero factors has the sum of their degrees, and a zero
+    # factor has degree 0.
 
     def parse_expr(self) -> PolyExpr:
         return PolyExpr._make(self.bundle, self.parse_sum())
@@ -203,33 +214,47 @@ class _Parser:
         acc: dict = {}
         sign = 1
         while True:
-            terms, degree = self.parse_factor()
+            ids: list = []
+            coeff, terms, degree = self.parse_factor(ids)
             while tokens[self.pos] == "*":
                 star = self.pos
                 self.pos += 1
-                right, rdeg = self.parse_factor()
+                c, right, rdeg = self.parse_factor(ids)
                 degree += rdeg
                 if degree > MAX_DEGREE:
                     raise self.error(f"product of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", star)
-                product: dict = {}
-                _mul_into(product, terms, right)
-                terms = {m: c for m, c in product.items() if c}
-                if not terms:
+                coeff *= c
+                if not coeff:
                     degree = 0
-            _add_terms(acc, terms, sign)
+                    ids.clear()  # unread once the product is zero; bounds its length
+                elif right is not None:
+                    if terms is None:
+                        terms = right
+                    else:
+                        product: dict = {}
+                        _mul_into(product, terms, right)
+                        terms = {m: v for m, v in product.items() if v}
+            if coeff:
+                mono = tuple(sorted(ids))
+                if terms is None:
+                    acc[mono] = acc.get(mono, 0) + sign * coeff
+                else:
+                    _mul_into(acc, {mono: coeff}, terms, sign)
             tok = tokens[self.pos]
             if tok != "+" and tok != "-":
                 return {m: c for m, c in acc.items() if c}
             self.pos += 1
             sign = 1 if tok == "+" else -1
 
-    def parse_factor(self) -> tuple:
-        """(terms, degree) of the next factor."""
+    def parse_factor(self, ids: list) -> tuple:
+        """(coefficient, terms, degree) of the next factor, whose coordinate
+        ids it appends to ids.  terms is the term dict of a nonzero
+        parenthesised sum, else None; a zero factor has coefficient 0."""
         tokens = self.tokens
-        negate = False
+        sign = 1
         while tokens[self.pos] == "-":
             self.pos += 1
-            negate = not negate
+            sign = -sign
         k = self.pos
         tok = tokens[k]
         if tok[:1].isalpha():
@@ -242,8 +267,13 @@ class _Parser:
                 vid = self.symbol_ids.get(tok)
                 if vid is None:
                     vid = self.symbol_ids[tok] = _intern(self._resolve_symbol(tok, k))
-            terms, degree = {(vid,): 1}, 1
-        elif tok[:1].isdecimal():
+            if tokens[self.pos] != "^":
+                ids.append(vid)
+                return sign, None, 1
+            exp = self.parse_power(1, (1,))
+            ids += [vid] * exp
+            return sign, None, exp
+        if tok[:1].isdecimal():
             q = self.expect_int()
             if tokens[self.pos] == "/":
                 self.pos += 1
@@ -252,8 +282,11 @@ class _Parser:
                     raise self.error("zero denominator", self.pos - 1)
                 q = Fraction(q, den)
                 q = q.numerator if q.denominator == 1 else q
-            terms, degree = {(): q} if q else {}, 0
-        elif tok == "(":
+            if tokens[self.pos] == "^":
+                exp = self.parse_power(0, (q,))
+                q = q**exp if exp else 1  # as **, which starts from the int 1
+            return sign * q, None, 0
+        if tok == "(":
             if self.depth == MAX_NESTING:
                 raise self.error(f"parentheses nested deeper than MAX_NESTING = {MAX_NESTING}", k)
             self.depth += 1
@@ -262,22 +295,28 @@ class _Parser:
             degree = max(map(len, terms), default=0)  # after cancellation
             self.expect(")")
             self.depth -= 1
-        else:
-            what = "end of input" if not tok else repr(tok)
-            raise self.error(f"expected an expression, found {what}", k)
-        if tokens[self.pos] == "^":
-            self.pos += 1
-            exp = self.expect_int()
-            bits = max((max(abs(c.numerator), c.denominator).bit_length() for c in terms.values()), default=0)
-            if max(exp, exp * degree) <= MAX_DEGREE and exp * bits > MAX_POWER_BITS:
-                message = f"power {exp} of a {bits}-bit coefficient exceeds MAX_POWER_BITS = {MAX_POWER_BITS}"
-                raise self.error(message, self.pos - 1)
-            try:
+            if tokens[self.pos] == "^":
+                exp = self.parse_power(degree, terms.values())
                 terms = (PolyExpr._make(self.bundle, terms) ** exp)._terms
-            except ValueError as e:
-                raise self.error(str(e), self.pos - 1) from None
-            degree *= exp
-        return {mono: -c for mono, c in terms.items()} if negate else terms, degree
+                degree *= exp
+            return (sign, terms, degree) if terms else (0, None, 0)
+        what = "end of input" if not tok else repr(tok)
+        raise self.error(f"expected an expression, found {what}", k)
+
+    def parse_power(self, degree: int, coeffs) -> int:
+        """The exponent after a "^" of a degree-`degree` base with coefficients
+        `coeffs`, within both power bounds."""
+        self.pos += 1
+        exp = self.expect_int()
+        try:
+            _check_power(exp, degree)
+        except ValueError as e:
+            raise self.error(str(e), self.pos - 1) from None
+        bits = max((max(abs(c.numerator), c.denominator).bit_length() for c in coeffs), default=0)
+        if exp * bits > MAX_POWER_BITS:
+            message = f"power {exp} of a {bits}-bit coefficient exceeds MAX_POWER_BITS = {MAX_POWER_BITS}"
+            raise self.error(message, self.pos - 1)
+        return exp
 
     def _resolve_symbol(self, name: str, k: int) -> JetCoordinate:
         bundle = self.bundle

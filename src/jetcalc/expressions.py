@@ -157,6 +157,14 @@ def _add_terms(acc: dict, terms: dict, k: Rational = 1) -> None:
         acc[m] = get(m, 0) + k * c
 
 
+def _check_power(k: int, degree: int) -> None:
+    """Raise a ValueError unless k, and the degree of the k-th power of a
+    degree-`degree` expression, are at most MAX_DEGREE: the bound of ``**``
+    and of the session DSL's ``^``."""
+    if max(k, k * degree) > MAX_DEGREE:
+        raise ValueError(f"power {k} of a degree-{degree} expression exceeds MAX_DEGREE = {MAX_DEGREE}")
+
+
 def _mul_into(acc: dict, ta: dict, tb: dict, k: int = 1) -> None:
     """Add k * ta * tb, for id-form term dicts ta and tb, into acc without
     building the product; PolyExpr._make(bundle, acc) then gives the sum.  The
@@ -491,8 +499,7 @@ class PolyExpr:
     def __pow__(self, k: int) -> "PolyExpr":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        if max(k, k * self.degree) > MAX_DEGREE:
-            raise ValueError(f"power {k} of a degree-{self.degree} expression exceeds MAX_DEGREE = {MAX_DEGREE}")
+        _check_power(k, self.degree)
         out = self.bundle.one()
         for _ in range(k):
             out = out * self

@@ -124,6 +124,9 @@ class CDiffOperator:
         coefficient, or an iterable of (sigma, coefficient) pairs.  Terms
         whose sigma is the same multi-index add."""
         _check_type(bundle, Bundle, "bundle")
+        for slot, size in (("rows", rows), ("cols", cols)):
+            if not isinstance(size, int) or isinstance(size, bool):  # a bool is no size, as in _as_coeff
+                raise TypeError(f"{slot} must be an int, got {type(size).__name__}")
         if rows < 1 or cols < 1:
             raise ValueError("operator shape must be at least 1x1")
         acc: dict = {}

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -330,11 +331,40 @@ def test_cancelled_terms_are_dropped_before_the_degree_bound():
 # -- the parser against PolyExpr's own arithmetic ----------------------------
 #
 # A tree is a leaf, ("+" | "-" | "*", left, right), ("^", base, k), ("neg", a)
-# or ("paren", a).  show() prints it with the parentheses that the grammar's
-# precedence needs, and value() computes it with PolyExpr's + - * **.
+# or ("paren", a).  A leaf is a jet coordinate (u_xy or u[1,1]), a base
+# variable, the parameter, a number (k or k/m) or a zero sum (u - u).  show()
+# prints a tree with the parentheses that the grammar's precedence needs, and
+# value() computes it with PolyExpr's + - * **.
 
 # Precedence of printed text: sum 1, product 2, "-" factor 3, power 4, atom 5.
 PREC = {"+": 1, "-": 1, "*": 2, "neg": 3, "^": 4}
+# Most "^" nodes on one path from the root; capped() turns the deeper ones
+# into parentheses.  With at most 8 leaves, literals at most 12/6 and
+# exponents at most 3, a power's base then has degree at most 8 * 3^2 and
+# coefficients far below MAX_POWER_BITS / 3 bits, so every draw is inside
+# both DSL power bounds, where the parser and ** must agree.  Uncapped, the
+# generator drew nested constant powers such as ((((12^3)^3)^3)^3)^3... past
+# MAX_POWER_BITS, which the parser rejects and ** computes.
+MAX_NESTED_POWERS = 3
+
+
+def capped(tree, powers=MAX_NESTED_POWERS):
+    kind = tree[0]
+    if kind == "^":
+        return ("^", capped(tree[1], powers - 1), tree[2]) if powers else ("paren", capped(tree[1], 0))
+    if kind in ("+", "-", "*"):
+        return (kind, capped(tree[1], powers), capped(tree[2], powers))
+    if kind in ("neg", "paren"):
+        return (kind, capped(tree[1], powers))
+    return tree
+
+
+def chain(factors):
+    """The left-nested product of factors, printed as one flat product."""
+    tree = factors[0]
+    for factor in factors[1:]:
+        tree = ("*", tree, factor)
+    return tree
 
 
 @st.composite
@@ -347,14 +377,16 @@ def expression_trees(draw):
         st.tuples(st.just("base"), st.integers(0, n - 1)),
         st.tuples(st.just("param")),
         st.tuples(st.just("num"), st.integers(0, 12), st.none() | st.integers(1, 6)),
+        st.tuples(st.just("zero"), st.integers(0, r - 1)),
     )
     tree = draw(st.recursive(leaves, lambda sub: st.one_of(
         st.tuples(st.sampled_from("+-*"), sub, sub),
+        st.lists(sub, min_size=3, max_size=5).map(chain),
         st.tuples(st.just("^"), sub, st.integers(0, 3)),
         st.tuples(st.just("neg"), sub),
         st.tuples(st.just("paren"), sub),
     ), max_leaves=8))
-    return bundle, tree
+    return bundle, capped(tree)
 
 
 def show(tree, bundle) -> tuple:
@@ -375,6 +407,9 @@ def show(tree, bundle) -> tuple:
         return (str(tree[1]) if tree[2] is None else f"{tree[1]}/{tree[2]}"), 5
     if kind == "paren":
         return f"({show(tree[1], bundle)[0]})", 5
+    if kind == "zero":
+        name = bundle.fiber[tree[1]]
+        return f"({name} - {name})", 5
 
     def operand(sub, least):
         text, prec = show(sub, bundle)
@@ -401,6 +436,8 @@ def value(tree, bundle):
         return bundle.const(Fraction(tree[1], tree[2] or 1))
     if kind == "paren":
         return value(tree[1], bundle)
+    if kind == "zero":
+        return bundle.zero()
     if kind == "neg":
         return -value(tree[1], bundle)
     if kind == "^":
@@ -418,9 +455,54 @@ def test_parser_agrees_with_polyexpr_arithmetic(case):
 
 
 @pytest.mark.parametrize(
-    "source", ["(u - u)*u^1000*u", "u^500*(u - u)*u^600", "-(u - u)^1000*u^1000*u", "u*(x - x)*u^1000"]
+    "source",
+    ["(u - u)*u^1000*u", "u^500*(u - u)*u^600", "-(u - u)^1000*u^1000*u", "u*(x - x)*u^1000", "0*u^1000*u^1000"],
 )
 def test_a_zero_factor_has_degree_zero(source, scalar_bundle):
     # The product is zero from its zero factor on, so the bound then counts
     # only the factors that follow it.
     assert parse_expression(source, scalar_bundle) == 0
+
+
+def test_a_zero_product_keeps_no_monomial(scalar_bundle):
+    # A zero product drops the coordinates it has read, so 200 factors of
+    # degree 1000 after a 0 hold at most one factor's 1000 ids, not 200,000.
+    source = "0*" + "*".join(["u^1000"] * 200)
+    tracemalloc.start()
+    try:
+        assert parse_expression(source, scalar_bundle) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+
+
+# Errors of the product path, each pinned with its line and column over one
+# bundle: the degree bound at the "*", the two power bounds at the exponent,
+# and the errors of the factors themselves.
+PRODUCT_ERRORS = [
+    ("u^600*u^401", 6, "product of degree 1001 exceeds MAX_DEGREE = 1000"),
+    ("u*v^1000", 2, "product of degree 1001 exceeds MAX_DEGREE = 1000"),
+    ("-u^500*-v^501", 7, "product of degree 1001 exceeds MAX_DEGREE = 1000"),
+    ("u^1000 * 0^0 * u", 14, "product of degree 1001 exceeds MAX_DEGREE = 1000"),
+    ("u*v*x*y*c*(u+v)^999", 10, "product of degree 1004 exceeds MAX_DEGREE = 1000"),
+    ("u*2^1001", 5, "power 1001 of a degree-0 expression exceeds MAX_DEGREE = 1000"),
+    ("u*(2^7000)^2", 6, "power 7000 of a degree-0 expression exceeds MAX_DEGREE = 1000"),
+    ("c*(u+1)^1001", 9, "power 1001 of a degree-1 expression exceeds MAX_DEGREE = 1000"),
+    ("2*(9^1000*u)^1000", 14, "power 1000 of a 3170-bit coefficient exceeds MAX_POWER_BITS = 14000"),
+    ("u*1/0", 5, "zero denominator"),
+    ("u*u_q", 3, "'q' in jet suffix is not a declared base variable"),
+    ("u*u[1]", 6, "multi-index needs 2 entries, got 1"),
+    ("u*u[16,1]", 3, "jet order 17 exceeds the limit 16"),
+    ("u**v", 3, "expected an expression, found '*'"),
+    ("u*(v", 5, "expected ')', found end of input"),
+]
+
+
+@pytest.mark.parametrize("source, col, message", PRODUCT_ERRORS, ids=[row[0] for row in PRODUCT_ERRORS])
+def test_product_path_errors(source, col, message):
+    b = Bundle(("x", "y"), ("u", "v"), ("c",))
+    with pytest.raises(DslError) as err:
+        parse_expression(source, b)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert str(err.value) == f"line 1, col {col}: {message}"

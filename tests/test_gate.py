@@ -5,9 +5,11 @@ PolyExpr, SymmetryClaim, AuxClaim, Bundle, Sequence[PolyExpr], a Union of
 these or an Optional one.  The slot gets 3, None unless the hint is
 Optional, and an operand of the wrong kind (a bundle slot the plain tuple of
 a bundle's names) while every other argument is valid, and the call must
-raise a TypeError whose message starts with the slot's name.  Index and
-shape slots (zeta, tau, fiber, probe_order, seed, rows, cols) and the input
-of a reader or parser get valid values only; they have their own tests.
+raise a TypeError whose message starts with the slot's name.  The size
+slots rows and cols of CDiffOperator are int slots that a bool does not fill,
+as a coefficient slot (see _as_coeff); each gets 1.5, True and None.  Index
+slots (zeta, tau, fiber, probe_order, seed) and the input of a reader or
+parser get valid values only; they have their own tests.
 """
 
 import collections.abc
@@ -31,7 +33,8 @@ VALID = {
     AuxClaim: AuxClaim(_F, _F, _F, _F),
     Bundle: _B,
 }
-INDICES = {"zeta": (1,), "tau": (1,), "fiber": 0, "probe_order": 1, "seed": 0, "rows": 1, "cols": 1}
+INDICES = {"zeta": (1,), "tau": (1,), "fiber": 0, "probe_order": 1, "seed": 0}
+SIZES = ("rows", "cols")
 NONE = type(None)
 
 
@@ -49,17 +52,24 @@ def operand_kinds(hint) -> tuple:
 
 
 def valid(kinds: tuple):
+    if kinds == (int,):
+        return 1
     return [_B.base_var(0)] if kinds == (list,) else VALID[kinds[0]]
 
 
 def wrong_kinds(kinds: tuple) -> list:
-    """Operands of a kind the slot does not admit; a sequence slot also gets
-    a lone expression and a list holding an operator."""
+    """Operands of a kind the slot does not admit: 3, None unless the slot is
+    Optional, and another operand; a sequence slot also gets a lone
+    expression and a list holding an operator, a size slot a float, a bool
+    and None."""
+    if kinds == (int,):
+        return [1.5, True, None]
+    common = [3] + [None] * (NONE not in kinds)
     if kinds == (list,):
-        return [_E, [_F]]
+        return common + [_E, [_F]]
     if Bundle in kinds:
-        return [tuple(_B)]
-    return [next(v for kind, v in VALID.items() if kind not in kinds)]
+        return common + [tuple(_B)]
+    return common + [next(v for kind, v in VALID.items() if kind not in kinds)]
 
 
 def public_callables() -> dict:
@@ -87,7 +97,7 @@ def valid_calls() -> dict:
     for name, (call, others) in public_callables().items():
         hints = typing.get_type_hints(call.__init__ if isinstance(call, type) else call)
         params = inspect.signature(call).parameters
-        slots = {p: kinds for p in params if (kinds := operand_kinds(hints.get(p)))}
+        slots = {p: kinds for p in params if (kinds := (int,) if p in SIZES else operand_kinds(hints.get(p)))}
         if not slots:
             continue
         kwargs = {**{p: INDICES[p] for p in params if p in INDICES}, **others}
@@ -104,7 +114,7 @@ CASES = [
     pytest.param(call, slot, {**kwargs, slot: bad}, id=f"{name}-{slot}-{type(bad).__name__}")
     for name, (call, slots, kwargs) in VALID_CALLS.items()
     for slot, kinds in slots.items()
-    for bad in [3] + [None] * (NONE not in kinds) + wrong_kinds(kinds)
+    for bad in wrong_kinds(kinds)
 ]
 BUNDLE_SLOTS = {"PolyExpr-bundle", "CDiffOperator-bundle", "PolyExpr.from_json-bundle",
                 "VectorOperator.from_json-bundle", "CDiffOperator.from_json-bundle", "random_expr-bundle",
@@ -115,9 +125,10 @@ def test_every_operand_slot_is_covered():
     assert len(VALID_CALLS) == 26
     slots = {f"{name}-{slot}" for name, (_, slots, _) in VALID_CALLS.items() for slot in slots}
     assert {"linearize-f", "evolutionary_apply-target", "substitute_section-sections", "aux_residual-claim",
-            "check_commutation-e", "CDiffOperator.apply-g"} | BUNDLE_SLOTS <= slots
+            "check_commutation-e", "CDiffOperator.apply-g", "CDiffOperator-rows",
+            "CDiffOperator-cols"} | BUNDLE_SLOTS <= slots
     assert {slot for slot in slots if slot.endswith("-bundle")} == BUNDLE_SLOTS
-    assert len(slots) == 45
+    assert len(slots) == 47
 
 
 @pytest.mark.parametrize("name", VALID_CALLS)
@@ -132,3 +143,15 @@ def test_wrong_operand_type_names_its_slot(call, slot, kwargs):
     with pytest.raises(TypeError) as caught:
         call(**kwargs)
     assert str(caught.value).startswith(slot), str(caught.value)
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    (1.5, 1, "rows must be an int, got float"),
+    (1, True, "cols must be an int, got bool"),
+    (True, True, "rows must be an int, got bool"),
+])
+def test_operator_shape_is_two_ints(rows, cols, message):
+    # A float or bool shape once built an operator that to_json wrote and
+    # from_json rejected.
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        CDiffOperator(_B, rows, cols)
