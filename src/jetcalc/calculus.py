@@ -28,25 +28,19 @@ CDiffOperator._apply_into; VectorOperator._make then wraps the sums.  An
 operator-valued side sums the same way into one id-form operator sum (see
 operators), here through _hessian_operator_into.
 
-Types are tested once per public call, not per kernel call: kernels test
-signatures and shapes only.  Each public function runs
-expressions._check_type once on each operand before it reads an attribute,
-where it first touches the operands: at its accumulators (_sums, which
-tests the operands it is given and returns one empty term dict per
-component of the first), at its InputChains, or at the top.  A kernel then
-checks the signatures and ranks of its vector operands once per call
-(_check_sections, or apply's signature and column test), so a check's call
-order decides which of those errors bad input gets; _evolutionary_into
-takes a cache and stays unchecked.  _check_sections compares operands
-through VectorOperator._coerce, whose type test is there for the
-arithmetic operators.
-The other kernels take the derivatives of their operands from an optional
-InputChains; operators states how long each cache lives.  jacobi_bracket,
-jacobi_bracket_coord, hessian_form, hessian_operator and CDiffOperator.apply
-are those kernels on fresh accumulators; jacobi_bracket and apply also take
-the optional chains, and without it, like the other three, derive on fresh
-caches.  evolutionary_apply derives its generator on one fresh cache, which
-every component of a vector target reads.
+Every section operand of a public call passes one gate,
+vectorops._check_sections, where the call first touches it (at _sums, which
+returns the accumulators, at its InputChains, or at the top): it is a
+VectorOperator over the first slot's signature whose rank is that bundle's
+fiber count.  The kernels check nothing, since their operands are gated
+inputs or intermediates built from them.  _evolutionary_into takes a
+cache; the other kernels take the derivatives of their operands from an
+optional InputChains; operators states how long each cache lives.
+jacobi_bracket, jacobi_bracket_coord, hessian_form, hessian_operator and
+CDiffOperator.apply are those kernels on fresh accumulators; jacobi_bracket
+and apply also take the optional chains, and without it, like the other
+three, derive on fresh caches.  evolutionary_apply derives its generator on
+one fresh cache, which every component of a vector target reads.
 """
 
 from __future__ import annotations
@@ -66,25 +60,14 @@ from .expressions import (
     random_expr,
 )
 from .operators import FRESH, CDiffOperator, DerivativeCache, InputChains
-from .vectorops import RankMismatchError, VectorOperator
+from .vectorops import RankMismatchError, VectorOperator, _check_sections
 
 
 def _sums(**operands: VectorOperator) -> list:
     """The accumulators of a public call, one empty id-form term dict per
-    component of its first operand, once each operand passed the type gate."""
-    for slot, g in operands.items():
-        _check_type(g, VectorOperator, slot)
+    component of its first operand, once the operands passed the gate."""
+    _check_sections(**operands)
     return [{} for _ in next(iter(operands.values())).components]
-
-
-def _check_sections(role: str, f: VectorOperator, *others: VectorOperator) -> None:
-    """Raise unless each of others matches f in signature and rank, and f has
-    the bundle's rank; role names f in the message.  The caller has tested
-    f's type."""
-    for g in others:
-        f._coerce(g)
-    if f.rank != f.bundle.r:
-        raise RankMismatchError(f"{role} has rank {f.rank}, but the bundle has {f.bundle.r} fiber variables")
 
 
 def linearize(f: VectorOperator) -> CDiffOperator:
@@ -109,9 +92,8 @@ def evolutionary_apply(g: VectorOperator, target: Union[PolyExpr, VectorOperator
     is finite because the target has finite jet order.  Vector operators are
     handled componentwise, on one cache of g's derivatives.
     """
-    _check_type(g, VectorOperator, "g")
+    _check_sections(g=g)
     _check_type(target, (PolyExpr, VectorOperator), "target")
-    _check_sections("generating operator", g)
     vector = isinstance(target, VectorOperator)
     targets = target if vector else VectorOperator([target])
     if targets.bundle != g.bundle:
@@ -126,8 +108,7 @@ def evolutionary_apply(g: VectorOperator, target: Union[PolyExpr, VectorOperator
 
 def _evolutionary_into(acc: dict, target: PolyExpr, cache: DerivativeCache, k: int = 1) -> None:
     """Add k times the evolutionary derivative of target, generated by the
-    operator behind cache, into the id-form term dict acc.  The caller
-    checks signatures and ranks.
+    operator behind cache, into the id-form term dict acc.
 
     One pass over target's terms builds no partials: each factor v^m of a
     term c * mono adds k * m * c * (mono without one v) * D(v) straight into
@@ -168,7 +149,6 @@ def _evolutionary_into(acc: dict, target: PolyExpr, cache: DerivativeCache, k: i
 def _bracket_into(accs: list, f: VectorOperator, g: VectorOperator, k: int = 1, chains: InputChains = FRESH) -> None:
     """Add k * {f, g}, via linearization, into accs (one id-form term dict per
     component)."""
-    _check_sections("left operand", f, g)
     linearize(f)._apply_into(accs, g, k, chains)
     linearize(g)._apply_into(accs, f, -k, chains)
 
@@ -177,7 +157,6 @@ def _bracket_coord_into(
     accs: list, f: VectorOperator, g: VectorOperator, k: int = 1, chains: InputChains = FRESH
 ) -> None:
     """Add k * {f, g}, from the coordinate sums E_g(f_i) - E_f(g_i), into accs."""
-    _check_sections("left operand", f, g)
     fcache, gcache = chains.of(f), chains.of(g)
     for i, acc in enumerate(accs):
         _evolutionary_into(acc, f[i], gcache, k)
@@ -188,7 +167,6 @@ def _hessian_into(
     accs: list, f: VectorOperator, g: VectorOperator, h: VectorOperator, k: int = 1, chains: InputChains = FRESH
 ) -> None:
     """Add k * hessian_form(f, g, h) into accs."""
-    _check_sections("operator", f, g, h)
     gcache, hcache = chains.of(g), chains.of(h)
     for acc, comp in zip(accs, f.components):
         for v, first in comp._jet_partials().items():
@@ -233,8 +211,7 @@ def hessian_operator(f: VectorOperator, g: VectorOperator) -> CDiffOperator:
     Entry (i, j) at key sigma is the evolutionary derivative along g of
     dF_i/dp^j_sigma; it vanishes identically when f is linear.
     """
-    _check_type(f, VectorOperator, "f")
-    _check_type(g, VectorOperator, "g")
+    _check_sections(f=f, g=g)
     acc: dict = {}
     _hessian_operator_into(acc, f, g, 1, FRESH)
     return CDiffOperator._wrap(f.bundle, f.rank, f.bundle.r, acc)
@@ -242,7 +219,6 @@ def hessian_operator(f: VectorOperator, g: VectorOperator) -> CDiffOperator:
 
 def _hessian_operator_into(acc: dict, f: VectorOperator, g: VectorOperator, k: int, chains: InputChains) -> None:
     """Add k * hessian_operator(f, g) into acc, an id-form operator sum."""
-    _check_sections("operator", f, g)
     cache = chains.of(g)
     for i, comp in enumerate(f.components):
         for v, first in comp._jet_partials().items():

@@ -180,6 +180,8 @@ class _Parser:
             raise self.error(f"{name!r} is a reserved word", k)
         if "_" in name:
             raise self.error(f"name {name!r} may not contain underscores", k)
+        if not name.isidentifier():  # as Bundle requires
+            raise self.error(f"name {name!r} is not an identifier", k)
         if name in seen:
             raise self.error(f"duplicate name {name!r}", k)
         seen.add(name)

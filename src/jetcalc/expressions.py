@@ -497,7 +497,9 @@ class PolyExpr:
         return PolyExpr._make(self.bundle, {m: c * q for m, c in self._terms.items()})
 
     def __pow__(self, k: int) -> "PolyExpr":
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool):  # a bool is no exponent, as in _as_coeff
+            raise TypeError(f"exponent must be an int, got {type(k).__name__}")
+        if k < 0:
             raise ValueError("exponent must be a non-negative integer")
         _check_power(k, self.degree)
         out = self.bundle.one()

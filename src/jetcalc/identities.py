@@ -3,13 +3,11 @@
 Every check instantiates concrete polynomial operators, computes the exact
 defect of one identity and wraps it in a Residual; holds is true exactly
 when the canonical form of the defect is zero.  Checks sum each defect into
-one accumulator per component (see calculus).  A check tests each operand's
-type once, before it reads it: its InputChains tests the operands it holds,
-and calculus._sums (which returns the accumulators) or
-expressions._check_type any other; its kernels check signatures and ranks.
-Only inner brackets that are operands of another term are built as values,
-first where that gives bad input the error of the unfused sum.  The
-commutation lemma's defect starts from a copy of its direct side and takes
+one accumulator per component (see calculus).  A check gates its
+operands once, before it reads them, through its InputChains or
+calculus._sums (see calculus for the rule), and its kernels check nothing.
+Only inner brackets that are operands of another term are built as values.
+The commutation lemma's defect starts from a copy of its direct side and takes
 each closed-form term through expressions._add_terms.
 
 Each check builds one InputChains over its input operands, which makes each
@@ -101,8 +99,8 @@ def _residual(name: str, value, **context) -> Residual:
 def check_hessian_symmetry(f: VectorOperator, g: VectorOperator, h: VectorOperator) -> Residual:
     """The Hessian form is symmetric in its two derivative slots:
     hessian_form(f, g, h) - hessian_form(f, h, g) vanishes."""
-    chains = InputChains(g=g, h=h)
-    accs = _sums(f=f)
+    chains = InputChains(f=f, g=g, h=h)
+    accs = [{} for _ in range(f.rank)]
     _hessian_into(accs, f, g, h, 1, chains)
     _hessian_into(accs, f, h, g, -1, chains)
     return _residual("hess-sym", VectorOperator._make(f.bundle, accs), f=f, g=g, h=h)
@@ -117,7 +115,6 @@ def anomaly_operators(
     read one InputChains over f and g, and each is summed into one id-form
     operator sum."""
     chains = InputChains(f=f, g=g)
-    f._coerce(g)
     lhs: dict = {}
     linearize(f)._commutator_into(lhs, linearize(g))
     linearize(jacobi_bracket(f, g, chains))._add_into(lhs, -1)
@@ -162,7 +159,7 @@ def check_bracket_leibniz(f: VectorOperator, g: VectorOperator, h: VectorOperato
     chains = InputChains(f=f, g=g, h=h)
     lg = linearize(g)
     lgh = lg.apply(h, chains)
-    fg = jacobi_bracket(f, g, chains)  # checks f against g, as {f, l_g h} would
+    fg = jacobi_bracket(f, g, chains)
     fh = jacobi_bracket(f, h, chains)
     accs = [{} for _ in range(f.rank)]
     _bracket_into(accs, f, lgh, 1, chains)
@@ -177,7 +174,7 @@ def check_jacobi_identity(f: VectorOperator, g: VectorOperator, h: VectorOperato
     {f, {g, h}} + {g, {h, f}} + {h, {f, g}} = 0."""
     chains = InputChains(f=f, g=g, h=h)
     gh = jacobi_bracket(g, h, chains)
-    fg = jacobi_bracket(f, g, chains)  # checks f against g, as {f, {g, h}} would
+    fg = jacobi_bracket(f, g, chains)
     hf = jacobi_bracket(h, f, chains)
     accs = [{} for _ in range(f.rank)]
     _bracket_into(accs, f, gh, 1, chains)
@@ -269,7 +266,7 @@ def check_multiplier_identity(
     chains = InputChains(g=g, h=h, mu=mu)
     l_mu = linearize(mu)
     muh = jacobi_bracket(mu, h, chains)
-    lmug = l_mu.apply(g, chains)  # checks g, as linearize({mu,h}) g would
+    lmug = l_mu.apply(g, chains)
     gh = jacobi_bracket(g, h, chains)
     accs = [{} for _ in range(mu.rank)]
     linearize(muh)._apply_into(accs, g, 1, chains)

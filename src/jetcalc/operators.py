@@ -41,11 +41,11 @@ constructor adds its coefficients into such a sum too.  _wrap is the one
 builder that drops the terms and cells of a sum that cancelled; _make, the
 trusted constructor, takes cells that are nonzero by construction.
 
-Types are tested once per public call, and kernels test signatures and
-shapes only: the constructor tests its bundle, apply and InputChains their
-vector operands, and the algebra its operator operand (_check_operand),
-through expressions._check_type; _apply_into, which apply and the identity
-checks call on operands already tested, checks signature and columns alone.
+Operands are checked once per public call, and kernels check nothing: the
+constructor tests its bundle, InputChains gates a check's sections
+(vectorops._check_sections), apply tests that its operand is over the
+operator's signature with rank equal to its column count, and the algebra
+tests its operator operand (_check_operand).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Mapping, Optional, Sequence
 from .expressions import Bundle, PolyExpr, Rational, SignatureMismatchError
 from .expressions import _add_terms, _as_coeff, _check_type, _derivative, _field, _mul_into, _one_based
 from .multiindex import MultiIndex, binom_product, sub_indices
-from .vectorops import VectorOperator
+from .vectorops import VectorOperator, _check_sections
 
 
 class ShapeMismatchError(ValueError):
@@ -95,16 +95,15 @@ class InputChains:
     """The DerivativeCache of each of a check's input operands, built when
     the chains are and handed out again to every kernel the check passes
     them to; any other operand gets a fresh cache.  Operands are named by
-    their slots, and each passes the type gate first: building the chains
-    is where a check first touches them.  They are told apart by identity,
+    their slots and pass the section gate first: building the chains is
+    where a check first touches them.  They are told apart by identity,
     and each cache holds its operand, so no other object can take an id
     while the chains live.  InputChains() hands out fresh caches only."""
 
     __slots__ = ("_caches",)
 
     def __init__(self, **operands: VectorOperator):
-        for slot, g in operands.items():
-            _check_type(g, VectorOperator, slot)
+        _check_sections(**operands)
         self._caches = {id(g): DerivativeCache(g) for g in operands.values()}
 
     def of(self, g) -> DerivativeCache:
@@ -246,20 +245,20 @@ class CDiffOperator:
 
     def apply(self, g: VectorOperator, chains: InputChains = FRESH) -> VectorOperator:
         """Act on a vector operator: (Theta g)_i = sum a^{ij}_sigma D_sigma(g_j),
-        with the D_sigma(g_j) from chains."""
+        with the D_sigma(g_j) from chains; g must be over the operator's
+        signature, with rank equal to its column count."""
         _check_type(g, VectorOperator, "g")
+        if g.bundle != self.bundle:
+            raise SignatureMismatchError("g is over another signature than the operator")
+        if g.rank != self.cols:
+            raise ShapeMismatchError(f"g has rank {g.rank}, but the operator has {self.cols} columns")
         accs = [{} for _ in range(self.rows)]
         self._apply_into(accs, g, 1, chains)
         return VectorOperator._make(self.bundle, accs)
 
     def _apply_into(self, accs: list, g: VectorOperator, k: int = 1, chains: InputChains = FRESH) -> None:
-        """Add k * self(g) into accs, one id-form term dict per row, once g
-        has the same signature and rank = cols; g's derivatives come from
-        chains.  The caller has tested g's type."""
-        if g.bundle != self.bundle:
-            raise SignatureMismatchError("operand carries a different signature")
-        if g.rank != self.cols:
-            raise ShapeMismatchError(f"operator has {self.cols} columns, operand rank {g.rank}")
+        """Add k * self(g) into accs, one id-form term dict per row; g's
+        derivatives come from chains."""
         cache = chains.of(g)
         for (i, j), cell in self._entries.items():
             for sigma, coeff in cell.items():

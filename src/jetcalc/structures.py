@@ -63,8 +63,7 @@ def symmetry_residual(claim: SymmetryClaim) -> Residual:
     """
     _check_type(claim, SymmetryClaim, "claim")
     f, h, theta = claim
-    _check_type(theta, VectorOperator, "theta")
-    chains = InputChains(f=f, h=h)
+    chains = InputChains(f=f, h=h, theta=theta)
     bracket_form = jacobi_bracket(f, h, chains) - linearize(theta).apply(f, chains)
     module_form = linearize(f).apply(h) - linearize(theta + h).apply(f)
     res = _residual("symmetry", bracket_form, f=f, h=h, theta=theta)
@@ -82,9 +81,7 @@ def aux_residual(claim: AuxClaim) -> Residual:
     """
     _check_type(claim, AuxClaim, "claim")
     f, g, lam, mu = claim
-    _check_type(lam, VectorOperator, "lam")
-    _check_type(mu, VectorOperator, "mu")
-    chains = InputChains(f=f, g=g)
+    chains = InputChains(f=f, g=g, lam=lam, mu=mu)
     value = jacobi_bracket(f, g, chains) - linearize(lam).apply(f, chains) - linearize(mu).apply(g, chains)
     res = _residual("aux", value, f=f, g=g, lam=lam, mu=mu)
     res.context["order_mu"] = mu.order

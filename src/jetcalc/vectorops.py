@@ -19,6 +19,23 @@ class RankMismatchError(ValueError):
     """Operators of incompatible ranks were combined."""
 
 
+def _check_sections(**operands: "VectorOperator") -> None:
+    """The operand gate of a public call on sections, its operands given by
+    slot: every operand is a VectorOperator, over the first slot's signature,
+    with rank equal to that bundle's fiber count.  Each rule is checked on
+    every slot before the next rule, so bad input gets the error of the
+    first rule it breaks, at the first slot that breaks it."""
+    for slot, g in operands.items():
+        _check_type(g, VectorOperator, slot)
+    first = next(iter(operands), None)
+    for slot, g in operands.items():
+        if g.bundle != operands[first].bundle:
+            raise SignatureMismatchError(f"{slot} is over another signature than {first}")
+    for slot, g in operands.items():
+        if g.rank != g.bundle.r:
+            raise RankMismatchError(f"{slot} has rank {g.rank}, but the bundle has {g.bundle.r} fiber variables")
+
+
 class VectorOperator:
     __slots__ = ("components",)
 

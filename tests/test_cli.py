@@ -332,7 +332,7 @@ class TestUsageErrors:
         for argv in (["anomaly", "--f", "P", "--g", "Q"], ["bracket", "--left", "P", "--right", "Q"],
                      ["hessian", "--f", "P", "--g", "Q"]):
             err = self._assert_error([*argv, "--session", str(session)], capsys)
-            assert err == "error: rank mismatch: 2 vs 1\n"
+            assert err == "error: g has rank 1, but the bundle has 2 fiber variables\n"
 
     def test_negative_probe_order(self, intro_session, capsys):
         self._assert_error(

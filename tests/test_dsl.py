@@ -182,6 +182,9 @@ class TestErrors:
             ("base x; fiber u;\nop F = [u,\n  *u];", (3, 3), "expected an expression, found '*'"),
             ("base x; fiber u; op F = [w_x];", (1, 26), "undeclared fiber variable 'w'"),
             ("base x; fiber u; op F = [u + w[1]];", (1, 30), "undeclared fiber variable 'w'"),
+            # A letter-led word run is one token, which Bundle would reject.
+            ("base x²y; fiber u; op F = [u];", (1, 6), "name 'x²y' is not an identifier"),
+            ("base x; fiber u; param c½; op F = [u];", (1, 24), "name 'c½' is not an identifier"),
         ],
     )
     def test_message_and_position(self, source, position, message):

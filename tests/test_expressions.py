@@ -453,6 +453,9 @@ EXPRESSION_ERRORS = {
     "kind 7": (lambda: PolyExpr(_B1, {((JetCoordinate(7, 0), 1),): 1}), ValueError,
                f"coordinate {JetCoordinate(7, 0)} does not belong to signature {_B1}"),
     "negative power": (lambda: _B1.fiber_var(0) ** -1, ValueError, "exponent must be a non-negative integer"),
+    "power True": (lambda: _B1.fiber_var(0) ** True, TypeError, "exponent must be an int, got bool"),
+    "power False": (lambda: _B1.fiber_var(0) ** False, TypeError, "exponent must be an int, got bool"),
+    "float power": (lambda: _B1.fiber_var(0) ** 2.0, TypeError, "exponent must be an int, got float"),
     "derivative direction": (lambda: _B1.fiber_var(0).total_derivative(3), ValueError, "base index 3 out of range"),
     "substitute": (lambda: _B1.fiber_var(0).substitute({_B1.jet_coord(0, (0,)): _B2.fiber_var(0)}),
                    SignatureMismatchError, "substitution value over a different signature"),

@@ -193,7 +193,7 @@ class TestAntihomomorphism:
         g = random_vector_operator(Bundle(("x", "y"), ("u", "v"), ("c",)), 8)
         with pytest.raises(SignatureMismatchError) as err:
             check_evolutionary_antihomomorphism(f, g, 2)
-        assert str(err.value) == "vector operators carry different signatures"
+        assert str(err.value) == "g is over another signature than f"
 
 
 class TestThreeBaseVariables:

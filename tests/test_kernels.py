@@ -8,6 +8,7 @@ suites in fresh processes whose intern tables were filled in shuffled orders.
 """
 
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 import jetcalc
 from jetcalc import Bundle, PolyExpr, VectorOperator, calculus, identities, operators, random_expr
+from jetcalc import RankMismatchError, ShapeMismatchError, SignatureMismatchError
 from jetcalc.calculus import evolutionary_apply, random_vector_operator
 from jetcalc.cli import main
 from jetcalc.expressions import (
@@ -710,7 +712,7 @@ OPERAND_CALLS = {
     "apply": lambda f, g: calculus.linearize(f).apply(g),
 }
 OPERAND_ERRORS = ROOT / "tests" / "golden" / "operand_errors.txt"
-OPERAND_ERRORS_DIGEST = "3540819b1cbd0223717279f464ce917915e48d5ae64f9f12142d0466f954ced3"
+OPERAND_ERRORS_DIGEST = "1228f8788668fb8cc7361660999ba5f9fb95ea8f04f0d3f7da38dadb29649c39"
 
 
 def operand_error_lines() -> list:
@@ -733,10 +735,45 @@ def operand_error_lines() -> list:
     return lines
 
 
+def expected_outcome(name: str, slots: tuple, ops: tuple):
+    """The error class and first bad slot that the operands' bundles and
+    ranks alone call for, or None for a result.  Section operands are over
+    the first slot's signature, then each has rank equal to that bundle's
+    fiber count; apply's operand g is over the operator's signature, then
+    has rank equal to its column count."""
+    if name == "apply":
+        f, g = ops
+        if g.bundle != f.bundle:
+            return SignatureMismatchError, "g"
+        return (ShapeMismatchError, "g") if g.rank != f.bundle.r else None
+    bundle = ops[0].bundle
+    for slot, op in zip(slots, ops):
+        if op.bundle != bundle:
+            return SignatureMismatchError, slot
+    for slot, op in zip(slots, ops):
+        if op.rank != bundle.r:
+            return RankMismatchError, slot
+    return None
+
+
 class TestOperandErrors:
-    # Call order decides which error bad input gets; moving an operand check
-    # from a caller into a kernel must not change it.  The lines are in
+    # Every call checks its operands by one rule, whatever order its kernels
+    # run in: each rule over every slot before the next rule, and the error
+    # names the first slot that breaks it.  The lines are in
     # tests/golden/operand_errors.txt, which the digest pins.
+    def test_each_error_follows_the_rule(self):
+        for name, call in OPERAND_CALLS.items():
+            params = inspect.signature(call).parameters.values()
+            slots = tuple(p.name for p in params if p.default is p.empty)
+            for names in itertools.product(OPERANDS, repeat=len(slots)):
+                ops = tuple(OPERANDS[n] for n in names)
+                try:
+                    call(*ops)
+                    got = None
+                except (SignatureMismatchError, RankMismatchError, ShapeMismatchError) as e:
+                    got = type(e), str(e).split()[0]
+                assert got == expected_outcome(name, slots, ops), (name, names)
+
     def test_every_call_gives_the_recorded_result_or_error(self):
         assert all(not op.is_zero() for op in OPERANDS.values())
         lines = operand_error_lines()
