@@ -32,10 +32,12 @@ Every section operand of a public call passes one gate,
 vectorops._check_sections, where the call first touches it (at _sums, which
 returns the accumulators, at its InputChains, or at the top): it is a
 VectorOperator over the first slot's signature whose rank is that bundle's
-fiber count.  The kernels check nothing, since their operands are gated
-inputs or intermediates built from them.  _evolutionary_into takes a
-cache; the other kernels take the derivatives of their operands from an
-optional InputChains; operators states how long each cache lives.
+fiber count.  evolutionary_apply's target, a PolyExpr or a VectorOperator
+of any rank, passes only the gate's signature pass, _check_signatures.
+The kernels check nothing, since their operands are gated inputs or
+intermediates built from them.  _evolutionary_into takes a cache; the
+other kernels take the derivatives of their operands from an optional
+InputChains; operators states how long each cache lives.
 jacobi_bracket, jacobi_bracket_coord, hessian_form, hessian_operator and
 CDiffOperator.apply are those kernels on fresh accumulators; jacobi_bracket
 and apply also take the optional chains, and without it, like the other
@@ -60,7 +62,7 @@ from .expressions import (
     random_expr,
 )
 from .operators import FRESH, CDiffOperator, DerivativeCache, InputChains
-from .vectorops import RankMismatchError, VectorOperator, _check_sections
+from .vectorops import RankMismatchError, VectorOperator, _check_sections, _check_signatures
 
 
 def _sums(**operands: VectorOperator) -> list:
@@ -94,10 +96,9 @@ def evolutionary_apply(g: VectorOperator, target: Union[PolyExpr, VectorOperator
     """
     _check_sections(g=g)
     _check_type(target, (PolyExpr, VectorOperator), "target")
+    _check_signatures(g=g, target=target)
     vector = isinstance(target, VectorOperator)
     targets = target if vector else VectorOperator([target])
-    if targets.bundle != g.bundle:
-        raise SignatureMismatchError("operands carry different signatures")
     cache = DerivativeCache(g)
     accs = [{} for _ in targets.components]
     for acc, comp in zip(accs, targets.components):

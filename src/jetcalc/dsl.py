@@ -18,7 +18,10 @@ A product is read as one coefficient times one monomial: its numbers (and
 their powers and signs) multiply the coefficient and its coordinates (and
 their powers) make the monomial, so a product such as -24*u_yy*u_xx builds no
 term dict.  Only a parenthesised sum is a term dict, and the polynomial
-product kernel _mul_into runs only for a product that holds one.
+product kernel _mul_into runs only for a product that holds one.  A powered
+sum is kept unexpanded with its exponent until the end of its product, which
+expands its sums only when it is nonzero and within every bound: 0*(u+v)^999
+builds no power.
 
 The parser bounds the work an input can ask for, each bound raising a
 DslError at the token that breaks it: parentheses nest at most MAX_NESTING
@@ -27,8 +30,12 @@ degree at most MAX_DEGREE, and a power base^exp has exp * B at most
 MAX_POWER_BITS, B being the bit length of the base's largest numerator or
 denominator.  The last one is tested only once the degree bound has passed,
 so it bounds the coefficients of a power, above all of a constant, whose
-degree is 0 at any nesting.  The number of terms of a power of a sum is not
-bounded yet.
+degree is 0 at any nesting.  Last, at the end of a nonzero product whose
+degree bounds have passed, the estimated work of expanding its parenthesised
+sums, their powers and their products is at most MAX_POWER_WORK; past it, the
+error points at the exponent of the power, or the "(" of the sum, whose step
+passes the bound.  A parenthesised sum is expanded when it closes, so a
+power inside it is bounded there, by its own product.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
+from math import comb
 from typing import Optional
 
 from .expressions import JET, MAX_DEGREE, Bundle, JetCoordinate, PolyExpr, _check_power, _check_type, _intern, _mul_into
@@ -52,6 +60,11 @@ MAX_NESTING = 100
 # any nesting, so this bounds the coefficients a power builds.  Below Python's
 # 4,300-digit int-to-str limit, so a powered constant still prints.
 MAX_POWER_BITS = 14_000
+# Largest estimated work of expanding the parenthesised sums of one product,
+# their powers and their products, in coordinate ids of the monomials built
+# (see _Parser.check_work).  Expansion builds 2 to 3 * 10^7 ids a second on a
+# 2-core VM, so a product within the bound expands in about a second.
+MAX_POWER_WORK = 3 * 10**7
 _PUNCT = "+-*^()[],;=/"
 _STARTS = {"int": str.isdecimal, "ident": str.isalpha}  # the first character of an "int" or "ident" token
 
@@ -95,6 +108,12 @@ class SessionFile(_Record):
     def __init__(self, bundle: Bundle, operators: Optional[dict[str, VectorOperator]] = None):
         self.bundle = bundle
         self.operators = {} if operators is None else operators
+
+
+def _monomials(coords: set, low: int, high: int) -> int:
+    """The number of monomials in coords of degree low to high."""
+    v = len(coords)
+    return comb(high + v, v) - (comb(low - 1 + v, v) if low else 0)
 
 
 class _Parser:
@@ -198,12 +217,13 @@ class _Parser:
     # number, its power and each "-" multiply the coefficient, a coordinate
     # and its power append ids.  Only a "(" sum ")" factor, powered or not,
     # is a term dict, in id form, monomial -> coefficient (the representation
-    # inside PolyExpr, see expressions.py); a product's parenthesised sums
-    # are multiplied out with _mul_into, with the zeros of each "*" dropped.
-    # At the end of the product, coefficient times sorted monomial (times
-    # those sums) is added once, with its sign, into the sum, and one filter
-    # drops the zeros of the whole sum.  parse_factor also returns the
-    # degree, and the bound on a product adds the degrees of its factors
+    # inside PolyExpr, see expressions.py), which parse_factor collects with
+    # its exponent, unexpanded.  At the end of a nonzero product, expand
+    # raises each sum to its power and multiplies them out with _mul_into,
+    # with the zeros of each "*" dropped; coefficient times sorted monomial
+    # (times those sums) is then added once, with its sign, into the sum, and
+    # one filter drops the zeros of the whole sum.  parse_factor also returns
+    # the degree, and the bound on a product adds the degrees of its factors
     # before the product is built.  That is exact: over the rationals a
     # product of nonzero factors has the sum of their degrees, and a zero
     # factor has degree 0.
@@ -217,41 +237,38 @@ class _Parser:
         sign = 1
         while True:
             ids: list = []
-            coeff, terms, degree = self.parse_factor(ids)
+            sums: list = []
+            coeff, degree = self.parse_factor(ids, sums)
             while tokens[self.pos] == "*":
                 star = self.pos
                 self.pos += 1
-                c, right, rdeg = self.parse_factor(ids)
+                c, rdeg = self.parse_factor(ids, sums)
                 degree += rdeg
                 if degree > MAX_DEGREE:
                     raise self.error(f"product of degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}", star)
                 coeff *= c
                 if not coeff:
                     degree = 0
-                    ids.clear()  # unread once the product is zero; bounds its length
-                elif right is not None:
-                    if terms is None:
-                        terms = right
-                    else:
-                        product: dict = {}
-                        _mul_into(product, terms, right)
-                        terms = {m: v for m, v in product.items() if v}
+                    ids.clear()  # unread once the product is zero; bounds their length
+                    sums.clear()
             if coeff:
                 mono = tuple(sorted(ids))
-                if terms is None:
-                    acc[mono] = acc.get(mono, 0) + sign * coeff
+                if sums:
+                    _mul_into(acc, {mono: coeff}, self.expand(sums), sign)
                 else:
-                    _mul_into(acc, {mono: coeff}, terms, sign)
+                    acc[mono] = acc.get(mono, 0) + sign * coeff
             tok = tokens[self.pos]
             if tok != "+" and tok != "-":
                 return {m: c for m, c in acc.items() if c}
             self.pos += 1
             sign = 1 if tok == "+" else -1
 
-    def parse_factor(self, ids: list) -> tuple:
-        """(coefficient, terms, degree) of the next factor, whose coordinate
-        ids it appends to ids.  terms is the term dict of a nonzero
-        parenthesised sum, else None; a zero factor has coefficient 0."""
+    def parse_factor(self, ids: list, sums: list) -> tuple:
+        """(coefficient, degree) of the next factor, whose coordinate ids it
+        appends to ids.  A nonzero parenthesised sum with a nonzero exponent
+        appends (terms, exp, k) to sums, unexpanded: its term dict, its
+        exponent and the index of the token at which a work error points,
+        the exponent, else the "(".  A zero factor has coefficient 0."""
         tokens = self.tokens
         sign = 1
         while tokens[self.pos] == "-":
@@ -271,10 +288,10 @@ class _Parser:
                     vid = self.symbol_ids[tok] = _intern(self._resolve_symbol(tok, k))
             if tokens[self.pos] != "^":
                 ids.append(vid)
-                return sign, None, 1
+                return sign, 1
             exp = self.parse_power(1, (1,))
             ids += [vid] * exp
-            return sign, None, exp
+            return sign, exp
         if tok[:1].isdecimal():
             q = self.expect_int()
             if tokens[self.pos] == "/":
@@ -287,7 +304,7 @@ class _Parser:
             if tokens[self.pos] == "^":
                 exp = self.parse_power(0, (q,))
                 q = q**exp if exp else 1  # as **, which starts from the int 1
-            return sign * q, None, 0
+            return sign * q, 0
         if tok == "(":
             if self.depth == MAX_NESTING:
                 raise self.error(f"parentheses nested deeper than MAX_NESTING = {MAX_NESTING}", k)
@@ -297,13 +314,68 @@ class _Parser:
             degree = max(map(len, terms), default=0)  # after cancellation
             self.expect(")")
             self.depth -= 1
+            exp = 1
             if tokens[self.pos] == "^":
                 exp = self.parse_power(degree, terms.values())
-                terms = (PolyExpr._make(self.bundle, terms) ** exp)._terms
-                degree *= exp
-            return (sign, terms, degree) if terms else (0, None, 0)
+                k = self.pos - 1
+            if not exp:  # as **, which starts from 1, also for a zero base
+                return sign, 0
+            if not terms:
+                return 0, 0
+            sums.append((terms, exp, k))
+            return sign, degree * exp
         what = "end of input" if not tok else repr(tok)
         raise self.error(f"expected an expression, found {what}", k)
+
+    def expand(self, sums: list) -> dict:
+        """The term dict of the product of a nonzero product's sums (see
+        parse_factor), each power expanded with ** and the product multiplied
+        out left to right, once check_work has passed."""
+        self.check_work(sums)
+        product = None
+        for terms, exp, _ in sums:
+            if exp > 1:
+                terms = (PolyExpr._make(self.bundle, terms) ** exp)._terms
+            if product is None:
+                product = terms
+            else:
+                out: dict = {}
+                _mul_into(out, product, terms)
+                product = {m: v for m, v in out.items() if v}
+        return product
+
+    def check_work(self, sums: list) -> None:
+        """Raise a DslError when expand(sums) would pass MAX_POWER_WORK.
+
+        The unit is one coordinate id of a monomial built: a product of
+        terms a and b sorts len(a) + len(b) ids.  The j-th step of a power
+        of a sum of t terms of degree d multiplies the T_j terms of the j-th
+        power by the t terms of the base, building monomials of degree
+        (j+1)*d, so its power costs W = sum over j = 1 .. exp-1 of
+        T_j * t * (j+1) * d.  T_j is at most the number of compositions of j
+        into t parts, C(j + t-1, j), and at most the number of monomials in
+        the base's v coordinates whose degree lies between j*e and j*d, e
+        being the least degree of a term of the base (with e = 0, those of
+        degree at most j*d).  Multiplying the product so far, of T terms, by
+        a powered sum of T' terms costs T * T' * D, D the degree of the
+        result; T * T', and the monomials in the coordinates so far within
+        the result's degrees, bound the terms of the result."""
+        work = count = low = high = 0
+        coords: set = set()
+        for terms, exp, k in sums:
+            t, e, d = len(terms), min(map(len, terms)), max(map(len, terms))
+            own = set().union(*terms)
+            for j in range(1, exp):
+                work += min(comb(j + t - 1, j), _monomials(own, j * e, j * d)) * t * (j + 1) * d
+                if work > MAX_POWER_WORK:
+                    raise self.error(f"power {exp} of a {t}-term sum exceeds MAX_POWER_WORK = {MAX_POWER_WORK}", k)
+            powered = min(comb(exp + t - 1, exp), _monomials(own, exp * e, exp * d))
+            coords |= own
+            low, high = low + exp * e, high + exp * d
+            work += count * powered * high  # 0 for the first sum
+            if work > MAX_POWER_WORK:
+                raise self.error(f"product of sums exceeds MAX_POWER_WORK = {MAX_POWER_WORK}", k)
+            count = min(count * powered, _monomials(coords, low, high)) if count else powered
 
     def parse_power(self, degree: int, coeffs) -> int:
         """The exponent after a "^" of a degree-`degree` base with coefficients

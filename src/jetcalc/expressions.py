@@ -492,8 +492,6 @@ class PolyExpr:
 
     def scale(self, q: Rational) -> "PolyExpr":
         q = _as_coeff(q)
-        if q == 0:
-            return self.bundle.zero()
         return PolyExpr._make(self.bundle, {m: c * q for m, c in self._terms.items()})
 
     def __pow__(self, k: int) -> "PolyExpr":

@@ -27,13 +27,20 @@ def _check_sections(**operands: "VectorOperator") -> None:
     first rule it breaks, at the first slot that breaks it."""
     for slot, g in operands.items():
         _check_type(g, VectorOperator, slot)
+    _check_signatures(**operands)
+    for slot, g in operands.items():
+        if g.rank != g.bundle.r:
+            raise RankMismatchError(f"{slot} has rank {g.rank}, but the bundle has {g.bundle.r} fiber variables")
+
+
+def _check_signatures(**operands) -> None:
+    """The signature pass of the gate, for operands whose types are checked:
+    every slot's value (a PolyExpr or VectorOperator) is over the first
+    slot's signature, else the first slot that is not is named."""
     first = next(iter(operands), None)
     for slot, g in operands.items():
         if g.bundle != operands[first].bundle:
             raise SignatureMismatchError(f"{slot} is over another signature than {first}")
-    for slot, g in operands.items():
-        if g.rank != g.bundle.r:
-            raise RankMismatchError(f"{slot} has rank {g.rank}, but the bundle has {g.bundle.r} fiber variables")
 
 
 class VectorOperator:
@@ -77,11 +84,12 @@ class VectorOperator:
         return all(c.is_zero() for c in self.components)
 
     def _coerce(self, other) -> "VectorOperator":
+        # Equal ranks, not the fiber count: an antihom residual has one
+        # component per probe.
         _check_type(other, VectorOperator, "other")
-        if other.bundle != self.bundle:
-            raise SignatureMismatchError("vector operators carry different signatures")
+        _check_signatures(self=self, other=other)
         if other.rank != self.rank:
-            raise RankMismatchError(f"rank mismatch: {self.rank} vs {other.rank}")
+            raise RankMismatchError(f"other has rank {other.rank}, but self has rank {self.rank}")
         return other
 
     def __add__(self, other) -> "VectorOperator":

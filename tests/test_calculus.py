@@ -320,10 +320,22 @@ class TestOperandErrors:
             call()
 
     def test_signature_errors(self, scalar_bundle):
-        with pytest.raises(SignatureMismatchError, match="^operands carry different signatures$"):
+        with pytest.raises(SignatureMismatchError, match="^target is over another signature than g$"):
             evolutionary_apply(_G, scalar_bundle.fiber_var(0))
         with pytest.raises(SignatureMismatchError, match="^section carries a different signature$"):
             substitute_section(_E, [scalar_bundle.base_var(0)])
+
+    # A sum or difference of vector operators needs equal ranks, not the
+    # fiber count: an antihom residual has one component per probe.
+    @pytest.mark.parametrize("op", ["+", "-"])
+    def test_vector_sum_names_its_operands(self, op, plane_bundle):
+        combine = (lambda a, b: a + b) if op == "+" else (lambda a, b: a - b)
+        pair = VectorOperator([plane_bundle.fiber_var(0), plane_bundle.fiber_var(1)])
+        with pytest.raises(SignatureMismatchError, match="^other is over another signature than self$"):
+            combine(pair, VectorOperator([_E, _E]))
+        with pytest.raises(RankMismatchError, match="^other has rank 1, but self has rank 2$"):
+            combine(pair, VectorOperator([plane_bundle.fiber_var(0)]))
+        assert combine(pair, pair).rank == 2
 
 
 def test_vector_target_derives_its_generator_once(plane_bundle, monkeypatch):

@@ -1,13 +1,25 @@
+import time
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetcalc import Bundle, VectorOperator
+from jetcalc import Bundle, PolyExpr, VectorOperator, dsl
 from jetcalc.calculus import random_vector_operator
-from jetcalc.dsl import MAX_NESTING, MAX_POWER_BITS, DslError, SessionFile, parse, parse_expression, print_session
+from jetcalc.cli import main
+from jetcalc.dsl import (
+    MAX_NESTING,
+    MAX_POWER_BITS,
+    MAX_POWER_WORK,
+    DslError,
+    SessionFile,
+    parse,
+    parse_expression,
+    print_session,
+)
 from jetcalc.expressions import MAX_DEGREE
 from jetcalc.multiindex import MAX_ORDER
 
@@ -509,3 +521,85 @@ def test_product_path_errors(source, col, message):
         parse_expression(source, b)
     assert (err.value.line, err.value.col) == (1, col)
     assert str(err.value) == f"line 1, col {col}: {message}"
+
+
+# A parenthesised sum stays unexpanded until the end of its product, which
+# expands it only when the product is nonzero and within every bound.
+@pytest.mark.parametrize("source", ["0*(u+v)^999", "(u+v)^999*0", "(u+v)^999*(x-x)*(u+v+x+c+1)^1000"])
+def test_a_zero_product_expands_no_sum(source, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sum of a zero product was expanded")
+
+    monkeypatch.setattr(PolyExpr, "__pow__", refuse)
+    monkeypatch.setattr(dsl, "_mul_into", refuse)
+    assert parse_expression(source, Bundle(("x", "y"), ("u", "v"), ("c",))) == 0
+
+
+def monomials(v: int, low: int, high: int) -> int:
+    """Monomials in v coordinates of degree low to high."""
+    return sum(comb(k + v - 1, v - 1) for k in range(low, high + 1))
+
+
+def power_work(t: int, e: int, d: int, v: int, k: int) -> int:
+    """The estimated work of the k-th power of a sum of t terms of degrees
+    e to d in v coordinates: step j multiplies the T_j terms of the j-th
+    power by the t terms of the base, and each product sorts (j+1)*d ids."""
+    return sum(min(comb(j + t - 1, t - 1), monomials(v, j * e, j * d)) * t * (j + 1) * d for j in range(1, k))
+
+
+# Each row: the source, its estimated work, the column of the token at
+# which the bound fires, the message, and the polynomial it denotes.  In
+# 2*(u+v)^3*(x+y+u) the 4 terms of (u+v)^3 times the 3 of (x+y+u) build
+# monomials of degree 4.
+WORK_BOUND = [
+    ("(u+v)^10", power_work(2, 1, 1, 2, 10), 7, "power 10 of a 2-term sum", lambda x, y, u, v, c: (u + v) ** 10),
+    ("(u+v+x+c+1)^6", power_work(5, 0, 1, 4, 6), 13, "power 6 of a 5-term sum",
+     lambda x, y, u, v, c: (u + v + x + c + 1) ** 6),
+    ("2*(u+v)^3*(x+y+u)", power_work(2, 1, 1, 2, 3) + 4 * 3 * 4, 11, "product of sums",
+     lambda x, y, u, v, c: 2 * (u + v) ** 3 * (x + y + u)),
+]
+
+
+@pytest.mark.parametrize("source, work, col, message, value", WORK_BOUND, ids=[row[0] for row in WORK_BOUND])
+def test_work_at_the_bound_and_one_past_it(source, work, col, message, value, monkeypatch):
+    b = Bundle(("x", "y"), ("u", "v"), ("c",))
+    monkeypatch.setattr(dsl, "MAX_POWER_WORK", work)
+    assert parse_expression(source, b) == value(b.base_var(0), b.base_var(1), b.fiber_var(0), b.fiber_var(1),
+                                                b.param("c"))
+    monkeypatch.setattr(dsl, "MAX_POWER_WORK", work - 1)
+    with pytest.raises(DslError) as err:
+        parse_expression(source, b)
+    assert str(err.value) == f"line 1, col {col}: {message} exceeds MAX_POWER_WORK = {work - 1}"
+
+
+def test_a_power_past_the_work_bound_fails_at_once(tmp_path, capsys):
+    # It passes the degree and bit bounds, and ran without end before the
+    # work bound; (u+v+x+c+1)^30 alone took about 1.2 s and 46,376 terms.
+    session = tmp_path / "power.jet"
+    session.write_text("base x; fiber u v; param c; op F = [(u+v+x+c+1)^1000];")
+    start = time.perf_counter()
+    code = main(["linearize", "--session", str(session), "--op", "F"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    message = f"error: line 1, col 49: power 1000 of a 5-term sum exceeds MAX_POWER_WORK = {MAX_POWER_WORK}\n"
+    assert capsys.readouterr().err == message
+
+
+def test_a_power_that_collapses_is_not_rejected_on_its_compositions(scalar_bundle):
+    # The 100th power of 1+u+u^2 has 201 terms, not C(102, 2) = 5,151: its
+    # estimate counts monomials in u of degree at most 200.
+    assert power_work(3, 0, 2, 1, 100) <= MAX_POWER_WORK
+    assert sum(comb(j + 2, 2) * 3 * (j + 1) * 2 for j in range(1, 100)) > MAX_POWER_WORK
+    u = scalar_bundle.fiber_var(0)
+    assert parse_expression("(1+u+u^2)^100", scalar_bundle) == (1 + u + u**2) ** 100
+
+
+@pytest.mark.parametrize("source, message", [
+    ("(u+v)^999*u^2", "line 1, col 10: product of degree 1001 exceeds MAX_DEGREE = 1000"),
+    ("(u+v)^1001", "line 1, col 7: power 1001 of a degree-1 expression exceeds MAX_DEGREE = 1000"),
+    ("(9^1000*u+v)^999", "line 1, col 14: power 999 of a 3170-bit coefficient exceeds MAX_POWER_BITS = 14000"),
+])
+def test_the_work_bound_comes_after_the_degree_and_bit_bounds(source, message):
+    with pytest.raises(DslError) as err:
+        parse_expression(source, Bundle(("x", "y"), ("u", "v"), ("c",)))
+    assert str(err.value) == message

@@ -40,6 +40,12 @@ class TestRing:
         assert (p * p).scale(2) == 2 * (p * p)
         assert 2 * (p * p) == p * p + p * p
 
+    def test_scale_by_zero_is_the_zero(self, scalar_bundle):
+        p = scalar_bundle.jet(0, (1,))
+        for e in (p * p + 1, scalar_bundle.zero()):
+            assert e.scale(0) == scalar_bundle.zero()
+            assert e.scale(0).terms == {}
+
     def test_int_coercion_and_pow(self, scalar_bundle):
         u = scalar_bundle.fiber_var(0)
         assert (u + 1) * (u - 1) == u**2 - 1

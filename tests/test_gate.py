@@ -21,6 +21,7 @@ import pytest
 import jetcalc
 from jetcalc import AuxClaim, Bundle, CDiffOperator, PolyExpr, SymmetryClaim, VectorOperator
 from jetcalc.dsl import parse_expression
+from jetcalc.multiindex import MultiIndex
 
 _B = Bundle(("x",), ("u",), ("c",))
 _E = _B.fiber_var(0) * _B.jet(0, (1,)) + _B.param("c")
@@ -155,3 +156,26 @@ def test_operator_shape_is_two_ints(rows, cols, message):
     # from_json rejected.
     with pytest.raises(TypeError, match=f"^{message}$"):
         CDiffOperator(_B, rows, cols)
+
+
+# The operators of a jetcalc value return NotImplemented for an operand of a
+# foreign type, so Python then tries the other operand's reflected method,
+# and raises a TypeError when both decline; == falls back to identity.
+_THETA = CDiffOperator(_B, 1, 1, {(0, 0): {(1,): 1}})
+FOREIGN_OPERANDS = {
+    "1.5 + PolyExpr": lambda: 1.5 + _E,
+    "1.5 * PolyExpr": lambda: 1.5 * _E,
+    "1 + MultiIndex": lambda: 1 + MultiIndex((1,)),
+    "1.5 * CDiffOperator": lambda: 1.5 * _THETA,
+    "1.5 * VectorOperator": lambda: 1.5 * _F,
+}
+
+
+@pytest.mark.parametrize("call", FOREIGN_OPERANDS.values(), ids=FOREIGN_OPERANDS)
+def test_a_foreign_operand_is_declined(call):
+    with pytest.raises(TypeError, match="^unsupported operand type"):
+        call()
+
+
+def test_a_foreign_operand_compares_unequal():
+    assert not 1.5 == _THETA and not 1.5 == _F

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetcalc import Bundle, CDiffOperator, VectorOperator, hessian_operator, jacobi_bracket, linearize, random_expr
+from jetcalc.dsl import SessionFile
 from jetcalc.expressions import _IDS, JET, JetCoordinate
+from jetcalc.identities import Residual
 from jetcalc.multiindex import MultiIndex
 from jetcalc.printing import (
     LATEX,
@@ -77,11 +79,32 @@ class TestText:
         )
         assert cdiff_text(op) == "[[D_xx - D_y, 0], [0, D_xy + 1]]"
 
+    def test_cdiff_str_is_its_text(self, intro_pair):
+        b, f, g = intro_pair
+        assert str(linearize(f)) == cdiff_text(linearize(f)) == "2*u_x*D_x"
+
     def test_multichar_base_names_fall_back_to_brackets(self):
         b = Bundle(("xx",), ("u",))
         assert poly_text(b.jet(0, (2,))) == "u[2]"
         op = CDiffOperator(b, 1, 1, {(0, 0): {(2,): 1}})
         assert cdiff_text(op) == "D[2]"
+
+
+class TestRepr:
+    """A value's repr wraps its text in its class name; a record's lists its
+    fields, as a dataclass's would."""
+
+    def test_values(self, intro_pair):
+        b, f, g = intro_pair
+        assert repr(f[0]) == "PolyExpr(u_x^2)"
+        assert repr(f) == "VectorOperator([u_x^2])"
+        assert repr(linearize(f)) == "CDiffOperator(2*u_x*D_x)"
+
+    def test_records(self, intro_pair):
+        b, f, g = intro_pair
+        assert repr(Residual(f, False)) == "Residual(value=VectorOperator([u_x^2]), holds=False, context={})"
+        text = f"SessionFile(bundle={b!r}, operators={{'F': VectorOperator([u_x^2])}})"
+        assert repr(SessionFile(b, {"F": f})) == text
 
 
 class TestLatex:

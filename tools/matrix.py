@@ -8,7 +8,10 @@ when PYENV_ROOT is unset), this runs, from the repository root:
 - the golden CLI transcript (``tests/test_cli_golden.py``), compared without
   pytest, so it runs even where pytest cannot;
 - the start-up import guard: ``import jetcalc.cli`` must load neither
-  ``dataclasses`` nor ``inspect``.
+  ``dataclasses`` nor ``inspect``;
+- on Python 3.12 and later, ``tools/coverage.py``: tier-1 again, under a
+  line hook, which must leave no line of ``src/jetcalc`` unrun but the
+  allowlisted ones.
 
 The test packages (pytest, hypothesis) are borrowed from the first
 interpreter that imports both; they are pure Python, so other versions can
@@ -73,7 +76,7 @@ def last_line(text: str) -> str:
     return lines[-1].strip() if lines else "no output"
 
 
-def legs(python, packages: str) -> list:
+def legs(python, version: tuple, packages: str) -> list:
     """(leg, passed, summary) for each leg on one interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(["src", packages])}
     out = []
@@ -83,6 +86,9 @@ def legs(python, packages: str) -> list:
     else:
         done = run(python, ["-m", "pytest", "-q", "-p", "no:cacheprovider"], env)
         out.append(("tier-1", done.returncode == 0, last_line(done.stdout)))
+        if version >= (3, 12):
+            done = run(python, ["tools/coverage.py"], env)
+            out.append(("coverage", done.returncode == 0, last_line(done.stdout)))
     env["PYTHONPATH"] = "src"
     done = run(python, GOLDEN, env)
     summary = "match" if done.returncode == 0 else last_line(done.stderr) if done.stderr.strip() else "differs"
@@ -115,7 +121,7 @@ def main() -> int:
         if version[:2] < need:
             print(f"{name}: skipped, below requires-python >={'.'.join(map(str, need))}")
             continue
-        results = legs(python, packages)
+        results = legs(python, version, packages)
         failed |= any(ok is False for _, ok, _ in results)
         print(f"{name}: " + "; ".join(f"{leg} {summary}" for leg, _, summary in results))
     return 1 if failed else 0
